@@ -39,10 +39,3 @@ print(f"SNR {tb.snr_db(x, res.x_hat):.2f} dB, realized ||w||_2 = "
 print(f"objective: start {res.objective_history[0]:.1f} -> final "
       f"{res.objective_history[-1]:.2f}")
 
-print()
-print("== the printed continuation schedule, for comparison ==")
-res_geo = tb.admm_solve(op, sample.y, tb.SolverConfig(lam=0.1, rho_policy="geometric"))
-print(f"geometric schedule stops after {res_geo.iterations} iterations at "
-      f"SNR {tb.snr_db(x, res_geo.x_hat):.2f} dB "
-      f"(objective {res_geo.objective_history[-1]:.2f}); the escalating "
-      f"penalty freezes the iterates before the objective is minimized.")

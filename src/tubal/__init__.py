@@ -7,18 +7,15 @@ a reproducible benchmark harness.
 """
 
 from .algebra import (
-    ConjugateSymmetryError,
     TsvdFactors,
     as_tensor3,
     average_rank,
     bcirc,
     complement_indices,
     conj_transpose,
-    dft_mode3,
     fold,
     fro_norm,
     identity_tensor,
-    idft_mode3,
     is_fdiagonal,
     is_orthogonal,
     restrict,
@@ -71,7 +68,6 @@ from .solver import (
     admm_solve,
     prox_optimality_check,
     tsvt,
-    z_update,
 )
 
 __version__ = "0.1.0"

@@ -28,18 +28,15 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "ConjugateSymmetryError",
     "TsvdFactors",
     "as_tensor3",
     "average_rank",
     "bcirc",
     "complement_indices",
     "conj_transpose",
-    "dft_mode3",
     "fold",
     "fro_norm",
     "identity_tensor",
-    "idft_mode3",
     "is_fdiagonal",
     "is_orthogonal",
     "restrict",
@@ -52,14 +49,6 @@ __all__ = [
 ]
 
 DEFAULT_RANK_TOL = 1e-8
-
-# Relative imaginary residual above which an inverse transform is not
-# the transform of any real tensor.
-IMAG_RESIDUAL_TOL = 1e-8
-
-
-class ConjugateSymmetryError(ValueError):
-    """Fourier-domain input is not conjugate-symmetric across slices."""
 
 
 def as_tensor3(x, check_finite: bool = True) -> np.ndarray:
@@ -76,34 +65,6 @@ def as_tensor3(x, check_finite: bool = True) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # transforms and unfoldings
-
-
-def dft_mode3(x: np.ndarray) -> np.ndarray:
-    """DFT along the tube axis; returns a complex (n1, n2, n3) array."""
-    return np.fft.fft(as_tensor3(x), axis=2)
-
-
-def idft_mode3(xf: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`dft_mode3`, returning a real tensor.
-
-    Raises
-    ------
-    ConjugateSymmetryError
-        If the inverse transform has a relative imaginary residual above
-        1e-8, i.e. `xf` is not the mode-3 DFT of any real tensor.
-    """
-    xf = np.asarray(xf, dtype=np.complex128)
-    if xf.ndim != 3:
-        raise ValueError(f"expected a third-order tensor, got ndim={xf.ndim}")
-    out = np.fft.ifft(xf, axis=2)
-    scale = np.linalg.norm(out.ravel())
-    resid = np.linalg.norm(out.imag.ravel())
-    if resid > IMAG_RESIDUAL_TOL * max(scale, np.finfo(np.float64).tiny):
-        raise ConjugateSymmetryError(
-            f"imaginary residual {resid:.3e} exceeds {IMAG_RESIDUAL_TOL:.0e} "
-            f"of norm {scale:.3e}; input slices are not conjugate-symmetric"
-        )
-    return np.ascontiguousarray(out.real)
 
 
 def _rfft(x: np.ndarray) -> np.ndarray:

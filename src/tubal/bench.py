@@ -195,13 +195,12 @@ class ExperimentResult:
         }
 
 
-def _trial_worker(spec_json: str, trial: int):
+def _trial_worker(spec: ExperimentSpec, trial: int):
     """Run one trial: all grid cells against a shared instance.
 
     Returns (snr, iterations, seconds, aborted) arrays of shape
     (len(lambda_list), len(sigma_list)).
     """
-    spec = ExperimentSpec.from_dict(json.loads(spec_json))
     nl, ns = len(spec.lambda_list), len(spec.sigma_list)
     snr = np.full((nl, ns), np.nan)
     iters = np.full((nl, ns), np.nan)
@@ -240,7 +239,6 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     reduction, so aggregates do not depend on scheduling.  A solver
     abort marks its cell for that trial and the sweep continues.
     """
-    spec_json = json.dumps(spec.to_dict())
     nl, ns, nt = len(spec.lambda_list), len(spec.sigma_list), spec.trials
     snr = np.full((nt, nl, ns), np.nan)
     iters = np.full((nt, nl, ns), np.nan)
@@ -249,24 +247,24 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for trial, out in enumerate(pool.map(_trial_worker, [spec_json] * nt, range(nt))):
+            for trial, out in enumerate(pool.map(_trial_worker, [spec] * nt, range(nt))):
                 snr[trial], iters[trial], secs[trial], aborted[trial] = out
     else:
         for trial in range(nt):
-            snr[trial], iters[trial], secs[trial], aborted[trial] = _trial_worker(spec_json, trial)
+            snr[trial], iters[trial], secs[trial], aborted[trial] = _trial_worker(spec, trial)
 
     with np.errstate(invalid="ignore"):
-        mean_snr = np.nanmean(snr, axis=0) if nt else snr.sum(axis=0)
+        mean_snr = np.nanmean(snr, axis=0)
         std_snr = np.nanstd(snr, axis=0)
         mean_iters = np.nanmean(iters, axis=0)
         mean_secs = np.nanmean(secs, axis=0)
-    ok = np.isfinite(snr).sum(axis=0)
+    n_aborted = aborted.sum(axis=0)
     return ExperimentResult(
         spec=spec,
         mean_snr_db=np.asarray(mean_snr),
         std_snr_db=np.asarray(std_snr),
-        ok_trials=ok,
-        aborted_trials=aborted.sum(axis=0),
+        ok_trials=nt - n_aborted,
+        aborted_trials=n_aborted,
         mean_iterations=np.asarray(mean_iters),
         mean_seconds=np.asarray(mean_secs),
         created_at=datetime.now(timezone.utc).isoformat(),

@@ -3,9 +3,10 @@
 Solves ``min_x ||x||_* + (1/(2*lam)) * ||y - M vec(x)||^2`` by variable
 splitting: an auxiliary tensor carries the data-fit term, the nuclear
 norm is handled by its exact proximal map (singular value thresholding
-of each Fourier slice), and a scalar penalty grows geometrically until
-capped.  Iterations stop when the entrywise changes of both blocks and
-their disagreement all fall below a tolerance.
+of each Fourier slice), and a scalar penalty is adapted by residual
+balancing (Boyd et al. 2011, section 3.4.1) within [rho0, rho_max].
+Iterations stop when the entrywise changes of both blocks and their
+disagreement all fall below a tolerance.
 
 The data-fit block update solves ``(M^T M + rho I) z = b`` exactly.  A
 thin SVD of the measurement matrix is factored once per solve and
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .algebra import as_tensor3, fro_norm, tnn, _irfft, _real_slice, _rfft
+from .algebra import as_tensor3, fro_norm, tnn, _half_weights, _irfft, _real_slice, _rfft
 from .measurement import GaussianLinearMap, unvec, vec
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "admm_solve",
     "prox_optimality_check",
     "tsvt",
-    "z_update",
 ]
 
 
@@ -50,19 +50,15 @@ class SolverConfig:
     bracket the penalty, vartheta is its growth (and shrink) factor,
     varpi the entrywise convergence tolerance.
 
-    rho_policy selects how the penalty evolves:
-
-    * ``"balanced"`` (default) applies residual balancing: rho grows by
-      vartheta when the consensus residual exceeds `balance_ratio`
-      times the dual residual, shrinks (never below rho0) in the
-      opposite case, and holds otherwise.  The penalty stays bounded,
-      so the entrywise stopping rule fires only at a genuine fixed
-      point of the splitting, i.e. at a minimizer.
-    * ``"geometric"`` multiplies rho by vartheta every iteration up to
-      rho_max.  This continuation converges in few iterations but the
-      escalating penalty freezes the iterates and satisfies the
-      stopping rule far from the minimizer when lam is small relative
-      to the data scale; it is kept for comparison runs.
+    The penalty follows residual balancing: rho grows by vartheta (up to
+    rho_max) when the consensus residual exceeds `balance_ratio` times
+    the dual residual, shrinks by vartheta (never below rho0) in the
+    opposite case, and holds otherwise.  The penalty stays bounded, so
+    the entrywise stopping rule fires only at a genuine fixed point of
+    the splitting, i.e. at a minimizer.  The geometric schedule (rho
+    times vartheta every iteration) is not offered: its escalating
+    penalty freezes the iterates, and the stopping rule fires, before
+    the minimizer is reached.
     """
 
     lam: float
@@ -71,7 +67,6 @@ class SolverConfig:
     vartheta: float = 1.5
     varpi: float = 1e-8
     max_iters: int = 500
-    rho_policy: str = "balanced"
     balance_ratio: float = 100.0
 
     def __post_init__(self):
@@ -83,8 +78,6 @@ class SolverConfig:
             raise ValueError("rho0 must not exceed rho_max")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.rho_policy not in ("balanced", "geometric"):
-            raise ValueError("rho_policy must be 'balanced' or 'geometric'")
         if self.balance_ratio <= 1:
             raise ValueError("balance_ratio must exceed 1")
 
@@ -128,13 +121,16 @@ class SolveResult:
 # nuclear-norm proximal map
 
 
-def tsvt(y_tensor: np.ndarray, tau: float) -> np.ndarray:
+def tsvt(y_tensor: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
     """Tensor singular value thresholding, the proximal map of the TNN.
 
     Minimizes ``tau * ||x||_* + 0.5 * ||x - y_tensor||_F^2`` by soft
     thresholding the singular values of each Fourier slice by `tau` and
     transforming back.  The (1/n3) factors in the tensor norms cancel,
     so the per-slice threshold is `tau` itself.
+
+    Returns ``(x, tnn(x))``; the norm comes from the thresholded singular
+    values, so no second transform and SVD sweep is needed.
     """
     y_tensor = as_tensor3(y_tensor)
     if tau < 0:
@@ -142,15 +138,17 @@ def tsvt(y_tensor: np.ndarray, tau: float) -> np.ndarray:
     n1, n2, n3 = y_tensor.shape
     yf = _rfft(y_tensor)
     out = np.empty_like(yf)
+    nuclear = np.empty(yf.shape[2])
     try:
         for j in range(yf.shape[2]):
             mat = yf[:, :, j].real if _real_slice(j, n3) else yf[:, :, j]
             u, s, vt = np.linalg.svd(mat, full_matrices=False)
             s = np.maximum(s - tau, 0.0)
+            nuclear[j] = s.sum()
             out[:, :, j] = (u * s) @ vt
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"slice SVD failed during thresholding: {exc}") from exc
-    return _irfft(out, n3)
+    return _irfft(out, n3), float(_half_weights(n3) @ nuclear / n3)
 
 
 def prox_optimality_check(
@@ -226,26 +224,6 @@ class NormalEquationSolver:
         return ranged + (b - self._v @ vtb) / rho
 
 
-def z_update(
-    op: GaussianLinearMap,
-    y: np.ndarray,
-    k_mult: np.ndarray,
-    x_next: np.ndarray,
-    rho: float,
-    ne_solver: NormalEquationSolver | None = None,
-) -> np.ndarray:
-    """Closed-form data-fit block update.
-
-    Solves ``(M^T M + rho I) z = M^T y + vec(k_mult) + rho vec(x_next)``
-    and reshapes the solution back to a tensor.
-    """
-    if ne_solver is None:
-        ne_solver = NormalEquationSolver(op.matrix)
-    b = op.matrix.T @ np.asarray(y, dtype=np.float64)
-    b += vec(k_mult) + rho * vec(x_next)
-    return unvec(ne_solver.solve(b, rho), op.dims)
-
-
 # ---------------------------------------------------------------------------
 # main loop
 
@@ -256,9 +234,9 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
     Per sweep: the x block applies :func:`tsvt` to ``z - k/rho`` with
     threshold ``lam/rho``; the z block solves the regularized normal
     equations; the multiplier absorbs ``rho * (x - z)``; the penalty
-    then evolves per ``config.rho_policy``.  Stops when the three
-    entrywise gaps (x step, z step, x-z) all drop below `varpi`, or at
-    `max_iters` with ``converged=False``.
+    is then rebalanced as described in :class:`SolverConfig`.  Stops
+    when the three entrywise gaps (x step, z step, x-z) all drop below
+    `varpi`, or at `max_iters` with ``converged=False``.
 
     Fully deterministic given (op, y, config).
 
@@ -289,7 +267,7 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
 
         prox_input = z - k_mult / rho
         tau = config.lam / rho
-        x = tsvt(prox_input, tau)
+        x, x_tnn = tsvt(prox_input, tau)
 
         b = mty + vec(k_mult) + rho * vec(x)
         z = unvec(ne_solver.solve(b, rho), dims)
@@ -305,7 +283,7 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
         z_step = float(np.max(np.abs(z - z_prev)))
         consensus = float(np.max(np.abs(x - z)))
         residual = y - op.matrix @ vec(x)
-        objective = tnn(x) + float(residual @ residual) / (2.0 * config.lam)
+        objective = x_tnn + float(residual @ residual) / (2.0 * config.lam)
         gaps_hist.append((x_step, z_step, consensus))
         obj_hist.append(objective)
 
@@ -321,14 +299,11 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
         if max(x_step, z_step, consensus) <= config.varpi:
             converged = True
             break
-        if config.rho_policy == "geometric":
+        dual_residual = rho * z_step
+        if consensus > config.balance_ratio * dual_residual:
             rho = min(config.vartheta * rho, config.rho_max)
-        else:
-            dual_residual = rho * z_step
-            if consensus > config.balance_ratio * dual_residual:
-                rho = min(config.vartheta * rho, config.rho_max)
-            elif dual_residual > config.balance_ratio * consensus:
-                rho = max(rho / config.vartheta, config.rho0)
+        elif dual_residual > config.balance_ratio * consensus:
+            rho = max(rho / config.vartheta, config.rho0)
 
     return SolveResult(
         x_hat=x,

@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 
 from tubal import (
-    ConjugateSymmetryError,
     average_rank,
     bcirc,
     complement_indices,
     conj_transpose,
-    dft_mode3,
     fold,
     fro_norm,
     identity_tensor,
-    idft_mode3,
     is_fdiagonal,
     is_orthogonal,
     restrict,
@@ -38,58 +35,6 @@ def naive_dft_mode3(x):
 
 def bcirc_product(a, b):
     return fold(bcirc(a) @ unfold(b), a.shape[2])
-
-
-# ---------------------------------------------------------------------------
-# transforms
-
-
-def test_dft_n3_1_is_identity():
-    x = rand_tensor(0, (3, 2, 1))
-    assert np.allclose(dft_mode3(x)[:, :, 0], x[:, :, 0], atol=0)
-
-
-def test_dft_two_point_tube_by_hand():
-    x = np.zeros((1, 1, 2))
-    x[0, 0, :] = [1.0, 2.0]
-    xf = dft_mode3(x)
-    assert xf[0, 0, 0] == pytest.approx(3.0)
-    assert xf[0, 0, 1] == pytest.approx(-1.0)
-
-
-def test_dft_matches_naive_oracle():
-    x = rand_tensor(1, (3, 4, 5))
-    assert np.allclose(dft_mode3(x), naive_dft_mode3(x), atol=1e-12)
-
-
-def test_dft_parseval():
-    x = rand_tensor(2, (3, 4, 5))
-    xf = dft_mode3(x)
-    assert fro_norm(x) == pytest.approx(np.linalg.norm(xf.ravel()) / np.sqrt(5), rel=1e-12)
-
-
-def test_idft_round_trip():
-    x = rand_tensor(3, (4, 3, 6))
-    back = idft_mode3(dft_mode3(x))
-    assert np.max(np.abs(back - x)) <= 1e-12 * np.max(np.abs(x))
-
-
-def test_idft_zero():
-    assert np.all(idft_mode3(np.zeros((2, 2, 3), dtype=complex)) == 0.0)
-
-
-def test_idft_two_point_by_hand():
-    xf = np.zeros((1, 1, 2), dtype=complex)
-    xf[0, 0, :] = [3.0, -1.0]
-    x = idft_mode3(xf)
-    assert np.allclose(x[0, 0, :], [1.0, 2.0])
-
-
-def test_idft_rejects_asymmetric_input():
-    xf = np.zeros((1, 1, 2), dtype=complex)
-    xf[0, 0, :] = [1.0, 1.0j]
-    with pytest.raises(ConjugateSymmetryError):
-        idft_mode3(xf)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +143,7 @@ def test_identity_tensor_properties():
     assert np.array_equal(eye[:, :, 0], np.eye(3))
     assert np.all(eye[:, :, 1:] == 0.0)
     assert np.array_equal(conj_transpose(eye), eye)
-    eyef = dft_mode3(eye)
+    eyef = naive_dft_mode3(eye)
     for k in range(4):
         assert np.allclose(eyef[:, :, k], np.eye(3), atol=1e-12)
 
@@ -275,7 +220,7 @@ def test_tsvd_deterministic():
 
 def test_tsvd_spectrum_is_mean_of_slice_svals():
     x = rand_tensor(20, (4, 6, 5))
-    xf = dft_mode3(x)
+    xf = np.fft.fft(x, axis=2)
     svals = np.linalg.svd(xf.transpose(2, 0, 1), compute_uv=False)
     assert np.allclose(tsvd(x).spectrum, svals.mean(axis=0), atol=1e-10)
 
@@ -294,7 +239,7 @@ def test_tubal_rank_of_factor_product(seed, r):
     gen = np.random.default_rng(seed)
     x = tprod(gen.standard_normal((5, r, 4)), gen.standard_normal((r, 5, 4)))
     assert tubal_rank(x, tol=1e-8) == r
-    xf = dft_mode3(x)
+    xf = np.fft.fft(x, axis=2)
     slice_ranks = [np.linalg.matrix_rank(xf[:, :, k], tol=1e-8) for k in range(4)]
     assert max(slice_ranks) == r
 
@@ -319,7 +264,7 @@ def test_tnn_values():
 
 def test_tnn_matches_slicewise_oracle():
     x = rand_tensor(23, (4, 5, 6))
-    xf = dft_mode3(x)
+    xf = naive_dft_mode3(x)
     total = sum(np.linalg.svd(xf[:, :, k], compute_uv=False).sum() for k in range(6))
     assert tnn(x) == pytest.approx(total / 6, rel=1e-8)
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -133,6 +134,16 @@ def test_experiment_workers_match_serial(tmp_path, mini_result):
     parallel = run_experiment(mini_spec(), workers=2)
     assert np.array_equal(parallel.mean_snr_db, mini_result.mean_snr_db)
     assert np.array_equal(parallel.ok_trials, mini_result.ok_trials)
+
+
+def test_experiment_counts_exact_recovery_as_ok(monkeypatch):
+    # an exact recovery scores SNR = +inf; it is a success, not a failure
+    monkeypatch.setattr("tubal.bench.snr_db", lambda x, x_hat: math.inf)
+    spec = mini_spec(trials=2, lambda_list=(0.5,))
+    result = run_experiment(spec)
+    assert np.all(result.ok_trials == spec.trials)
+    assert np.all(result.aborted_trials == 0)
+    assert np.all(result.mean_snr_db == math.inf)
 
 
 def test_emit_csv_layout(tmp_path, mini_result):
