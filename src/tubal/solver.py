@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .algebra import as_tensor3, fro_norm, tnn, _half_weights, _irfft, _real_slice, _rfft
+from .algebra import as_tensor3, fro_norm, tnn, _irfft, _real_slice, _rfft
 from .measurement import GaussianLinearMap, unvec, vec
 
 __all__ = [
@@ -121,16 +121,13 @@ class SolveResult:
 # nuclear-norm proximal map
 
 
-def tsvt(y_tensor: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
+def tsvt(y_tensor: np.ndarray, tau: float) -> np.ndarray:
     """Tensor singular value thresholding, the proximal map of the TNN.
 
     Minimizes ``tau * ||x||_* + 0.5 * ||x - y_tensor||_F^2`` by soft
     thresholding the singular values of each Fourier slice by `tau` and
     transforming back.  The (1/n3) factors in the tensor norms cancel,
     so the per-slice threshold is `tau` itself.
-
-    Returns ``(x, tnn(x))``; the norm comes from the thresholded singular
-    values, so no second transform and SVD sweep is needed.
     """
     y_tensor = as_tensor3(y_tensor)
     if tau < 0:
@@ -138,17 +135,15 @@ def tsvt(y_tensor: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
     n1, n2, n3 = y_tensor.shape
     yf = _rfft(y_tensor)
     out = np.empty_like(yf)
-    nuclear = np.empty(yf.shape[2])
     try:
         for j in range(yf.shape[2]):
             mat = yf[:, :, j].real if _real_slice(j, n3) else yf[:, :, j]
             u, s, vt = np.linalg.svd(mat, full_matrices=False)
             s = np.maximum(s - tau, 0.0)
-            nuclear[j] = s.sum()
             out[:, :, j] = (u * s) @ vt
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"slice SVD failed during thresholding: {exc}") from exc
-    return _irfft(out, n3), float(_half_weights(n3) @ nuclear / n3)
+    return _irfft(out, n3)
 
 
 def prox_optimality_check(
@@ -267,7 +262,7 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
 
         prox_input = z - k_mult / rho
         tau = config.lam / rho
-        x, x_tnn = tsvt(prox_input, tau)
+        x = tsvt(prox_input, tau)
 
         b = mty + vec(k_mult) + rho * vec(x)
         z = unvec(ne_solver.solve(b, rho), dims)
@@ -283,7 +278,7 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
         z_step = float(np.max(np.abs(z - z_prev)))
         consensus = float(np.max(np.abs(x - z)))
         residual = y - op.matrix @ vec(x)
-        objective = x_tnn + float(residual @ residual) / (2.0 * config.lam)
+        objective = tnn(x) + float(residual @ residual) / (2.0 * config.lam)
         gaps_hist.append((x_step, z_step, consensus))
         obj_hist.append(objective)
 

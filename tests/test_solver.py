@@ -36,26 +36,24 @@ def test_tsvt_full_shrinkage():
     x = rand_tensor(50, (4, 4, 3))
     xf = np.fft.fft(x, axis=2)
     top = max(np.linalg.svd(xf[:, :, k], compute_uv=False)[0] for k in range(3))
-    out, out_tnn = tsvt(x, top * 1.001)
-    assert np.all(out == 0.0)
-    assert out_tnn == 0.0
+    assert np.all(tsvt(x, top * 1.001) == 0.0)
 
 
 def test_tsvt_zero_threshold_returns_input():
     x = rand_tensor(51, (5, 3, 4))
-    assert fro_norm(tsvt(x, 0.0)[0] - x) <= 1e-12 * fro_norm(x)
+    assert fro_norm(tsvt(x, 0.0) - x) <= 1e-12 * fro_norm(x)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_tsvt_n3_1_matches_matrix_svt(seed):
     a = rand_tensor(seed, (5, 5, 1))
-    out, _ = tsvt(a, 0.3)
+    out = tsvt(a, 0.3)
     assert np.max(np.abs(out[:, :, 0] - matrix_svt(a[:, :, 0], 0.3))) <= 1e-10
 
 
 def test_tsvt_does_not_raise_rank():
     x = generate_lowrank(5, 5, 3, 2, seed=1)
-    assert tubal_rank(tsvt(x, 0.4)[0], tol=1e-8) <= tubal_rank(x, tol=1e-8)
+    assert tubal_rank(tsvt(x, 0.4), tol=1e-8) <= tubal_rank(x, tol=1e-8)
 
 
 def test_tsvt_rejects_negative_tau():
@@ -74,15 +72,15 @@ def test_tsvt_rejects_negative_tau():
 @example(n1=3, n2=4, n3=1, seed=0, tau_frac=0.0)
 @example(n1=4, n2=3, n3=4, seed=1, tau_frac=0.5)
 @example(n1=4, n2=4, n3=5, seed=2, tau_frac=1.01)
-def test_tsvt_returned_tnn_matches_tnn_of_output(n1, n2, n3, seed, tau_frac):
+def test_tsvt_is_the_prox_and_shrinks_the_spectrum(n1, n2, n3, seed, tau_frac):
     # tau_frac scales the largest Fourier-slice singular value, so 0 keeps
     # the input and values above 1 shrink everything to zero
     y = rand_tensor(seed, (n1, n2, n3))
-    top = np.linalg.svd(np.fft.fft(y, axis=2).transpose(2, 0, 1), compute_uv=False).max()
-    tau = tau_frac * top
-    x, x_tnn = tsvt(y, tau)
-    assert x_tnn == pytest.approx(tnn(x), rel=1e-12, abs=0.0)
+    svals = np.linalg.svd(np.fft.fft(y, axis=2).transpose(2, 0, 1), compute_uv=False)
+    tau = tau_frac * svals.max()
+    x = tsvt(y, tau)
     assert prox_optimality_check(y, tau, x) <= 1e-9
+    assert tnn(x) == pytest.approx(np.maximum(svals - tau, 0.0).sum() / n3, rel=1e-10, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +90,7 @@ def test_tsvt_returned_tnn_matches_tnn_of_output(n1, n2, n3, seed, tau_frac):
 @pytest.mark.parametrize("n3", [1, 2, 3, 5])
 def test_prox_output_is_stationary(n3):
     g = rand_tensor(60 + n3, (4, 4, n3))
-    x, _ = tsvt(g, 0.5)
+    x = tsvt(g, 0.5)
     assert prox_optimality_check(g, 0.5, x) <= 1e-9
 
 
