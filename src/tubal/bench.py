@@ -157,13 +157,19 @@ class ExperimentSpec:
 
 @dataclass
 class ExperimentResult:
-    """Aggregated sweep output; all arrays are (len(lambda_list), len(sigma_list))."""
+    """Aggregated sweep output; all arrays are (len(lambda_list), len(sigma_list)).
+
+    truncated_trials counts the solves of a cell that stopped at
+    ``max_iters`` without meeting the stopping rule; their SNR is still
+    scored and averaged into mean_snr_db, and they count in ok_trials.
+    """
 
     spec: ExperimentSpec
     mean_snr_db: np.ndarray
     std_snr_db: np.ndarray
     ok_trials: np.ndarray
     aborted_trials: np.ndarray
+    truncated_trials: np.ndarray
     mean_iterations: np.ndarray
     mean_seconds: np.ndarray
     created_at: str = ""
@@ -180,6 +186,7 @@ class ExperimentResult:
                         "std_snr_db": float(self.std_snr_db[li, si]),
                         "ok_trials": int(self.ok_trials[li, si]),
                         "aborted_trials": int(self.aborted_trials[li, si]),
+                        "truncated_trials": int(self.truncated_trials[li, si]),
                         "mean_iterations": float(self.mean_iterations[li, si]),
                         "mean_seconds": float(self.mean_seconds[li, si]),
                     }
@@ -198,14 +205,15 @@ class ExperimentResult:
 def _trial_worker(spec: ExperimentSpec, trial: int):
     """Run one trial: all grid cells against a shared instance.
 
-    Returns (snr, iterations, seconds, aborted) arrays of shape
-    (len(lambda_list), len(sigma_list)).
+    Returns (snr, iterations, seconds, aborted, truncated) arrays of
+    shape (len(lambda_list), len(sigma_list)).
     """
     nl, ns = len(spec.lambda_list), len(spec.sigma_list)
     snr = np.full((nl, ns), np.nan)
     iters = np.full((nl, ns), np.nan)
     secs = np.full((nl, ns), np.nan)
     aborted = np.zeros((nl, ns), dtype=bool)
+    truncated = np.zeros((nl, ns), dtype=bool)
 
     data_seed = rng.derive_key(spec.base_seed, spec.case_name, trial, "data")
     map_seed = rng.derive_key(spec.base_seed, spec.case_name, trial, "map")
@@ -228,7 +236,8 @@ def _trial_worker(spec: ExperimentSpec, trial: int):
             secs[li, si] = time.perf_counter() - start
             iters[li, si] = result.iterations
             snr[li, si] = snr_db(x, result.x_hat)
-    return snr, iters, secs, aborted
+            truncated[li, si] = not result.converged
+    return snr, iters, secs, aborted, truncated
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
@@ -239,19 +248,13 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     reduction, so aggregates do not depend on scheduling.  A solver
     abort marks its cell for that trial and the sweep continues.
     """
-    nl, ns, nt = len(spec.lambda_list), len(spec.sigma_list), spec.trials
-    snr = np.full((nt, nl, ns), np.nan)
-    iters = np.full((nt, nl, ns), np.nan)
-    secs = np.full((nt, nl, ns), np.nan)
-    aborted = np.zeros((nt, nl, ns), dtype=bool)
-
+    nt = spec.trials
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for trial, out in enumerate(pool.map(_trial_worker, [spec] * nt, range(nt))):
-                snr[trial], iters[trial], secs[trial], aborted[trial] = out
+            outs = list(pool.map(_trial_worker, [spec] * nt, range(nt)))
     else:
-        for trial in range(nt):
-            snr[trial], iters[trial], secs[trial], aborted[trial] = _trial_worker(spec, trial)
+        outs = [_trial_worker(spec, trial) for trial in range(nt)]
+    snr, iters, secs, aborted, truncated = (np.stack(parts) for parts in zip(*outs))
 
     with np.errstate(invalid="ignore"):
         mean_snr = np.nanmean(snr, axis=0)
@@ -265,6 +268,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
         std_snr_db=np.asarray(std_snr),
         ok_trials=nt - n_aborted,
         aborted_trials=n_aborted,
+        truncated_trials=truncated.sum(axis=0),
         mean_iterations=np.asarray(mean_iters),
         mean_seconds=np.asarray(mean_secs),
         created_at=datetime.now(timezone.utc).isoformat(),

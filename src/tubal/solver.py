@@ -8,12 +8,17 @@ balancing (Boyd et al. 2011, section 3.4.1) within [rho0, rho_max].
 Iterations stop when the entrywise changes of both blocks and their
 disagreement all fall below a tolerance.
 
-The data-fit block update solves ``(M^T M + rho I) z = b`` exactly.  A
-thin SVD of the measurement matrix is factored once per solve and
-reused for every penalty value: with ``M = U diag(g) V^T`` the inverse
-acts as ``b/rho + V ((g^2+rho)^-1 - rho^-1) V^T b``, the Woodbury form
-of the m x m Gram system, so the per-iteration cost is two slim
-matrix-vector products regardless of how often rho changes.
+The data-fit block update solves ``(M^T M + rho I) z = b`` exactly.  The
+Gram matrix of the smaller side of the m x N measurement matrix is
+eigendecomposed once per solve and reused for every penalty value: for a
+wide M (m < N), ``M M^T = Q diag(l) Q^T`` and the inverse acts as
+``(b - M^T Q (l+rho)^-1 Q^T M b) / rho``, the Woodbury form of the m x m
+system; for a tall or square M, ``M^T M = Q diag(l) Q^T`` and the inverse
+is ``Q (l+rho)^-1 Q^T b``.  Either way a solve is a few matrix-vector
+products, however often rho changes.  This replaces a thin SVD of M,
+which has the same flop order but runs several times slower than the
+symmetric Gram product and ``eigh``, and which keeps an N x m factor of
+right singular vectors beside M.
 """
 
 from __future__ import annotations
@@ -190,33 +195,36 @@ def prox_optimality_check(
 class NormalEquationSolver:
     """Solver for ``(M^T M + rho I) z = b`` at arbitrary rho > 0.
 
-    Factors a thin SVD of M once; each solve is two matrix-vector
-    products with the right singular vectors plus diagonal scalings.
+    Eigendecomposes the Gram matrix of the smaller side once: ``M M^T``
+    (m x m) when M is wide, ``M^T M`` (N x N) otherwise, so forming it and
+    running ``eigh`` costs ``O(min(m, N)^2 max(m, N))`` flops and
+    ``min(m, N)^2`` floats of storage.  A wide M is kept by reference and
+    each solve multiplies by it and its transpose once, so no N x m factor
+    is stored.  Eigenvalues that roundoff pushed below zero are clamped to
+    0, their exact value when M is rank-deficient.
     """
 
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ValueError("measurement matrix must be 2-d")
+        self._wide = matrix.shape[0] < matrix.shape[1]
+        gram = matrix @ matrix.T if self._wide else matrix.T @ matrix
         try:
-            _, svals, vt = np.linalg.svd(matrix, full_matrices=False)
+            evals, self._q = np.linalg.eigh(gram)
         except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"SVD of measurement matrix failed: {exc}") from exc
-        self._v = np.ascontiguousarray(vt.T)
-        self._svals_sq = svals**2
-        self._complete = self._v.shape[0] == self._v.shape[1]
+            raise NumericalError(f"eigendecomposition of the Gram matrix failed: {exc}") from exc
+        self._evals = np.maximum(evals, 0.0)
+        self._matrix = matrix if self._wide else None
 
     def solve(self, b: np.ndarray, rho: float) -> np.ndarray:
         if rho <= 0:
             raise ValueError("rho must be positive")
-        vtb = self._v.T @ b
-        ranged = self._v @ (vtb / (self._svals_sq + rho))
-        if self._complete:
-            return ranged
-        # m < N: the row-space solve plus the plain 1/rho action on the
-        # orthogonal complement (split kept explicit for stability at
-        # small rho)
-        return ranged + (b - self._v @ vtb) / rho
+        if not self._wide:
+            return self._q @ ((self._q.T @ b) / (self._evals + rho))
+        # m < N: b/rho minus the row-space correction of the Woodbury identity
+        inner = self._q @ ((self._q.T @ (self._matrix @ b)) / (self._evals + rho))
+        return (b - self._matrix.T @ inner) / rho
 
 
 # ---------------------------------------------------------------------------

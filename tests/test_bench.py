@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,7 @@ from tubal import (
     ExperimentSpec,
     GaussianLinearMap,
     SpecValidationError,
+    case1_spec,
     emit,
     emit_campaign,
     gaussian_map,
@@ -144,6 +146,20 @@ def test_experiment_counts_exact_recovery_as_ok(monkeypatch):
     assert np.all(result.ok_trials == spec.trials)
     assert np.all(result.aborted_trials == 0)
     assert np.all(result.mean_snr_db == math.inf)
+
+
+def test_experiment_reports_truncated_solves(tmp_path):
+    # at sigma=0.01 the lambda=1 solve converges (343 iterations) and the
+    # lambda=1e-4 solve stops at max_iters=500
+    spec = dataclasses.replace(case1_spec(trials=1), sigma_list=(0.01,), lambda_list=(1.0, 1e-4))
+    result = run_experiment(spec)
+    assert result.truncated_trials.tolist() == [[0], [1]]
+    assert result.mean_iterations.tolist() == [[343.0], [500.0]]
+    assert result.ok_trials.tolist() == [[1], [1]]
+    path = tmp_path / "grid.json"
+    emit(result, "json", path)
+    cells = json.loads(path.read_text())["cells"]
+    assert [row[0]["truncated_trials"] for row in cells] == [0, 1]
 
 
 def test_emit_csv_layout(tmp_path, mini_result):

@@ -132,11 +132,28 @@ def test_normal_equation_solver_large_rho_limit():
     assert np.max(np.abs(z - x_next)) <= 1e-6
 
 
-@pytest.mark.parametrize("m,n", [(6, 18), (30, 18)])
-def test_normal_equation_solver_matches_dense_solve(m, n):
+def _rank_deficient(gen, m, n):
+    """A Gaussian m x n matrix whose second half of rows (wide) or columns
+    (tall) repeats the first half, so its rank is min(m, n) // 2."""
+    matrix = gen.standard_normal((m, n))
+    half = min(m, n) // 2
+    if m < n:
+        matrix[half : 2 * half] = matrix[:half]
+    else:
+        matrix[:, half : 2 * half] = matrix[:, :half]
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "m,n,deficient",
+    [(6, 18, False), (30, 18, False), (18, 18, False), (6, 18, True), (30, 18, True)],
+    ids=["6-18", "30-18", "18-18", "6-18-deficient", "30-18-deficient"],
+)
+def test_normal_equation_solver_matches_dense_solve(m, n, deficient):
     dims = (3, 3, 2)
     gen = np.random.default_rng(m)
-    matrix = gen.standard_normal((m, n))
+    matrix = _rank_deficient(gen, m, n) if deficient else gen.standard_normal((m, n))
+    assert np.linalg.matrix_rank(matrix) == (min(m, n) // 2 if deficient else min(m, n))
     k_mult = gen.standard_normal(dims)
     x_next = gen.standard_normal(dims)
     y = gen.standard_normal(m)
@@ -145,6 +162,14 @@ def test_normal_equation_solver_matches_dense_solve(m, n):
         b = matrix.T @ y + vec(k_mult) + rho * vec(x_next)
         ref = np.linalg.solve(matrix.T @ matrix + rho * np.eye(n), b)
         assert np.max(np.abs(vec(z) - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("shape", [(6, 18), (30, 18)], ids=["wide", "tall"])
+def test_normal_equation_solver_rejects_nan_matrix(shape):
+    matrix = np.ones(shape)
+    matrix[1, 2] = np.nan
+    with pytest.raises(NumericalError):
+        NormalEquationSolver(matrix)
 
 
 def test_normal_equation_solver_rejects_nonpositive_rho():
