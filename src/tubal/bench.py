@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -250,6 +249,10 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """
     nt = spec.trials
     if workers > 1:
+        # Imported here: the process pool costs every `import tubal` time
+        # and memory, and only this branch uses it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outs = list(pool.map(_trial_worker, [spec] * nt, range(nt)))
     else:

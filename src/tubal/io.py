@@ -1,15 +1,13 @@
-"""Binary containers and JSON debug forms for tensors, vectors, matrices.
+"""Binary container for tensors.
 
-One container family: magic bytes identifying the kind, a dims triple
-as three little-endian uint64, then the payload as little-endian IEEE-754
-doubles in the package storage order (Fortran / frontal-slice-major for
-tensors, column-major for matrices).  Vectors store dims (m, 1, 1) and
-matrices (rows, cols, 1), so every file is self-describing.
+Magic bytes identifying the kind, a dims triple as three little-endian
+uint64, then the payload as little-endian IEEE-754 doubles in the
+package storage order (Fortran / frontal-slice-major), so every file is
+self-describing.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from pathlib import Path
 
@@ -18,38 +16,27 @@ import numpy as np
 from .algebra import as_tensor3
 
 __all__ = [
-    "load_array",
-    "load_matrix",
     "load_tensor",
-    "load_vector",
-    "save_matrix",
     "save_tensor",
-    "save_vector",
-    "tensor_from_json",
-    "tensor_to_json",
 ]
 
 MAGIC_TENSOR = b"TNS3"
-MAGIC_VECTOR = b"VEC1"
-MAGIC_MATRIX = b"MTX2"
 _HEADER = struct.Struct("<3Q")
 
 
-def _write(path, magic: bytes, dims: tuple[int, int, int], payload: np.ndarray) -> None:
-    data = np.ascontiguousarray(payload, dtype="<f8")
+def save_tensor(path, x: np.ndarray) -> None:
+    x = as_tensor3(x)
     with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(_HEADER.pack(*dims))
-        fh.write(data.tobytes())
+        fh.write(MAGIC_TENSOR)
+        fh.write(_HEADER.pack(*x.shape))
+        fh.write(np.ascontiguousarray(x.ravel(order="F"), dtype="<f8").tobytes())
 
 
-def _read(path, expected_magic: bytes | None = None):
+def load_tensor(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     magic, raw = raw[:4], raw[4:]
-    if expected_magic is not None and magic != expected_magic:
-        raise ValueError(f"{path}: expected {expected_magic!r} container, found {magic!r}")
-    if magic not in (MAGIC_TENSOR, MAGIC_VECTOR, MAGIC_MATRIX):
-        raise ValueError(f"{path}: unrecognized container magic {magic!r}")
+    if magic != MAGIC_TENSOR:
+        raise ValueError(f"{path}: expected {MAGIC_TENSOR!r} container, found {magic!r}")
     if len(raw) < _HEADER.size:
         raise ValueError(f"{path}: truncated container header")
     dims = _HEADER.unpack_from(raw)
@@ -57,71 +44,5 @@ def _read(path, expected_magic: bytes | None = None):
     count = dims[0] * dims[1] * dims[2]
     if len(body) != 8 * count:
         raise ValueError(f"{path}: payload holds {len(body) // 8} doubles, header says {count}")
-    return magic, dims, np.frombuffer(body, dtype="<f8").astype(np.float64)
-
-
-def save_tensor(path, x: np.ndarray) -> None:
-    x = as_tensor3(x)
-    _write(path, MAGIC_TENSOR, x.shape, x.ravel(order="F"))
-
-
-def load_tensor(path) -> np.ndarray:
-    _, dims, flat = _read(path, MAGIC_TENSOR)
+    flat = np.frombuffer(body, dtype="<f8").astype(np.float64)
     return as_tensor3(flat.reshape(dims, order="F"))
-
-
-def save_vector(path, v: np.ndarray) -> None:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("save_vector expects a 1-d array")
-    _write(path, MAGIC_VECTOR, (v.size, 1, 1), v)
-
-
-def load_vector(path) -> np.ndarray:
-    _, dims, flat = _read(path, MAGIC_VECTOR)
-    return flat
-
-
-def save_matrix(path, a: np.ndarray) -> None:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError("save_matrix expects a 2-d array")
-    _write(path, MAGIC_MATRIX, (a.shape[0], a.shape[1], 1), a.ravel(order="F"))
-
-
-def load_matrix(path) -> np.ndarray:
-    _, dims, flat = _read(path, MAGIC_MATRIX)
-    return np.ascontiguousarray(flat.reshape((dims[0], dims[1]), order="F"))
-
-
-def load_array(path) -> np.ndarray:
-    """Load any container, shaped according to its magic."""
-    magic, dims, flat = _read(path)
-    if magic == MAGIC_TENSOR:
-        return as_tensor3(flat.reshape(dims, order="F"))
-    if magic == MAGIC_MATRIX:
-        return np.ascontiguousarray(flat.reshape((dims[0], dims[1]), order="F"))
-    return flat
-
-
-def tensor_to_json(x: np.ndarray) -> dict:
-    """Human-readable form, intended for small tensors: frontal slices as
-    nested row lists."""
-    x = as_tensor3(x)
-    return {
-        "kind": "tensor3",
-        "dims": list(x.shape),
-        "slices": [x[:, :, k].tolist() for k in range(x.shape[2])],
-    }
-
-
-def tensor_from_json(obj: dict | str) -> np.ndarray:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    if obj.get("kind") != "tensor3":
-        raise ValueError("not a tensor3 debug document")
-    n1, n2, n3 = obj["dims"]
-    out = np.empty((n1, n2, n3))
-    for k, block in enumerate(obj["slices"]):
-        out[:, :, k] = np.asarray(block, dtype=np.float64)
-    return as_tensor3(out)

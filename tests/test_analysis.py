@@ -16,8 +16,10 @@ from tubal import (
     generate_lowrank,
     matched_bound_constants,
     ric_threshold,
+    tprod,
     verify_bounds,
 )
+from tubal import rng
 
 T_GRID = [1.1, 1.5, 2.0, 3.0, 5.0, 10.0]
 N3_GRID = [1, 2, 3, 5, 10]
@@ -190,6 +192,31 @@ def test_estimate_ric_deterministic():
     a = estimate_ric(op, r=2, trials=25, seed=9)
     b = estimate_ric(op, r=2, trials=25, seed=9)
     assert np.array_equal(a.distortion_samples, b.distortion_samples)
+
+
+def _per_probe_distortions(op, r, trials, seed):
+    """One matrix-vector product per probe, probe by probe."""
+    n1, n2, n3 = op.dims
+    samples = np.empty(trials)
+    for i in range(trials):
+        gen = rng.stream(int(seed), "rip", int(r), i)
+        a = gen.standard_normal((n1, r, n3))
+        b = gen.standard_normal((r, n2, n3))
+        x = tprod(a, b)
+        x /= fro_norm(x)
+        mx = apply(op, x)
+        samples[i] = abs(float(mx @ mx) - 1.0)
+    return samples
+
+
+@pytest.mark.parametrize("trials", [1, 31, 32, 33, 65])
+def test_estimate_ric_blocks_match_per_probe_loop(trials):
+    op = gaussian_map(40, (4, 5, 3), seed=13)
+    est = estimate_ric(op, r=2, trials=trials, seed=21)
+    expected = _per_probe_distortions(op, 2, trials, 21)
+    assert est.distortion_samples.shape == (trials,)
+    np.testing.assert_allclose(est.distortion_samples, expected, rtol=0, atol=1e-12)
+    assert est.delta_hat == est.distortion_samples.max()
 
 
 def test_estimate_ric_shrinks_with_more_measurements():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubal import (
     GaussianLinearMap,
@@ -88,6 +90,35 @@ def test_apply_rejects_dim_mismatch():
     op = gaussian_map(5, (2, 2, 2), seed=0)
     with pytest.raises(ValueError):
         apply(op, np.zeros((2, 2, 3)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+    m=st.integers(1, 20),
+    k=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apply_stack_rows_match_single_tensors(dims, m, k, seed):
+    op = gaussian_map(m, dims, seed=seed)
+    stack = np.random.default_rng(seed).standard_normal((k, *dims))
+    out = apply(op, stack)
+    assert out.shape == (k, m)
+    for i in range(k):
+        single = apply(op, stack[i])
+        assert np.linalg.norm(out[i] - single) <= 1e-12 * np.linalg.norm(single)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+def test_apply_rejects_bad_dims_and_nan(stacked):
+    op = gaussian_map(5, (2, 2, 2), seed=0)
+    lead = (3,) if stacked else ()
+    with pytest.raises(ValueError):
+        apply(op, np.zeros(lead + (2, 2, 3)))
+    bad = np.zeros(lead + (2, 2, 2))
+    bad[(0,) * bad.ndim] = np.nan
+    with pytest.raises(ValueError):
+        apply(op, bad)
 
 
 def test_adjoint_zero_and_identity():
