@@ -60,8 +60,6 @@ from .measurement import (
     vec,
 )
 from .solver import (
-    AdmmState,
-    NormalEquationSolver,
     NumericalError,
     SolveResult,
     SolverConfig,

@@ -12,13 +12,20 @@ The data-fit block update solves ``(M^T M + rho I) z = b`` exactly.  The
 Gram matrix of the smaller side of the m x N measurement matrix is
 eigendecomposed once per solve and reused for every penalty value: for a
 wide M (m < N), ``M M^T = Q diag(l) Q^T`` and the inverse acts as
-``(b - M^T Q (l+rho)^-1 Q^T M b) / rho``, the Woodbury form of the m x m
-system; for a tall or square M, ``M^T M = Q diag(l) Q^T`` and the inverse
-is ``Q (l+rho)^-1 Q^T b``.  Either way a solve is a few matrix-vector
-products, however often rho changes.  This replaces a thin SVD of M,
-which has the same flop order but runs several times slower than the
-symmetric Gram product and ``eigh``, and which keeps an N x m factor of
-right singular vectors beside M.
+``(b - M^T u) / rho`` with ``u = Q (l+rho)^-1 Q^T M b``, the Woodbury form
+of the m x m system; for a tall or square M, ``M^T M = Q diag(l) Q^T`` and
+the inverse is ``Q (l+rho)^-1 Q^T b``.  Either way a solve is a few
+matrix-vector products, however often rho changes.  This replaces a thin
+SVD of M, which has the same flop order but runs several times slower
+than the symmetric Gram product and ``eigh``, and which keeps an N x m
+factor of right singular vectors beside M.
+
+On a wide M the loop reads M twice per iteration: ``M x``, which serves
+both the objective's residual and the z-block's ``M b``, and ``M^T u``
+inside the solve.  ``M b = M M^T y + M k + rho M x`` is assembled from
+m-vectors: ``M M^T y`` is formed once per solve, and ``M k`` is carried
+forward with the multiplier.  That carry needs ``M z``, which the Woodbury
+form gives for free: ``M z = (M b - M M^T u) / rho = u``.
 """
 
 from __future__ import annotations
@@ -198,10 +205,12 @@ class NormalEquationSolver:
     Eigendecomposes the Gram matrix of the smaller side once: ``M M^T``
     (m x m) when M is wide, ``M^T M`` (N x N) otherwise, so forming it and
     running ``eigh`` costs ``O(min(m, N)^2 max(m, N))`` flops and
-    ``min(m, N)^2`` floats of storage.  A wide M is kept by reference and
-    each solve multiplies by it and its transpose once, so no N x m factor
-    is stored.  Eigenvalues that roundoff pushed below zero are clamped to
-    0, their exact value when M is rank-deficient.
+    ``min(m, N)^2`` floats of storage.  A wide M is kept by reference, and
+    each solve multiplies by its transpose once and by the m x m
+    eigenvectors twice; the caller supplies ``M b``, so no N x m factor is
+    stored and no other pass over M is made.  Eigenvalues that roundoff
+    pushed below zero are clamped to 0, their exact value when M is
+    rank-deficient.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -217,14 +226,21 @@ class NormalEquationSolver:
         self._evals = np.maximum(evals, 0.0)
         self._matrix = matrix if self._wide else None
 
-    def solve(self, b: np.ndarray, rho: float) -> np.ndarray:
+    def solve(self, b: np.ndarray, mb: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray | None]:
+        """Return ``z`` and, for a wide M, ``M z``.
+
+        `mb` is ``M b``.  A wide M solves the m x m system for
+        ``u = (M M^T + rho I)^-1 M b`` and returns ``z = (b - M^T u) / rho``
+        together with ``M z``, which equals ``u``.  A tall or square M
+        uses neither `mb` nor ``M z`` and returns ``(z, None)``.
+        """
         if rho <= 0:
             raise ValueError("rho must be positive")
         if not self._wide:
-            return self._q @ ((self._q.T @ b) / (self._evals + rho))
+            return self._q @ ((self._q.T @ b) / (self._evals + rho)), None
         # m < N: b/rho minus the row-space correction of the Woodbury identity
-        inner = self._q @ ((self._q.T @ (self._matrix @ b)) / (self._evals + rho))
-        return (b - self._matrix.T @ inner) / rho
+        u = self._q @ ((self._q.T @ mb) / (self._evals + rho))
+        return (b - self._matrix.T @ u) / rho, u
 
 
 # ---------------------------------------------------------------------------
@@ -241,20 +257,33 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
     when the three entrywise gaps (x step, z step, x-z) all drop below
     `varpi`, or at `max_iters` with ``converged=False``.
 
+    Each sweep computes ``M x`` once, for the objective's residual and
+    for the z block's ``M b = M M^T y + M k + rho M x``; ``M M^T y`` is
+    formed once per solve and ``M k`` is updated alongside the
+    multiplier from the ``M z`` that a wide solve returns.  On a wide M
+    a sweep therefore reads M twice (``M x`` and the solve's ``M^T u``).
+
     Fully deterministic given (op, y, config).
 
     Raises
     ------
+    ValueError
+        If `y` has the wrong length or a non-finite entry; this is checked
+        before the measurement matrix is factored.
     NumericalError
         If an iterate acquires non-finite entries.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (op.m,):
         raise ValueError(f"measurement length {y.shape} does not match m={op.m}")
+    if not np.isfinite(y).all():
+        raise ValueError("measurements must be finite")
     dims = op.dims
 
     ne_solver = NormalEquationSolver(op.matrix)
     mty = op.matrix.T @ y
+    mmty = op.matrix @ mty
+    mk = np.zeros(op.m)
     x = np.zeros(dims)
     z = np.zeros(dims)
     k_mult = np.zeros(dims)
@@ -272,10 +301,14 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
         tau = config.lam / rho
         x = tsvt(prox_input, tau)
 
+        mx = op.matrix @ vec(x)
         b = mty + vec(k_mult) + rho * vec(x)
-        z = unvec(ne_solver.solve(b, rho), dims)
+        z_vec, mz = ne_solver.solve(b, mmty + mk + rho * mx, rho)
+        z = unvec(z_vec, dims)
 
         k_mult = k_mult + rho * (x - z)
+        if mz is not None:
+            mk = mk + rho * (mx - mz)
 
         if not (np.isfinite(x).all() and np.isfinite(z).all() and np.isfinite(k_mult).all()):
             raise NumericalError(
@@ -285,7 +318,7 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
         x_step = float(np.max(np.abs(x - x_prev)))
         z_step = float(np.max(np.abs(z - z_prev)))
         consensus = float(np.max(np.abs(x - z)))
-        residual = y - op.matrix @ vec(x)
+        residual = y - mx
         objective = tnn(x) + float(residual @ residual) / (2.0 * config.lam)
         gaps_hist.append((x_step, z_step, consensus))
         obj_hist.append(objective)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -109,17 +111,22 @@ def test_prox_tiny_threshold_accepts_input():
 
 
 def z_block(matrix, y, k_mult, x_next, rho):
-    """The loop's z update: solve (M^T M + rho I) z = M^T y + vec(k) + rho vec(x)."""
+    """The loop's z update: solve (M^T M + rho I) z = M^T y + vec(k) + rho vec(x).
+
+    Returns z and the solver's M z (None for a tall or square matrix).
+    """
     b = matrix.T @ y + vec(k_mult) + rho * vec(x_next)
-    return unvec(NormalEquationSolver(matrix).solve(b, rho), k_mult.shape)
+    z, mz = NormalEquationSolver(matrix).solve(b, matrix @ b, rho)
+    return unvec(z, k_mult.shape), mz
 
 
 def test_normal_equation_solver_zero_matrix_map():
     dims = (3, 3, 2)
     k_mult = rand_tensor(70, dims)
     x_next = rand_tensor(71, dims)
-    z = z_block(np.zeros((4, 18)), np.zeros(4), k_mult, x_next, rho=2.0)
+    z, mz = z_block(np.zeros((4, 18)), np.zeros(4), k_mult, x_next, rho=2.0)
     assert np.allclose(z, x_next + k_mult / 2.0, atol=1e-12)
+    assert np.all(mz == 0.0)
 
 
 def test_normal_equation_solver_large_rho_limit():
@@ -128,7 +135,7 @@ def test_normal_equation_solver_large_rho_limit():
     k_mult = rand_tensor(72, dims)
     x_next = rand_tensor(73, dims)
     y = np.arange(6, dtype=float)
-    z = z_block(op.matrix, y, k_mult, x_next, rho=1e12)
+    z, _ = z_block(op.matrix, y, k_mult, x_next, rho=1e12)
     assert np.max(np.abs(z - x_next)) <= 1e-6
 
 
@@ -158,10 +165,20 @@ def test_normal_equation_solver_matches_dense_solve(m, n, deficient):
     x_next = gen.standard_normal(dims)
     y = gen.standard_normal(m)
     for rho in (1e-4, 1.0, 1e4):
-        z = z_block(matrix, y, k_mult, x_next, rho=rho)
+        z, mz = z_block(matrix, y, k_mult, x_next, rho=rho)
         b = matrix.T @ y + vec(k_mult) + rho * vec(x_next)
         ref = np.linalg.solve(matrix.T @ matrix + rho * np.eye(n), b)
         assert np.max(np.abs(vec(z) - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+        if m < n:
+            # The Woodbury solve's u is M z; the loop carries M k with it.
+            # matrix @ z = (M b - M M^T u) / rho cancels two terms of size
+            # |M b| / rho, so the comparison is relative to that size: at
+            # rho = 1e-4 it resolves only ~1e-10 of |M z|.
+            mz_ref = matrix @ vec(z)
+            scale = max(np.linalg.norm(mz_ref), np.linalg.norm(matrix @ b) / rho)
+            assert np.linalg.norm(mz - mz_ref) <= 1e-12 * scale
+        else:
+            assert mz is None
 
 
 @pytest.mark.parametrize("shape", [(6, 18), (30, 18)], ids=["wide", "tall"])
@@ -175,7 +192,7 @@ def test_normal_equation_solver_rejects_nan_matrix(shape):
 def test_normal_equation_solver_rejects_nonpositive_rho():
     solver = NormalEquationSolver(np.eye(3))
     with pytest.raises(ValueError):
-        solver.solve(np.ones(3), 0.0)
+        solver.solve(np.ones(3), np.ones(3), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +251,82 @@ def test_admm_noiseless_recovery_small_lambda():
     x, op, sample = case1_instance(3, sigma=0.0)
     res = admm_solve(op, sample.y, SolverConfig(lam=1e-4, max_iters=20000))
     assert fro_norm(res.x_hat - x) <= 1e-2 * fro_norm(x)
+
+
+def reference_admm(op, y, config):
+    """admm_solve with M b and the residual M x formed from the matrix in
+    every sweep, instead of carried: the reference for the carried products."""
+    matrix, dims = op.matrix, op.dims
+    ne_solver = NormalEquationSolver(matrix)
+    mty = matrix.T @ y
+    x = z = k_mult = np.zeros(dims)
+    rho = config.rho0
+    objectives = []
+    for iteration in range(1, config.max_iters + 1):
+        x_prev, z_prev = x, z
+        x = tsvt(z - k_mult / rho, config.lam / rho)
+        b = mty + vec(k_mult) + rho * vec(x)
+        z = unvec(ne_solver.solve(b, matrix @ b, rho)[0], dims)
+        k_mult = k_mult + rho * (x - z)
+        x_step = np.max(np.abs(x - x_prev))
+        z_step = np.max(np.abs(z - z_prev))
+        consensus = np.max(np.abs(x - z))
+        residual = y - matrix @ vec(x)
+        objectives.append(tnn(x) + float(residual @ residual) / (2.0 * config.lam))
+        if max(x_step, z_step, consensus) <= config.varpi:
+            return x, iteration, True, np.asarray(objectives)
+        if consensus > config.balance_ratio * rho * z_step:
+            rho = min(config.vartheta * rho, config.rho_max)
+        elif rho * z_step > config.balance_ratio * consensus:
+            rho = max(rho / config.vartheta, config.rho0)
+    return x, config.max_iters, False, np.asarray(objectives)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.tuples(st.integers(2, 4), st.integers(2, 4), st.integers(1, 3)),
+    shape=st.sampled_from(["wide", "square", "tall", "deficient"]),
+    m_frac=st.floats(0.2, 0.9),
+    lam=st.sampled_from([1e-3, 0.1, 1.0]),
+    max_iters=st.sampled_from([2000, 1, 3, 10]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dims=(4, 4, 3), shape="wide", m_frac=0.5, lam=0.1, max_iters=2000, seed=0)
+@example(dims=(3, 4, 2), shape="deficient", m_frac=0.7, lam=0.01, max_iters=2000, seed=1)
+@example(dims=(3, 3, 2), shape="tall", m_frac=0.5, lam=0.1, max_iters=2000, seed=2)
+def test_admm_matches_loop_that_forms_every_product(dims, shape, m_frac, lam, max_iters, seed):
+    # The solver carries M k and takes M z from the wide solve; drift in the
+    # carried product would show as a different objective or iterate.
+    n = int(np.prod(dims))
+    m = {"square": n, "tall": 2 * n}.get(shape, max(2, int(m_frac * n)))
+    op = gaussian_map(m, dims, seed)
+    if shape == "deficient":
+        # the second half of the rows repeats the first half
+        matrix = op.matrix.copy()
+        matrix[m // 2 : 2 * (m // 2)] = matrix[: m // 2]
+        op = dataclasses.replace(op, matrix=matrix)
+    x_true = generate_lowrank(dims[0], dims[1], dims[2], 1, seed)
+    y = apply(op, x_true) + 0.01 * np.random.default_rng(seed).standard_normal(m)
+    config = SolverConfig(lam=lam, max_iters=max_iters)
+
+    res = admm_solve(op, y, config)
+    x_ref, iterations, converged, objectives = reference_admm(op, y, config)
+
+    assert res.iterations == iterations
+    assert res.converged == converged
+    assert fro_norm(res.x_hat - x_ref) <= 1e-10 * fro_norm(x_ref)
+    # y - M x cancels as x fits the data, so the objective is compared on the
+    # scale of its first value, |y|^2 / (2 lam) at x = 0
+    assert np.all(np.abs(res.objective_history - objectives) <= 1e-10 * objectives[0])
+
+
+def test_admm_rejects_nonfinite_measurements():
+    op = gaussian_map(8, (2, 2, 2), seed=3)
+    for bad in (np.nan, np.inf, -np.inf):
+        y = np.ones(8)
+        y[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            admm_solve(op, y, SolverConfig(lam=1.0))
 
 
 def test_admm_nonfinite_abort():
