@@ -10,6 +10,13 @@ conjugate symmetry of the transform of a real tensor means only
 ``n3 // 2 + 1`` slices are ever touched.  The explicit block-circulant
 path survives only as a test oracle.
 
+:func:`tprod` also multiplies stacks, (k, n1, n2, n3) x (k, n2, n4, n3)
+-> (k, n1, n4, n3), row by row.  The transforms run along the last
+axis and the slice products broadcast over the leading one, so a
+stack costs one call instead of k, and each row of the result is
+bitwise the 3-d product of that row.  Loops over many small tensors,
+such as the isometry probes, build their tensors this way.
+
 Conventions fixed here and relied on elsewhere in the package:
 
 * vectorization order is frontal-slice-major, column-major within a
@@ -63,17 +70,29 @@ def as_tensor3(x, check_finite: bool = True) -> np.ndarray:
     return arr
 
 
+def _as_stack(x) -> np.ndarray:
+    """Validate and return `x` as a float64 stack of shape (k, n1, n2, n3)."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 4:
+        raise ValueError(f"expected a (k, n1, n2, n3) stack, got ndim={arr.ndim}")
+    if min(arr.shape) < 1:
+        raise ValueError(f"stack dimensions must be >= 1, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("tensor entries must be finite")
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # transforms and unfoldings
 
 
 def _rfft(x: np.ndarray) -> np.ndarray:
-    """Half-spectrum DFT along tubes: (n1, n2, n3//2 + 1) complex slices."""
-    return np.fft.rfft(x, axis=2)
+    """Half-spectrum DFT along tubes (the last axis): n3//2 + 1 complex slices."""
+    return np.fft.rfft(x, axis=-1)
 
 
 def _irfft(xf: np.ndarray, n3: int) -> np.ndarray:
-    return np.fft.irfft(xf, n=n3, axis=2)
+    return np.fft.irfft(xf, n=n3, axis=-1)
 
 
 def _half_weights(n3: int) -> np.ndarray:
@@ -132,15 +151,24 @@ def tprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """t-product of an (n1, n2, n3) tensor with an (n2, n4, n3) tensor.
 
     Computed as slicewise matrix products in the Fourier domain, which
-    equals ``fold(bcirc(a) @ unfold(b))``.
+    equals ``fold(bcirc(a) @ unfold(b))``.  Two stacks of k tensors,
+    (k, n1, n2, n3) and (k, n2, n4, n3), give the (k, n1, n4, n3) stack
+    of row-by-row products in one call; each row is bitwise equal to
+    the product of that row alone.  A stack cannot be mixed with a
+    single tensor.
     """
-    a = as_tensor3(a)
-    b = as_tensor3(b)
-    if a.shape[1] != b.shape[0] or a.shape[2] != b.shape[2]:
+    if np.ndim(a) == 4 or np.ndim(b) == 4:
+        a = _as_stack(a)
+        b = _as_stack(b)
+        if a.shape[0] != b.shape[0]:
+            raise ValueError(f"t-product stack lengths differ: {a.shape} * {b.shape}")
+    else:
+        a = as_tensor3(a)
+        b = as_tensor3(b)
+    if a.shape[-2] != b.shape[-3] or a.shape[-1] != b.shape[-1]:
         raise ValueError(f"t-product shape mismatch: {a.shape} * {b.shape}")
-    n3 = a.shape[2]
-    cf = np.einsum("ijk,jlk->ilk", _rfft(a), _rfft(b))
-    return _irfft(cf, n3)
+    cf = np.einsum("...ijk,...jlk->...ilk", _rfft(a), _rfft(b))
+    return _irfft(cf, a.shape[-1])
 
 
 def conj_transpose(x: np.ndarray) -> np.ndarray:

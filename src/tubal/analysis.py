@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rng
 from .algebra import fro_norm, tnn, tprod, truncate, as_tensor3
-from .measurement import GaussianLinearMap, apply
+from .measurement import GaussianLinearMap, _as_measurements, apply
 
 __all__ = [
     "BoundReport",
@@ -156,8 +156,9 @@ def matched_bound_constants(
 # ---------------------------------------------------------------------------
 # empirical distortion
 
-# Probes measured per matrix-matrix product in estimate_ric.  Larger
-# blocks read the matrix less often but hold more probes in memory.
+# Probes built by one stacked t-product and measured by one
+# matrix-matrix product in estimate_ric.  Larger blocks read the matrix
+# less often but hold more probes in memory.
 _PROBE_BLOCK = 32
 
 
@@ -185,10 +186,15 @@ def estimate_ric(op: GaussianLinearMap, r: int, trials: int, seed: int) -> RipEs
     "rip" streams of `seed`, so estimates are reproducible and trials
     can be evaluated in any order.
 
-    Probes are measured in blocks of up to ``_PROBE_BLOCK`` through one
-    stacked :func:`apply`, so the dense matrix is read once per block
-    rather than once per probe.  The samples match per-probe products
-    to roundoff.
+    Probes are built and measured in blocks of up to ``_PROBE_BLOCK``:
+    each probe's factors are drawn into reused factor stacks, and the
+    block is multiplied by one stacked :func:`tprod`, normalized at
+    once and measured by one stacked :func:`apply`.  So the dense
+    matrix is read once per block rather than once per probe, and the
+    per-call overhead of the small t-products is paid once per block.
+    The normalized probes equal the per-probe ``x / fro_norm(x)`` of
+    3-d products, and the samples match per-probe measurements to
+    roundoff.
     """
     n1, n2, n3 = op.dims
     kappa = min(n1, n2)
@@ -197,16 +203,20 @@ def estimate_ric(op: GaussianLinearMap, r: int, trials: int, seed: int) -> RipEs
     if trials < 1:
         raise ValueError("trials must be >= 1")
     samples = np.empty(trials)
-    block = np.empty((min(trials, _PROBE_BLOCK), n1, n2, n3))
-    for start in range(0, trials, len(block)):
-        k = min(len(block), trials - start)
+    size = min(trials, _PROBE_BLOCK)
+    fa = np.empty((size, n1, r, n3))
+    fb = np.empty((size, r, n2, n3))
+    for start in range(0, trials, size):
+        k = min(size, trials - start)
         for j in range(k):
             gen = rng.stream(int(seed), "rip", int(r), start + j)
-            a = gen.standard_normal((n1, r, n3))
-            b = gen.standard_normal((r, n2, n3))
-            x = tprod(a, b)
-            block[j] = x / fro_norm(x)
-        mx = apply(op, block[:k])
+            gen.standard_normal(out=fa[j])
+            gen.standard_normal(out=fb[j])
+        x = tprod(fa[:k], fb[:k])
+        # one dot product per probe, the sum fro_norm takes on a single tensor
+        flat = x.reshape(k, 1, -1)
+        flat /= np.sqrt(flat @ flat.transpose(0, 2, 1))
+        mx = apply(op, x)
         samples[start : start + k] = np.abs(np.einsum("ij,ij->i", mx, mx) - 1.0)
     return RipEstimate(r=r, trials=trials, delta_hat=float(samples.max()), distortion_samples=samples)
 
@@ -266,6 +276,7 @@ def verify_bounds(
 ) -> BoundReport:
     """Evaluate both recovery bounds on a solved instance.
 
+    `y` must be a finite vector of length m, else ``ValueError``;
     `epsilon` must dominate the realized noise ``||y - M(x_true)||_2``
     (the guarantee assumes a noise level, and the realized norm is the
     honest choice); `delta` is whatever isometry constant the caller
@@ -276,7 +287,7 @@ def verify_bounds(
     if x_true.shape != op.dims or x_hat.shape != op.dims:
         raise ValueError("tensor dims do not match the measurement map")
     n3 = op.dims[2]
-    y = np.asarray(y, dtype=np.float64)
+    y = _as_measurements(op, y)
     realized = float(np.linalg.norm(y - apply(op, x_true)))
     if realized > epsilon * (1.0 + 1e-9) + 1e-12:
         raise ValueError(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .algebra import as_tensor3, fro_norm
+from .algebra import _as_stack, as_tensor3, fro_norm
 
 __all__ = [
     "GaussianLinearMap",
@@ -113,16 +113,24 @@ def apply(op: GaussianLinearMap, x: np.ndarray) -> np.ndarray:
     so rows agree with single-tensor calls to roundoff, not bitwise.
     """
     if np.ndim(x) == 4:
-        x = np.asarray(x, dtype=np.float64)
+        x = _as_stack(x)
         if x.shape[1:] != op.dims:
             raise ValueError(f"stacked tensor dims {x.shape[1:]} do not match map dims {op.dims}")
-        if not np.isfinite(x).all():
-            raise ValueError("tensor entries must be finite")
         return x.reshape(x.shape[0], op.matrix.shape[1], order="F") @ op.matrix.T
     x = as_tensor3(x)
     if x.shape != op.dims:
         raise ValueError(f"tensor dims {x.shape} do not match map dims {op.dims}")
     return op.matrix @ vec(x)
+
+
+def _as_measurements(op: GaussianLinearMap, y) -> np.ndarray:
+    """Validate and return `y` as a finite float64 vector of length m."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (op.m,):
+        raise ValueError(f"measurement length {y.shape} does not match m={op.m}")
+    if not np.isfinite(y).all():
+        raise ValueError("measurements must be finite")
+    return y
 
 
 def adjoint_apply(op: GaussianLinearMap, v: np.ndarray) -> np.ndarray:

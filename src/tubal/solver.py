@@ -36,7 +36,7 @@ import numpy as np
 
 from . import rng
 from .algebra import as_tensor3, fro_norm, tnn, _irfft, _real_slice, _rfft
-from .measurement import GaussianLinearMap, unvec, vec
+from .measurement import GaussianLinearMap, _as_measurements, unvec, vec
 
 __all__ = [
     "AdmmState",
@@ -273,11 +273,7 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
     NumericalError
         If an iterate acquires non-finite entries.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (op.m,):
-        raise ValueError(f"measurement length {y.shape} does not match m={op.m}")
-    if not np.isfinite(y).all():
-        raise ValueError("measurements must be finite")
+    y = _as_measurements(op, y)
     dims = op.dims
 
     ne_solver = NormalEquationSolver(op.matrix)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubal import (
     average_rank,
@@ -118,6 +120,42 @@ def test_tprod_rejects_mismatch():
         tprod(np.zeros((2, 3, 2)), np.zeros((4, 2, 2)))
     with pytest.raises(ValueError):
         tprod(np.zeros((2, 3, 2)), np.zeros((3, 2, 5)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.integers(1, 5),
+    inner=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+    n3=st.sampled_from([1, 2, 5, 6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tprod_stack_rows_equal_single_products(k, inner, n3, seed):
+    n1, n2, n4 = inner
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal((k, n1, n2, n3))
+    b = gen.standard_normal((k, n2, n4, n3))
+    out = tprod(a, b)
+    assert out.shape == (k, n1, n4, n3)
+    for i in range(k):
+        assert np.array_equal(out[i], tprod(a[i], b[i]))
+
+
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [
+        ((2, 3, 2), (2, 3, 4, 2)),
+        ((2, 2, 3, 2), (3, 4, 2)),
+        ((1, 2, 3, 2), (3, 3, 4, 2)),
+        ((2, 2, 3, 2), (2, 4, 4, 2)),
+        ((2, 2, 3, 4), (2, 3, 4, 5)),
+    ],
+    ids=["single-by-stack", "stack-by-single", "k", "inner", "n3"],
+)
+def test_tprod_rejects_stack_mismatch(a_shape, b_shape):
+    # k = 1 against k = 3 would broadcast, and n3 = 4 and 5 share a half
+    # spectrum of 3 slices, so the einsum alone would not raise
+    with pytest.raises(ValueError):
+        tprod(np.zeros(a_shape), np.zeros(b_shape))
 
 
 def test_conj_transpose_n3_1():

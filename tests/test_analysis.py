@@ -219,6 +219,13 @@ def test_estimate_ric_blocks_match_per_probe_loop(trials):
     assert est.delta_hat == est.distortion_samples.max()
 
 
+def test_estimate_ric_samples_do_not_depend_on_blocking():
+    op = gaussian_map(40, (4, 5, 3), seed=13)
+    long = estimate_ric(op, r=2, trials=65, seed=21)
+    short = estimate_ric(op, r=2, trials=33, seed=21)
+    np.testing.assert_allclose(long.distortion_samples[:33], short.distortion_samples, rtol=0, atol=1e-12)
+
+
 def test_estimate_ric_shrinks_with_more_measurements():
     dims = (6, 6, 3)
     small, large = [], []
@@ -268,6 +275,23 @@ def test_verify_bounds_rejects_understated_epsilon():
     sample = add_noise(apply(op, x), 0.1, noise_seed=3)
     with pytest.raises(ValueError):
         verify_bounds(x, x, op, sample.y, r=1, t=2.0, delta=0.1, lam=0.5, epsilon=0.0)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "column", "short"])
+def test_verify_bounds_rejects_bad_measurements(bad):
+    x = generate_lowrank(4, 4, 2, 1, seed=2)
+    op = identity_map((4, 4, 2))
+    y = apply(op, x)
+    if bad == "nan":
+        y[3] = np.nan
+    elif bad == "inf":
+        y[3] = np.inf
+    elif bad == "column":
+        y = y[:, None]
+    else:
+        y = y[:-1]
+    with pytest.raises(ValueError, match="measurement"):
+        verify_bounds(x, x, op, y, r=1, t=2.0, delta=0.1, lam=0.5, epsilon=1e6)
 
 
 def test_verify_bounds_rhs_shrinks_with_lambda():
