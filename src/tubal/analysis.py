@@ -156,10 +156,23 @@ def matched_bound_constants(
 # ---------------------------------------------------------------------------
 # empirical distortion
 
-# Probes built by one stacked t-product and measured by one
-# matrix-matrix product in estimate_ric.  Larger blocks read the matrix
-# less often but hold more probes in memory.
-_PROBE_BLOCK = 32
+# estimate_ric splits its trials into near-equal blocks of at most
+# _PROBE_BLOCK probes, each measured by one matrix-matrix product: the
+# product reads the dense matrix once per block, and more rows per pass
+# keep it from being bound by memory bandwidth.  Within a block, probes
+# are built _BUILD_BLOCK at a time by one stacked t-product, because a
+# t-product's complex Fourier-domain intermediates are larger than the
+# probes it builds, and a whole block at once would raise peak memory.
+_PROBE_BLOCK = 128
+_BUILD_BLOCK = 32
+
+
+def _equal_split(n: int, cap: int) -> int:
+    """Size of the blocks when n items are split into the fewest blocks
+    of at most `cap`; only the last block can be shorter, by fewer items
+    than there are blocks."""
+    blocks = -(-n // cap)
+    return -(-n // blocks)
 
 
 @dataclass(frozen=True)
@@ -186,15 +199,19 @@ def estimate_ric(op: GaussianLinearMap, r: int, trials: int, seed: int) -> RipEs
     "rip" streams of `seed`, so estimates are reproducible and trials
     can be evaluated in any order.
 
-    Probes are built and measured in blocks of up to ``_PROBE_BLOCK``:
-    each probe's factors are drawn into reused factor stacks, and the
-    block is multiplied by one stacked :func:`tprod`, normalized at
-    once and measured by one stacked :func:`apply`.  So the dense
-    matrix is read once per block rather than once per probe, and the
-    per-call overhead of the small t-products is paid once per block.
-    The normalized probes equal the per-probe ``x / fro_norm(x)`` of
-    3-d products, and the samples match per-probe measurements to
-    roundoff.
+    Trials are measured in near-equal blocks of at most ``_PROBE_BLOCK``
+    probes, one stacked :func:`apply` each, so the dense matrix is read
+    once per block rather than once per probe.  Each block is built in
+    near-equal sub-blocks of at most ``_BUILD_BLOCK``, which keeps the
+    t-product's complex intermediates small: each probe's factors are
+    drawn into reused factor stacks, and a sub-block is multiplied by
+    one stacked :func:`tprod`, normalized at once and written into a
+    reused buffer.  The buffer is laid out (rows, n3, n2, n1), so its
+    (rows, n1, n2, n3) transpose, which is what :func:`apply` is given,
+    holds each probe's vectorization contiguously and is measured
+    without a copy.  The normalized probes equal the per-probe
+    ``x / fro_norm(x)`` of 3-d products, and the samples match
+    per-probe measurements to roundoff.
     """
     n1, n2, n3 = op.dims
     kappa = min(n1, n2)
@@ -203,21 +220,27 @@ def estimate_ric(op: GaussianLinearMap, r: int, trials: int, seed: int) -> RipEs
     if trials < 1:
         raise ValueError("trials must be >= 1")
     samples = np.empty(trials)
-    size = min(trials, _PROBE_BLOCK)
+    rows = _equal_split(trials, _PROBE_BLOCK)
+    size = _equal_split(rows, _BUILD_BLOCK)
     fa = np.empty((size, n1, r, n3))
     fb = np.empty((size, r, n2, n3))
-    for start in range(0, trials, size):
-        k = min(size, trials - start)
-        for j in range(k):
-            gen = rng.stream(int(seed), "rip", int(r), start + j)
-            gen.standard_normal(out=fa[j])
-            gen.standard_normal(out=fb[j])
-        x = tprod(fa[:k], fb[:k])
-        # one dot product per probe, the sum fro_norm takes on a single tensor
-        flat = x.reshape(k, 1, -1)
-        flat /= np.sqrt(flat @ flat.transpose(0, 2, 1))
-        mx = apply(op, x)
+    probes = np.empty((rows, n3, n2, n1)).transpose(0, 3, 2, 1)
+    for start in range(0, trials, rows):
+        k = min(rows, trials - start)
+        for lo in range(0, k, size):
+            s = min(size, k - lo)
+            for j in range(s):
+                gen = rng.stream(int(seed), "rip", int(r), start + lo + j)
+                gen.standard_normal(out=fa[j])
+                gen.standard_normal(out=fb[j])
+            x = tprod(fa[:s], fb[:s]).reshape(s, 1, -1)
+            # one dot product per probe, the sum fro_norm takes on a single tensor
+            x /= np.sqrt(x @ x.transpose(0, 2, 1))
+            probes[lo : lo + s] = x.reshape(s, n1, n2, n3)
+            del x  # freed before the next t-product allocates its own
+        mx = apply(op, probes[:k])
         samples[start : start + k] = np.abs(np.einsum("ij,ij->i", mx, mx) - 1.0)
+        del mx  # not held while the next block is built
     return RipEstimate(r=r, trials=trials, delta_hat=float(samples.max()), distortion_samples=samples)
 
 

@@ -315,11 +315,23 @@ def run_rip_campaign(
     all ranks probed so far: lower-rank probes lie in every higher-rank
     feasible set, so reusing them tightens the lower estimate and makes
     the reported sequence nondecreasing by construction.
+
+    The whole grid is validated before any probe runs: an empty
+    `rank_list`, a rank outside [1, min(n1, n2)] or ``trials < 1``
+    raises ``ValueError``.
     """
+    ranks = sorted(set(int(r) for r in rank_list))
+    kappa = min(op.dims[0], op.dims[1])
+    if not ranks:
+        raise ValueError("rank_list must not be empty")
+    if ranks[0] < 1 or ranks[-1] > kappa:
+        raise ValueError(f"probe ranks {ranks} must lie in [1, {kappa}]")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rows: list[RipCampaignRow] = []
     thr = ric_threshold(t, op.dims[2])
     running = 0.0
-    for r in sorted(set(int(r) for r in rank_list)):
+    for r in ranks:
         est = estimate_ric(op, r, trials, seed)
         running = max(running, est.delta_hat)
         rows.append(

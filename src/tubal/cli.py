@@ -232,9 +232,14 @@ def _cmd_bounds(args) -> None:
     epsilon = float(np.linalg.norm(sample.noise))
 
     reports = []
+    estimates = {}  # t values with the same probe rank share one estimate
     for t in t_grid:
         probe_rank = min(max(r, math.ceil(t * r)), kappa)
-        est = estimate_ric(op, probe_rank, rip_trials, derive_key(seed, "bounds", probe_rank))
+        if probe_rank not in estimates:
+            estimates[probe_rank] = estimate_ric(
+                op, probe_rank, rip_trials, derive_key(seed, "bounds", probe_rank)
+            )
+        est = estimates[probe_rank]
         if est.delta_hat >= ric_threshold(t, op.dims[2]):
             reports.append(
                 {

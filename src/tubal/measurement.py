@@ -111,6 +111,10 @@ def apply(op: GaussianLinearMap, x: np.ndarray) -> np.ndarray:
     A stack of shape (k, n1, n2, n3) gives the (k, m) array whose row i
     measures ``x[i]``; it is computed as one product with ``matrix.T``,
     so rows agree with single-tensor calls to roundoff, not bitwise.
+    Any strided stack is accepted.  The (k, n1, n2, n3) transpose of a
+    C-ordered (k, n3, n2, n1) array already holds each row's
+    vectorization contiguously, so it is measured without a copy; other
+    layouts are copied once into that order first.
     """
     if np.ndim(x) == 4:
         x = _as_stack(x)

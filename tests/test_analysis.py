@@ -19,7 +19,7 @@ from tubal import (
     tprod,
     verify_bounds,
 )
-from tubal import rng
+from tubal import analysis, rng
 
 T_GRID = [1.1, 1.5, 2.0, 3.0, 5.0, 10.0]
 N3_GRID = [1, 2, 3, 5, 10]
@@ -209,7 +209,15 @@ def _per_probe_distortions(op, r, trials, seed):
     return samples
 
 
-@pytest.mark.parametrize("trials", [1, 31, 32, 33, 65])
+_BUILD, _BLOCK = analysis._BUILD_BLOCK, analysis._PROBE_BLOCK
+# both sides of a sub-block edge and of a block edge, plus counts whose
+# sub-blocks (2 * _BUILD + 1) and blocks (2 * _BLOCK + 1) split unevenly
+BLOCK_EDGE_TRIALS = [
+    1, _BUILD - 1, _BUILD, _BUILD + 1, 2 * _BUILD + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1
+]
+
+
+@pytest.mark.parametrize("trials", BLOCK_EDGE_TRIALS)
 def test_estimate_ric_blocks_match_per_probe_loop(trials):
     op = gaussian_map(40, (4, 5, 3), seed=13)
     est = estimate_ric(op, r=2, trials=trials, seed=21)
@@ -221,9 +229,21 @@ def test_estimate_ric_blocks_match_per_probe_loop(trials):
 
 def test_estimate_ric_samples_do_not_depend_on_blocking():
     op = gaussian_map(40, (4, 5, 3), seed=13)
-    long = estimate_ric(op, r=2, trials=65, seed=21)
-    short = estimate_ric(op, r=2, trials=33, seed=21)
-    np.testing.assert_allclose(long.distortion_samples[:33], short.distortion_samples, rtol=0, atol=1e-12)
+    long = estimate_ric(op, r=2, trials=_BLOCK + 1, seed=21)
+    short = estimate_ric(op, r=2, trials=_BUILD + 1, seed=21)
+    np.testing.assert_allclose(
+        long.distortion_samples[: _BUILD + 1], short.distortion_samples, rtol=0, atol=1e-12
+    )
+
+
+def test_estimate_ric_small_blocks_match_default(monkeypatch):
+    op = gaussian_map(40, (4, 5, 3), seed=13)
+    default = estimate_ric(op, r=2, trials=23, seed=21)
+    # 23 trials in blocks of 5, 5, 5, 5, 3, built 2 + 2 + 1 and 2 + 1
+    monkeypatch.setattr(analysis, "_PROBE_BLOCK", 5)
+    monkeypatch.setattr(analysis, "_BUILD_BLOCK", 2)
+    small = estimate_ric(op, r=2, trials=23, seed=21)
+    np.testing.assert_allclose(small.distortion_samples, default.distortion_samples, rtol=0, atol=1e-12)
 
 
 def test_estimate_ric_shrinks_with_more_measurements():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import tubal.bench
 from tubal import (
     ExperimentSpec,
     GaussianLinearMap,
@@ -223,7 +224,22 @@ def test_campaign_nested_ranks_nondecreasing():
 
 def test_campaign_empty_rank_list():
     op = gaussian_map(10, (3, 3, 2), seed=1)
-    assert run_rip_campaign(op, [], trials=5, seed=0) == []
+    with pytest.raises(ValueError, match="must not be empty"):
+        run_rip_campaign(op, [], trials=5, seed=0)
+
+
+@pytest.mark.parametrize(
+    "ranks, trials",
+    [([1, 2, 4], 5), ([0, 1], 5), ([1, 2], 0)],
+    ids=["rank-above-kappa", "rank-zero", "no-trials"],
+)
+def test_campaign_validates_grid_before_probing(monkeypatch, ranks, trials):
+    calls = []
+    monkeypatch.setattr(tubal.bench, "estimate_ric", lambda *args: calls.append(args))
+    op = gaussian_map(10, (3, 3, 2), seed=1)
+    with pytest.raises(ValueError):
+        run_rip_campaign(op, ranks, trials=trials, seed=0)
+    assert calls == []
 
 
 def test_emit_campaign_formats(tmp_path):

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import tubal.cli
+from tubal import estimate_ric, tsvd
 from tubal import io as tio
-from tubal import tsvd
 from tubal.cli import main
 
 from conftest import rand_tensor
@@ -87,6 +88,18 @@ def test_rip_subcommand(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("rank_list", [[], [1, 2, 5]], ids=["empty", "rank-above-kappa"])
+def test_rip_rejects_bad_rank_list_exit_2(tmp_path, rank_list):
+    spec = write_spec(
+        tmp_path,
+        "rip.json",
+        {"m": 30, "n": 4, "n3": 2, "seed": 2, "rank_list": rank_list, "trials": 10},
+    )
+    out = tmp_path / "rip.csv"
+    assert main(["rip", "--spec", spec, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_bounds_constants_mode(tmp_path, capsys):
     spec = write_spec(
         tmp_path,
@@ -107,6 +120,29 @@ def test_bounds_condition_failure_exit_3(tmp_path):
         {"delta": 0.8, "t": 2.0, "r": 1, "n3": 5, "lambda": 0.1},
     )
     assert main(["bounds", "--spec", spec]) == 3
+
+
+def test_bounds_estimates_once_per_probe_rank(tmp_path, monkeypatch):
+    ranks = []
+
+    def counting(op, r, trials, seed):
+        ranks.append(r)
+        return estimate_ric(op, r, trials, seed)
+
+    monkeypatch.setattr(tubal.cli, "estimate_ric", counting)
+    # r = 1 on 10x10 slices: the default t grid maps to probe ranks
+    # 2, 2, 3, 5, 8, 10, 10, 10
+    spec = write_spec(
+        tmp_path,
+        "bounds_e2e.json",
+        {"n": 10, "n3": 5, "r": 1, "sigma": 0.01, "lambda": 0.1, "seed": 7,
+         "rip_trials": 5, "max_iters": 20},
+    )
+    out = str(tmp_path / "report.json")
+    assert main(["bounds", "--spec", spec, "--out", out]) == 0
+    assert sorted(ranks) == [2, 3, 5, 8, 10]
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert [e["probe_rank"] for e in doc["reports"]] == [2, 2, 3, 5, 8, 10, 10, 10]
 
 
 def test_bounds_end_to_end_mode(tmp_path):

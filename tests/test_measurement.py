@@ -109,6 +109,15 @@ def test_apply_stack_rows_match_single_tensors(dims, m, k, seed):
         assert np.linalg.norm(out[i] - single) <= 1e-12 * np.linalg.norm(single)
 
 
+def test_apply_transposed_view_matches_contiguous_stack():
+    op = gaussian_map(30, (4, 3, 2), seed=6)
+    view = rand_tensor(7, (5, 2, 3, 4)).transpose(0, 3, 2, 1)
+    out = apply(op, view)
+    expected = apply(op, np.ascontiguousarray(view))
+    for i in range(5):
+        assert np.linalg.norm(out[i] - expected[i]) <= 1e-12 * np.linalg.norm(expected[i])
+
+
 @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
 def test_apply_rejects_bad_dims_and_nan(stacked):
     op = gaussian_map(5, (2, 2, 2), seed=0)
