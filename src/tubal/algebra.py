@@ -4,11 +4,13 @@ A real tensor ``x`` of shape ``(n1, n2, n3)`` is treated as an n1 x n2
 matrix of length-n3 tubes.  The t-product of two such tensors is the
 circular convolution of their tubes, equivalently ``fold(bcirc(a) @
 unfold(b))``.  All heavy operations here (t-product, t-SVD, singular
-value thresholding, norms) are computed slice-by-slice after a DFT
-along the tube axis, which block-diagonalizes the circulant structure;
-conjugate symmetry of the transform of a real tensor means only
-``n3 // 2 + 1`` slices are ever touched.  The explicit block-circulant
-path survives only as a test oracle.
+value thresholding, norms) act on the frontal slices of a DFT along the
+tube axis, which block-diagonalizes the circulant structure; conjugate
+symmetry of the transform of a real tensor means only ``n3 // 2 + 1``
+slices are ever touched.  Every spectral operation takes the SVDs of
+those slices in one stacked call (:func:`_slice_svd`) and rebuilds a
+tensor from them in one more (:func:`_from_slices`).  The explicit
+block-circulant path survives only as a test oracle.
 
 :func:`tprod` also multiplies stacks, (k, n1, n2, n3) x (k, n2, n4, n3)
 -> (k, n1, n4, n3), row by row.  The transforms run along the last
@@ -102,11 +104,6 @@ def _half_weights(n3: int) -> np.ndarray:
     if n3 % 2 == 0:
         w[-1] = 1.0
     return w
-
-
-def _real_slice(j: int, n3: int) -> bool:
-    """Whether half-spectrum slice j is self-conjugate (hence real)."""
-    return j == 0 or (n3 % 2 == 0 and j == n3 // 2)
 
 
 def unfold(x: np.ndarray) -> np.ndarray:
@@ -235,65 +232,60 @@ class TsvdFactors:
         return tprod(tprod(self.u, self.s), conj_transpose(self.v))
 
 
+def _slice_svd(x: np.ndarray, full_matrices: bool = False):
+    """SVDs of the half-spectrum slices of `x`, in one stacked call.
+
+    The slice index moves in front of each slice's rows, so a tensor
+    gives (u, s, vt) of shapes (h, n1, .), (h, kappa), (h, ., n2) with
+    h = n3 // 2 + 1; leading stack axes pass through.  Self-conjugate
+    slices are real and go through the same complex SVD.
+    """
+    return np.linalg.svd(np.moveaxis(_rfft(x), -1, -3), full_matrices=full_matrices)
+
+
+def _from_slices(u: np.ndarray, s: np.ndarray, vt: np.ndarray, n3: int) -> np.ndarray:
+    """Inverse of :func:`_slice_svd`: ``u diag(s) vt`` per slice, transformed back.
+
+    The inverse transform keeps only the real part of the self-conjugate
+    slices.
+    """
+    return _irfft(np.moveaxis((u * s[..., None, :]) @ vt, -3, -1), n3)
+
+
+def _unit_phases(a: np.ndarray, axis: int) -> np.ndarray:
+    """Conjugate phase of each vector's largest-magnitude entry along `axis`.
+
+    The vectors are columns or rows of a unitary matrix, so that entry
+    is never zero.
+    """
+    piv = np.take_along_axis(a, np.expand_dims(np.argmax(np.abs(a), axis=axis), axis), axis)
+    return np.conj(piv) / np.abs(piv)
+
+
 def _fix_phases(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotate paired singular vectors so each u column's largest-magnitude
     entry is real and positive; unpaired columns/rows are fixed alone.
 
-    Pins down the per-slice unitary freedom so factorizations are
-    reproducible; the product u @ diag(s) @ vt is unchanged.
+    Works on stacks of slices.  Pins down the per-slice unitary freedom
+    so factorizations are reproducible; u @ diag(s) @ vt is unchanged.
     """
-    u = u.copy()
+    k = min(u.shape[-1], vt.shape[-2])
+    c = _unit_phases(u, axis=-2)
+    u = u * c
     vt = vt.copy()
-    k = min(u.shape[1], vt.shape[0])
-    for i in range(u.shape[1]):
-        col = u[:, i]
-        piv = col[np.argmax(np.abs(col))]
-        mag = np.abs(piv)
-        if mag == 0.0:
-            continue
-        c = np.conj(piv) / mag
-        u[:, i] = col * c
-        if i < k:
-            vt[i, :] = vt[i, :] * np.conj(c)
-    for i in range(k, vt.shape[0]):
-        row = vt[i, :]
-        piv = row[np.argmax(np.abs(row))]
-        mag = np.abs(piv)
-        if mag > 0.0:
-            vt[i, :] = row * (np.conj(piv) / mag)
+    vt[..., :k, :] *= np.conj(c[..., 0, :k, None])
+    vt[..., k:, :] *= _unit_phases(vt[..., k:, :], axis=-1)
     return u, vt
-
-
-def _half_spectrum_svd(x: np.ndarray):
-    """Per-slice SVDs of the half spectrum of `x`.
-
-    Returns (uf, sf, vtf) with shapes (n1, n1, h), (h, kappa), (n2, n2, h);
-    self-conjugate slices go through the real SVD path so the assembled
-    factors are exactly real after the inverse transform.
-    """
-    n1, n2, n3 = x.shape
-    xf = _rfft(x)
-    h = xf.shape[2]
-    uf = np.empty((n1, n1, h), dtype=np.complex128)
-    vtf = np.empty((n2, n2, h), dtype=np.complex128)
-    sf = np.empty((h, min(n1, n2)))
-    for j in range(h):
-        mat = xf[:, :, j].real if _real_slice(j, n3) else xf[:, :, j]
-        u, s, vt = np.linalg.svd(mat, full_matrices=True)
-        u, vt = _fix_phases(u, vt)
-        uf[:, :, j] = u
-        vtf[:, :, j] = vt
-        sf[j] = s
-    return uf, sf, vtf
 
 
 def tsvd(x: np.ndarray) -> TsvdFactors:
     """t-SVD factorization x = u * s * v^*.
 
-    Computed by independent SVDs of the Fourier slices followed by the
-    inverse transform.  Per-slice singular values are each sorted
-    descending, so the first-slice diagonal of s (their mean across the
-    full spectrum) is nonnegative and nonincreasing.
+    Computed by one stacked SVD of the half-spectrum Fourier slices,
+    with phases fixed as in :func:`_fix_phases`, followed by the inverse
+    transform.  Per-slice singular values are each sorted descending,
+    so the first-slice diagonal of s (their mean across the full
+    spectrum) is nonnegative and nonincreasing.
 
     The all-zero tensor gets identity u, v and zero s.
     """
@@ -303,20 +295,20 @@ def tsvd(x: np.ndarray) -> TsvdFactors:
         return TsvdFactors(
             u=identity_tensor(n1, n3), s=np.zeros((n1, n2, n3)), v=identity_tensor(n2, n3)
         )
-    uf, sf, vtf = _half_spectrum_svd(x)
+    uf, sf, vtf = _slice_svd(x, full_matrices=True)
+    uf, vtf = _fix_phases(uf, vtf)
     k = min(n1, n2)
-    sf_embed = np.zeros((n1, n2, sf.shape[0]), dtype=np.complex128)
+    sf_embed = np.zeros((n1, n2, sf.shape[0]))
     sf_embed[np.arange(k), np.arange(k), :] = sf.T
-    u = _irfft(uf, n3)
+    u = _irfft(np.moveaxis(uf, -3, -1), n3)
     s = _irfft(sf_embed, n3)
-    v = _irfft(vtf.conj().transpose(1, 0, 2), n3)
+    v = _irfft(np.moveaxis(vtf.conj().swapaxes(-1, -2), -3, -1), n3)
     return TsvdFactors(u=u, s=s, v=v)
 
 
 def _half_spectrum_svals(x: np.ndarray) -> np.ndarray:
     """Descending singular values of each half-spectrum slice, shape (h, kappa)."""
-    xf = _rfft(x)
-    return np.linalg.svd(xf.transpose(2, 0, 1), compute_uv=False)
+    return np.linalg.svd(np.moveaxis(_rfft(x), -1, -3), compute_uv=False)
 
 
 def _mean_spectrum(x: np.ndarray) -> np.ndarray:
@@ -375,18 +367,15 @@ def fro_norm(x: np.ndarray) -> float:
 
 
 def _select_components(x: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Sum of the selected rank-1 tubal components of x, via the half spectrum."""
-    n1, n2, n3 = x.shape
+    """Sum of the selected rank-1 tubal components of x, via the half spectrum.
+
+    The sum does not depend on the singular vectors' phases, so they are
+    left as the SVD returns them.
+    """
     if indices.size == 0:
         return np.zeros_like(x)
-    uf, sf, vtf = _half_spectrum_svd(x)
-    picked = np.einsum(
-        "ijk,kj,jlk->ilk",
-        uf[:, indices, :],
-        sf[:, indices],
-        vtf[indices, :, :],
-    )
-    return _irfft(picked, n3)
+    u, s, vt = _slice_svd(x)
+    return _from_slices(u[..., indices], s[..., indices], vt[..., indices, :], x.shape[2])
 
 
 def truncate(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:

@@ -135,22 +135,7 @@ def matched_bound_constants(
     :func:`bound_constants`: at epsilon = lam/2, c2 = c2t * lam,
     c3 = c3t and c4 = c4t * lam.
     """
-    if r < 1:
-        raise ValueError("rank r must be >= 1")
-    _require_condition(delta, t, n3)
-    eta1, eta2 = eta_constants(delta, t, n3)
-    sr = math.sqrt(r)
-    srn = math.sqrt(n3 * r)
-    sn = math.sqrt(n3)
-    c1t = 2.0 / (sr * eta1)
-    c2t = 2.0 * sr * eta1 + 1.0
-    c3t = (2.0 * sr * eta1 * (2.0 * srn + 1.0 + eta2) + srn + eta2) / (r * eta1 * (1.0 - eta2))
-    c4t = (
-        (2.0 * (srn + 1.0) * eta1 + srn - sn * eta2 + sn + 1.0)
-        * (2.0 * sr * eta1 + 1.0)
-        / (2.0 * (1.0 - eta2))
-    )
-    return c1t, c2t, c3t, c4t
+    return bound_constants(delta, t, r, n3, lam=1.0, epsilon=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,8 @@ class ExperimentSpec:
             raise SpecValidationError("sample_factor must be positive")
         if self.trials < 1:
             raise SpecValidationError("trials must be >= 1")
+        if not self.sigma_list or not self.lambda_list:
+            raise SpecValidationError("sigma_list and lambda_list must be non-empty")
         if any(s < 0 for s in self.sigma_list):
             raise SpecValidationError("sigma values must be >= 0")
         if any(l <= 0 for l in self.lambda_list):
@@ -369,7 +371,7 @@ def emit(result: ExperimentResult, fmt: str, path) -> None:
         lines = ["snr_db" + header_cols]
         for li, lam in enumerate(result.spec.lambda_list):
             cells = ",".join(f"{result.mean_snr_db[li, si]:.4f}" for si in range(len(result.spec.sigma_list)))
-            lines.append(f"lambda={_grid_label(lam)}" + ("," + cells if cells else ""))
+            lines.append(f"lambda={_grid_label(lam)},{cells}")
         _write_text(path, "\n".join(lines) + "\n")
     elif fmt == "json":
         _write_text(path, json.dumps(result.to_dict(), indent=2) + "\n")

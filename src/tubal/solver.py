@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .algebra import as_tensor3, fro_norm, tnn, _irfft, _real_slice, _rfft
+from .algebra import as_tensor3, fro_norm, tnn, _from_slices, _slice_svd
 from .measurement import GaussianLinearMap, _as_measurements, unvec, vec
 
 __all__ = [
@@ -138,24 +138,18 @@ def tsvt(y_tensor: np.ndarray, tau: float) -> np.ndarray:
 
     Minimizes ``tau * ||x||_* + 0.5 * ||x - y_tensor||_F^2`` by soft
     thresholding the singular values of each Fourier slice by `tau` and
-    transforming back.  The (1/n3) factors in the tensor norms cancel,
-    so the per-slice threshold is `tau` itself.
+    transforming back, with one stacked SVD of the half spectrum.  The
+    (1/n3) factors in the tensor norms cancel, so the per-slice
+    threshold is `tau` itself.
     """
     y_tensor = as_tensor3(y_tensor)
     if tau < 0:
         raise ValueError("threshold tau must be >= 0")
-    n1, n2, n3 = y_tensor.shape
-    yf = _rfft(y_tensor)
-    out = np.empty_like(yf)
     try:
-        for j in range(yf.shape[2]):
-            mat = yf[:, :, j].real if _real_slice(j, n3) else yf[:, :, j]
-            u, s, vt = np.linalg.svd(mat, full_matrices=False)
-            s = np.maximum(s - tau, 0.0)
-            out[:, :, j] = (u * s) @ vt
+        u, s, vt = _slice_svd(y_tensor)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"slice SVD failed during thresholding: {exc}") from exc
-    return _irfft(out, n3)
+    return _from_slices(u, np.maximum(s - tau, 0.0), vt, y_tensor.shape[2])
 
 
 def prox_optimality_check(

@@ -21,6 +21,7 @@ from tubal import (
     tubal_rank,
     unfold,
 )
+from tubal.algebra import _fix_phases
 
 from conftest import rand_tensor
 
@@ -263,6 +264,67 @@ def test_tsvd_spectrum_is_mean_of_slice_svals():
     assert np.allclose(tsvd(x).spectrum, svals.mean(axis=0), atol=1e-10)
 
 
+def _fix_phases_loop(u, vt):
+    # one slice, one column at a time: the reference for the stacked form
+    u, vt = u.copy(), vt.copy()
+    k = min(u.shape[1], vt.shape[0])
+    for i in range(u.shape[1]):
+        piv = u[np.argmax(np.abs(u[:, i])), i]
+        c = np.conj(piv) / np.abs(piv)
+        u[:, i] = u[:, i] * c
+        if i < k:
+            vt[i, :] = vt[i, :] * np.conj(c)
+    for i in range(k, vt.shape[0]):
+        piv = vt[i, np.argmax(np.abs(vt[i, :]))]
+        vt[i, :] = vt[i, :] * (np.conj(piv) / np.abs(piv))
+    return u, vt
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 3), (6, 3, 5), (3, 6, 4), (2, 5, 1)])
+def test_fix_phases_matches_per_slice_loop(shape):
+    xf = np.moveaxis(np.fft.rfft(rand_tensor(sum(shape), shape), axis=2), -1, -3)
+    u, _, vt = np.linalg.svd(xf, full_matrices=True)
+    fu, fvt = _fix_phases(u, vt)
+    for j in range(xf.shape[0]):
+        lu, lvt = _fix_phases_loop(u[j], vt[j])
+        assert np.array_equal(fu[j], lu)
+        assert np.array_equal(fvt[j], lvt)
+    piv = np.take_along_axis(fu, np.argmax(np.abs(fu), axis=-2)[..., None, :], axis=-2)
+    assert np.all(piv.real > 0.0) and np.all(np.abs(piv.imag) <= 1e-15)
+
+
+def _orthogonal(n, n3, seed):
+    return tsvd(rand_tensor(seed, (n, n, n3))).u
+
+
+def _repeated_svals(n3):
+    # every Fourier slice, the self-conjugate ones included, has the
+    # singular values (3, 3, 1)
+    d = np.zeros((3, 3, n3))
+    d[:, :, 0] = np.diag([3.0, 3.0, 1.0])
+    return tprod(tprod(_orthogonal(3, n3, 40), d), conj_transpose(_orthogonal(3, n3, 41)))
+
+
+@pytest.mark.parametrize("n3", [5, 6])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n3: identity_tensor(4, n3),
+        lambda n3: np.ones((3, 5, n3)),
+        lambda n3: _orthogonal(4, n3, 42),
+        _repeated_svals,
+    ],
+    ids=["identity", "ones", "orthogonal", "repeated-svals"],
+)
+def test_tsvd_contract_degenerate_spectra(build, n3):
+    x = build(n3)
+    f = tsvd(x)
+    assert is_orthogonal(f.u, 1e-12)
+    assert is_orthogonal(f.v, 1e-12)
+    assert is_fdiagonal(f.s, tol=1e-12)
+    assert fro_norm(f.compose() - x) <= 1e-12 * fro_norm(x)
+
+
 # ---------------------------------------------------------------------------
 # ranks and norms
 
@@ -358,6 +420,24 @@ def test_truncate_beats_random_rank1_competitors():
         scale = np.vdot(cand.ravel(), x.ravel()) / np.vdot(cand.ravel(), cand.ravel())
         assert best <= fro_norm(x - scale * cand) + 1e-12
     assert best <= fro_norm(x - head) + 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.tuples(st.integers(1, 6), st.integers(1, 6)).filter(lambda d: d[0] != d[1]),
+    n3=st.sampled_from([1, 2, 5, 6]),
+    r_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_truncate_tail_energy_is_discarded_spectrum(dims, n3, r_frac, seed):
+    n1, n2 = dims
+    r = round(r_frac * min(n1, n2))
+    x = np.random.default_rng(seed).standard_normal((n1, n2, n3))
+    head, tail = truncate(x, r)
+    svals = np.linalg.svd(np.fft.fft(x, axis=2).transpose(2, 0, 1), compute_uv=False)
+    discarded = np.sum(svals[:, r:] ** 2)
+    assert n3 * fro_norm(tail) ** 2 == pytest.approx(discarded, rel=1e-10, abs=1e-20 * n3 * fro_norm(x) ** 2)
+    assert tubal_rank(head) <= r
 
 
 def test_restrict_full_and_empty():

@@ -69,6 +69,17 @@ def test_experiment_invalid_spec_exit_2(tmp_path):
     assert main(["experiment", "--spec", spec]) == 2
 
 
+@pytest.mark.parametrize("grid", ["sigma_list", "lambda_list"])
+def test_experiment_empty_grid_exit_2(tmp_path, grid):
+    obj = {"case_name": "mini", "n": 6, "n3": 2, "r": 1, "sample_factor": 2.0,
+           "sigma_list": [0.0], "lambda_list": [0.5], "trials": 2, "base_seed": 3}
+    obj[grid] = []
+    spec = write_spec(tmp_path, "exp.json", obj)
+    out = tmp_path / "grid.csv"
+    assert main(["experiment", "--spec", spec, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_experiment_malformed_json_exit_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
