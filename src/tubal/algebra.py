@@ -57,17 +57,18 @@ __all__ = [
     "unfold",
 ]
 
-DEFAULT_RANK_TOL = 1e-8
+# relative threshold below which a singular value counts as zero in a rank
+_RANK_TOL = 1e-8
 
 
-def as_tensor3(x, check_finite: bool = True) -> np.ndarray:
-    """Validate and return `x` as a float64 array of shape (n1, n2, n3)."""
+def as_tensor3(x) -> np.ndarray:
+    """Validate and return `x` as a finite float64 array of shape (n1, n2, n3)."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError(f"expected a third-order tensor, got ndim={arr.ndim}")
     if min(arr.shape) < 1:
         raise ValueError(f"tensor dimensions must be >= 1, got {arr.shape}")
-    if check_finite and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise ValueError("tensor entries must be finite")
     return arr
 
@@ -322,20 +323,20 @@ def _mean_spectrum(x: np.ndarray) -> np.ndarray:
     return (w @ sv) / x.shape[2]
 
 
-def tubal_rank(x: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular tubes whose first-slice value exceeds tol * largest."""
+def tubal_rank(x: np.ndarray) -> int:
+    """Number of singular tubes whose first-slice value exceeds 1e-8 * largest."""
     x = as_tensor3(x)
     spec = _mean_spectrum(x)
     if spec.size == 0 or spec[0] == 0.0:
         return 0
-    return int(np.count_nonzero(spec > tol * spec[0]))
+    return int(np.count_nonzero(spec > _RANK_TOL * spec[0]))
 
 
-def average_rank(x: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> Fraction:
+def average_rank(x: np.ndarray) -> Fraction:
     """Rank of the block-diagonal Fourier matrix divided by n3, as a Fraction.
 
-    Per-slice ranks use a threshold relative to the largest singular
-    value across all slices.
+    Per-slice ranks count singular values above 1e-8 times the largest
+    singular value across all slices.
     """
     x = as_tensor3(x)
     n3 = x.shape[2]
@@ -343,7 +344,7 @@ def average_rank(x: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> Fraction:
     top = sv.max(initial=0.0)
     if top == 0.0:
         return Fraction(0)
-    counts = (sv > tol * top).sum(axis=1)
+    counts = (sv > _RANK_TOL * top).sum(axis=1)
     total = int(np.rint(_half_weights(n3) @ counts))
     return Fraction(total, n3)
 

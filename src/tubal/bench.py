@@ -60,9 +60,15 @@ def generate_lowrank(n1: int, n2: int, n3: int, r: int, seed: int) -> np.ndarray
     a = gen.standard_normal((n1, r, n3))
     b = gen.standard_normal((r, n2, n3))
     x = tprod(a, b)
-    if tubal_rank(x, tol=1e-8) != r:
+    if tubal_rank(x) != r:
         raise NumericalError(f"degenerate factor draw: tubal rank != {r}")
     return x
+
+
+def measurement_count(sample_factor: float, r: int, n: int, n3: int) -> int:
+    """Measurement count ``round(sample_factor * r * (2n + 1) * n3)`` for a
+    rank-r tensor of size n x n x n3."""
+    return round(sample_factor * r * (2 * n + 1) * n3)
 
 
 @dataclass(frozen=True)
@@ -71,7 +77,8 @@ class ExperimentSpec:
 
     `r` may be an absolute rank (>= 1) or a fraction of n (in (0, 1)),
     rounded to the nearest integer with a floor of 1.  The measurement
-    count is ``round(sample_factor * r * (2n + 1) * n3)``.
+    count is :func:`measurement_count` of the rank.  Sigma values must be
+    finite and >= 0, lambda values finite and > 0.
     """
 
     case_name: str
@@ -83,7 +90,6 @@ class ExperimentSpec:
     lambda_list: tuple[float, ...]
     trials: int = 50
     base_seed: int = 0
-    variance_mode: str = "one_over_m"
 
     def __post_init__(self):
         if self.n < 1 or self.n3 < 1:
@@ -92,18 +98,16 @@ class ExperimentSpec:
             raise SpecValidationError("r must be positive")
         if self.rank > self.n:
             raise SpecValidationError(f"rank {self.rank} exceeds n={self.n}")
-        if self.sample_factor <= 0:
-            raise SpecValidationError("sample_factor must be positive")
+        if not (math.isfinite(self.sample_factor) and self.sample_factor > 0):
+            raise SpecValidationError("sample_factor must be finite and positive")
         if self.trials < 1:
             raise SpecValidationError("trials must be >= 1")
         if not self.sigma_list or not self.lambda_list:
             raise SpecValidationError("sigma_list and lambda_list must be non-empty")
-        if any(s < 0 for s in self.sigma_list):
-            raise SpecValidationError("sigma values must be >= 0")
-        if any(l <= 0 for l in self.lambda_list):
-            raise SpecValidationError("lambda values must be positive")
-        if self.variance_mode not in ("unit", "one_over_m"):
-            raise SpecValidationError("variance_mode must be 'unit' or 'one_over_m'")
+        if not all(math.isfinite(s) and s >= 0 for s in self.sigma_list):
+            raise SpecValidationError("sigma values must be finite and >= 0")
+        if not all(math.isfinite(l) and l > 0 for l in self.lambda_list):
+            raise SpecValidationError("lambda values must be finite and positive")
 
     @property
     def rank(self) -> int:
@@ -115,7 +119,7 @@ class ExperimentSpec:
 
     @property
     def sample_count(self) -> int:
-        return round(self.sample_factor * self.rank * (2 * self.n + 1) * self.n3)
+        return measurement_count(self.sample_factor, self.rank, self.n, self.n3)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -134,7 +138,6 @@ class ExperimentSpec:
                 lambda_list=tuple(float(l) for l in obj["lambda_list"]),
                 trials=int(obj.get("trials", 50)),
                 base_seed=int(obj.get("base_seed", 0)),
-                variance_mode=str(obj.get("variance_mode", "one_over_m")),
             )
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, SpecValidationError):
@@ -152,7 +155,6 @@ class ExperimentSpec:
             "lambda_list": list(self.lambda_list),
             "trials": self.trials,
             "base_seed": self.base_seed,
-            "variance_mode": self.variance_mode,
         }
 
 
@@ -221,7 +223,7 @@ def _trial_worker(spec: ExperimentSpec, trial: int):
     noise_seed = rng.derive_key(spec.base_seed, spec.case_name, trial, "noise")
 
     x = generate_lowrank(spec.n, spec.n, spec.n3, spec.rank, data_seed)
-    op = gaussian_map(spec.sample_count, spec.dims, map_seed, spec.variance_mode)
+    op = gaussian_map(spec.sample_count, spec.dims, map_seed)
     y_clean = apply(op, x)
 
     for si, sigma in enumerate(spec.sigma_list):

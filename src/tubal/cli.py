@@ -37,6 +37,7 @@ from .bench import (
     emit,
     emit_campaign,
     generate_lowrank,
+    measurement_count,
     run_experiment,
     run_rip_campaign,
 )
@@ -55,6 +56,12 @@ def _load_spec(path) -> dict:
         raise SpecValidationError(f"cannot read spec {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise SpecValidationError(f"spec {path} must hold a JSON object")
+    # a "unit" spec would silently change meaning if the key were ignored
+    if "variance_mode" in obj:
+        raise SpecValidationError(
+            f"spec {path} names 'variance_mode', which no longer exists: "
+            "every measurement matrix has entry variance 1/m"
+        )
     return obj
 
 
@@ -101,31 +108,37 @@ def _instance_seeds(seed: int, label: str) -> tuple[int, int, int]:
 
 
 def _build_instance(spec: dict, seed_override: int | None):
+    """Parse every key of a `solve` or `bounds` instance spec, then build it.
+
+    Returns (x, op, sample, config, seed, r, t_grid, rip_trials).  Every
+    key is read before any work, and a malformed one raises
+    SpecValidationError.
+    """
     try:
         n = int(spec["n"])
         n3 = int(spec["n3"])
         r = int(spec["r"])
         sigma = float(spec.get("sigma", 0.0))
-        lam = float(spec["lambda"])
+        config = SolverConfig(lam=float(spec["lambda"]), max_iters=int(spec.get("max_iters", 500)))
         seed = int(spec.get("seed", 0)) if seed_override is None else seed_override
-        variance_mode = str(spec.get("variance_mode", "one_over_m"))
         if "m" in spec:
             m = int(spec["m"])
         else:
-            m = round(float(spec.get("sample_factor", 2.0)) * r * (2 * n + 1) * n3)
+            m = measurement_count(float(spec.get("sample_factor", 2.0)), r, n, n3)
+        t_grid = [float(t) for t in spec.get("t_grid", DEFAULT_T_GRID)]
+        rip_trials = int(spec.get("rip_trials", 50))
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecValidationError(f"invalid instance spec: {exc}") from exc
     data_seed, map_seed, noise_seed = _instance_seeds(seed, "instance")
     x = generate_lowrank(n, n, n3, r, data_seed)
-    op = gaussian_map(m, (n, n, n3), map_seed, variance_mode)
+    op = gaussian_map(m, (n, n, n3), map_seed)
     sample = add_noise(apply(op, x), sigma, noise_seed)
-    return x, op, sample, lam, seed
+    return x, op, sample, config, seed, r, t_grid, rip_trials
 
 
 def _cmd_solve(args) -> None:
     spec = _load_spec(args.spec)
-    x, op, sample, lam, seed = _build_instance(spec, args.seed)
-    config = SolverConfig(lam=lam, max_iters=int(spec.get("max_iters", 500)))
+    x, op, sample, config, seed, *_ = _build_instance(spec, args.seed)
     result = admm_solve(op, sample.y, config)
     if spec.get("save_estimate"):
         io.save_tensor(spec["save_estimate"], result.x_hat)
@@ -133,7 +146,7 @@ def _cmd_solve(args) -> None:
         "dims": list(op.dims),
         "m": op.m,
         "rank": tubal_rank(x),
-        "lambda": lam,
+        "lambda": config.lam,
         "sigma": sample.sigma,
         "seed": seed,
         "snr_db": snr_db(x, result.x_hat),
@@ -169,10 +182,9 @@ def _cmd_rip(args) -> None:
         rank_list = [int(r) for r in spec["rank_list"]]
         trials = int(spec.get("trials", 100))
         t = float(spec.get("t", 2.0))
-        variance_mode = str(spec.get("variance_mode", "one_over_m"))
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecValidationError(f"invalid rip spec: {exc}") from exc
-    op = gaussian_map(m, dims, derive_key(seed, "rip-campaign", "map"), variance_mode)
+    op = gaussian_map(m, dims, derive_key(seed, "rip-campaign", "map"))
     rows = run_rip_campaign(op, rank_list, trials, seed, t)
     out = args.out or f"rip.{args.format}"
     emit_campaign(rows, args.format, out, t)
@@ -222,12 +234,8 @@ def _cmd_bounds(args) -> None:
         return
 
     # End-to-end mode: build, solve, estimate distortion, sweep t.
-    x, op, sample, lam, seed = _build_instance(spec, args.seed)
-    r = int(spec["r"])
+    x, op, sample, config, seed, r, t_grid, rip_trials = _build_instance(spec, args.seed)
     kappa = min(op.dims[0], op.dims[1])
-    t_grid = [float(t) for t in spec.get("t_grid", DEFAULT_T_GRID)]
-    rip_trials = int(spec.get("rip_trials", 50))
-    config = SolverConfig(lam=lam, max_iters=int(spec.get("max_iters", 500)))
     result = admm_solve(op, sample.y, config)
     epsilon = float(np.linalg.norm(sample.noise))
 
@@ -251,7 +259,7 @@ def _cmd_bounds(args) -> None:
                 }
             )
             continue
-        rep = verify_bounds(x, result.x_hat, op, sample.y, r, t, est.delta_hat, lam, epsilon)
+        rep = verify_bounds(x, result.x_hat, op, sample.y, r, t, est.delta_hat, config.lam, epsilon)
         entry = rep.to_dict()
         entry.update({"probe_rank": probe_rank, "condition_met": True})
         reports.append(entry)
@@ -265,7 +273,7 @@ def _cmd_bounds(args) -> None:
         "Frobenius-bound slack among satisfied entries (tool convention)",
         "snr_db": snr_db(x, result.x_hat),
         "epsilon_realized": epsilon,
-        "lambda": lam,
+        "lambda": config.lam,
         "reports": reports,
         "tightest_satisfied": tightest,
     }

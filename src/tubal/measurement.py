@@ -34,8 +34,6 @@ __all__ = [
     "vec",
 ]
 
-VARIANCE_MODES = ("unit", "one_over_m")
-
 
 def vec(x: np.ndarray) -> np.ndarray:
     """Vectorize a tensor in the package storage order."""
@@ -55,15 +53,14 @@ def unvec(v: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
 class GaussianLinearMap:
     """Dense linear map from (n1, n2, n3) tensors to m-vectors.
 
-    ``matrix`` has shape (m, n1*n2*n3); `seed` and `variance_mode`
-    record how it was drawn so it can be regenerated bit-exactly.
+    ``matrix`` has shape (m, n1*n2*n3); `seed` records how
+    :func:`gaussian_map` drew it, so it can be regenerated bit-exactly.
     """
 
     m: int
     dims: tuple[int, int, int]
     matrix: np.ndarray
     seed: int
-    variance_mode: str = "one_over_m"
 
     def __post_init__(self):
         n1, n2, n3 = self.dims
@@ -72,37 +69,26 @@ class GaussianLinearMap:
                 f"matrix shape {self.matrix.shape} inconsistent with "
                 f"m={self.m} and dims={self.dims}"
             )
-        if self.variance_mode not in VARIANCE_MODES:
-            raise ValueError(f"variance_mode must be one of {VARIANCE_MODES}")
 
 
-def gaussian_map(
-    m: int,
-    dims: tuple[int, int, int],
-    seed: int,
-    variance_mode: str = "one_over_m",
-) -> GaussianLinearMap:
-    """Draw a measurement matrix with i.i.d. Gaussian entries.
+def gaussian_map(m: int, dims: tuple[int, int, int], seed: int) -> GaussianLinearMap:
+    """Draw a measurement matrix with i.i.d. N(0, 1/m) entries.
 
-    Entry variance is 1/m by default (the convention for recovery
-    experiments) or 1 with ``variance_mode="unit"`` (convenient for
-    isometry-distortion studies).  Entries come from the "map" stream
-    of `seed`, so the same arguments always reproduce the same matrix.
+    The 1/m variance gives ``E ||M(x)||^2 = ||x||_F^2`` for every x, so
+    the map is an isometry in expectation: the scaling under which the
+    t-RIP's distortion ``| ||M(x)||^2 / ||x||_F^2 - 1 |`` is small.
+    Entries come from the "map" stream of `seed`, so the same arguments
+    always reproduce the same matrix.
     """
     n1, n2, n3 = (int(d) for d in dims)
     if m < 1:
         raise ValueError(f"measurement count must be >= 1, got {m}")
     if min(n1, n2, n3) < 1:
         raise ValueError(f"dims must be >= 1, got {dims}")
-    if variance_mode not in VARIANCE_MODES:
-        raise ValueError(f"variance_mode must be one of {VARIANCE_MODES}")
     gen = rng.stream(int(seed), "map")
     matrix = gen.standard_normal((m, n1 * n2 * n3))
-    if variance_mode == "one_over_m":
-        matrix /= math.sqrt(m)
-    return GaussianLinearMap(
-        m=m, dims=(n1, n2, n3), matrix=matrix, seed=int(seed), variance_mode=variance_mode
-    )
+    matrix /= math.sqrt(m)
+    return GaussianLinearMap(m=m, dims=(n1, n2, n3), matrix=matrix, seed=int(seed))
 
 
 def apply(op: GaussianLinearMap, x: np.ndarray) -> np.ndarray:

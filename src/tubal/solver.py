@@ -4,9 +4,9 @@ Solves ``min_x ||x||_* + (1/(2*lam)) * ||y - M vec(x)||^2`` by variable
 splitting: an auxiliary tensor carries the data-fit term, the nuclear
 norm is handled by its exact proximal map (singular value thresholding
 of each Fourier slice), and a scalar penalty is adapted by residual
-balancing (Boyd et al. 2011, section 3.4.1) within [rho0, rho_max].
+balancing (Boyd et al. 2011, section 3.4.1) within [_RHO0, _RHO_MAX].
 Iterations stop when the entrywise changes of both blocks and their
-disagreement all fall below a tolerance.
+disagreement all fall below _VARPI.
 
 The data-fit block update solves ``(M^T M + rho I) z = b`` exactly.  The
 Gram matrix of the smaller side of the m x N measurement matrix is
@@ -30,6 +30,7 @@ form gives for free: ``M z = (M b - M M^T u) / rho = u``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,44 +55,51 @@ class NumericalError(RuntimeError):
     """A linear-algebra kernel failed or an iterate left the finite range."""
 
 
+# Penalty bracket, growth factor and balancing ratio of the penalty rule
+# (see SolverConfig), and the entrywise stopping tolerance.
+_RHO0 = 1e-4
+_RHO_MAX = 1e10
+_VARTHETA = 1.5
+_BALANCE_RATIO = 100.0
+_VARPI = 1e-8
+
+# prox_optimality_check: number, relative size and seed of its probes
+_PROBE_COUNT = 200
+_PROBE_REL_SIZE = 1e-3
+_PROBE_SEED = 0
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Hyperparameters of the splitting scheme.
+    """The settings of the splitting scheme that callers choose.
 
-    lam is the regularization weight of the data-fit term; rho0/rho_max
-    bracket the penalty, vartheta is its growth (and shrink) factor,
-    varpi the entrywise convergence tolerance.
+    lam is the regularization weight of the data-fit term, finite and
+    positive; max_iters caps the number of sweeps.
 
-    The penalty follows residual balancing: rho grows by vartheta (up to
-    rho_max) when the consensus residual exceeds `balance_ratio` times
-    the dual residual, shrinks by vartheta (never below rho0) in the
-    opposite case, and holds otherwise.  The penalty stays bounded, so
-    the entrywise stopping rule fires only at a genuine fixed point of
-    the splitting, i.e. at a minimizer.  The geometric schedule (rho
-    times vartheta every iteration) is not offered: its escalating
-    penalty freezes the iterates, and the stopping rule fires, before
-    the minimizer is reached.
+    The penalty follows residual balancing: rho starts at _RHO0, grows
+    by _VARTHETA (up to _RHO_MAX) when the consensus residual exceeds
+    _BALANCE_RATIO times the dual residual, shrinks by _VARTHETA (never
+    below _RHO0) in the opposite case, and holds otherwise.  The penalty
+    stays bounded, so the entrywise stopping rule fires only at a genuine
+    fixed point of the splitting, i.e. at a minimizer.  The geometric
+    schedule (rho times _VARTHETA every iteration) is not offered: its
+    escalating penalty freezes the iterates, and the stopping rule
+    fires, before the minimizer is reached.
+
+    The penalty constants and the stopping tolerance _VARPI are fixed,
+    not scaled to the data.  They stay module constants until a
+    data-scaled initial penalty and absolute-plus-relative tolerances
+    (Boyd et al. 2011, section 3.3) replace them.
     """
 
     lam: float
-    rho0: float = 1e-4
-    rho_max: float = 1e10
-    vartheta: float = 1.5
-    varpi: float = 1e-8
     max_iters: int = 500
-    balance_ratio: float = 100.0
 
     def __post_init__(self):
-        if not (self.lam > 0 and self.rho0 > 0 and self.rho_max > 0 and self.varpi > 0):
-            raise ValueError("lam, rho0, rho_max and varpi must be positive")
-        if self.vartheta <= 1:
-            raise ValueError("penalty growth factor vartheta must exceed 1")
-        if self.rho0 > self.rho_max:
-            raise ValueError("rho0 must not exceed rho_max")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lam must be finite and positive, got {self.lam}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.balance_ratio <= 1:
-            raise ValueError("balance_ratio must exceed 1")
 
 
 @dataclass
@@ -152,19 +160,12 @@ def tsvt(y_tensor: np.ndarray, tau: float) -> np.ndarray:
     return _from_slices(u, np.maximum(s - tau, 0.0), vt, y_tensor.shape[2])
 
 
-def prox_optimality_check(
-    y_tensor: np.ndarray,
-    tau: float,
-    x_out: np.ndarray,
-    perturbations: int = 200,
-    rel_size: float = 1e-3,
-    seed: int = 0,
-) -> float:
+def prox_optimality_check(y_tensor: np.ndarray, tau: float, x_out: np.ndarray) -> float:
     """Largest objective decrease found by random probing around `x_out`.
 
     Evaluates ``tau * ||x||_* + 0.5 * ||x - y_tensor||_F^2`` at `x_out`
-    and at `perturbations` random offsets of relative size `rel_size`,
-    returning the maximum decrease (negative when every probe is worse).
+    and at 200 seeded random offsets of relative size 1e-3, returning
+    the maximum decrease (negative when every probe is worse).
     A true minimizer keeps this at roundoff level; an unshrunk or
     mis-scaled candidate shows a clearly positive value.
     """
@@ -177,10 +178,10 @@ def prox_optimality_check(
         return tau * tnn(x) + 0.5 * fro_norm(x - y_tensor) ** 2
 
     base = objective(x_out)
-    scale = rel_size * max(fro_norm(x_out), fro_norm(y_tensor))
-    gen = rng.stream(int(seed), "probe")
+    scale = _PROBE_REL_SIZE * max(fro_norm(x_out), fro_norm(y_tensor))
+    gen = rng.stream(_PROBE_SEED, "probe")
     best = -np.inf
-    for _ in range(perturbations):
+    for _ in range(_PROBE_COUNT):
         step = gen.standard_normal(x_out.shape)
         norm = np.linalg.norm(step.ravel())
         if norm == 0.0 or scale == 0.0:
@@ -249,7 +250,7 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
     equations; the multiplier absorbs ``rho * (x - z)``; the penalty
     is then rebalanced as described in :class:`SolverConfig`.  Stops
     when the three entrywise gaps (x step, z step, x-z) all drop below
-    `varpi`, or at `max_iters` with ``converged=False``.
+    _VARPI, or at `max_iters` with ``converged=False``.
 
     Each sweep computes ``M x`` once, for the objective's residual and
     for the z block's ``M b = M M^T y + M k + rho M x``; ``M M^T y`` is
@@ -277,15 +278,16 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
     x = np.zeros(dims)
     z = np.zeros(dims)
     k_mult = np.zeros(dims)
-    rho = config.rho0
+    rho = _RHO0
 
     gaps_hist: list[tuple[float, float, float]] = []
     obj_hist: list[float] = []
-    state = AdmmState(x=x, z=z, k_mult=k_mult, rho=rho, iteration=0)
     converged = False
 
     for iteration in range(1, config.max_iters + 1):
-        x_prev, z_prev = x, z
+        # the final state reports the penalty of its sweep, not the one
+        # rebalanced after it
+        x_prev, z_prev, sweep_rho = x, z, rho
 
         prox_input = z - k_mult / rho
         tau = config.lam / rho
@@ -313,29 +315,28 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
         gaps_hist.append((x_step, z_step, consensus))
         obj_hist.append(objective)
 
-        state = AdmmState(
-            x=x,
-            z=z,
-            k_mult=k_mult,
-            rho=rho,
-            iteration=iteration,
-            last_prox_input=prox_input,
-            last_prox_tau=tau,
-        )
-        if max(x_step, z_step, consensus) <= config.varpi:
+        if max(x_step, z_step, consensus) <= _VARPI:
             converged = True
             break
         dual_residual = rho * z_step
-        if consensus > config.balance_ratio * dual_residual:
-            rho = min(config.vartheta * rho, config.rho_max)
-        elif dual_residual > config.balance_ratio * consensus:
-            rho = max(rho / config.vartheta, config.rho0)
+        if consensus > _BALANCE_RATIO * dual_residual:
+            rho = min(_VARTHETA * rho, _RHO_MAX)
+        elif dual_residual > _BALANCE_RATIO * consensus:
+            rho = max(rho / _VARTHETA, _RHO0)
 
     return SolveResult(
         x_hat=x,
-        iterations=state.iteration,
+        iterations=iteration,
         converged=converged,
         residual_history=np.asarray(gaps_hist),
         objective_history=np.asarray(obj_hist),
-        final_state=state,
+        final_state=AdmmState(
+            x=x,
+            z=z,
+            k_mult=k_mult,
+            rho=sweep_rho,
+            iteration=iteration,
+            last_prox_input=prox_input,
+            last_prox_tau=tau,
+        ),
     )

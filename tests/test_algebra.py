@@ -338,7 +338,7 @@ def test_tubal_rank_zero_and_identity():
 def test_tubal_rank_of_factor_product(seed, r):
     gen = np.random.default_rng(seed)
     x = tprod(gen.standard_normal((5, r, 4)), gen.standard_normal((r, 5, 4)))
-    assert tubal_rank(x, tol=1e-8) == r
+    assert tubal_rank(x) == r
     xf = np.fft.fft(x, axis=2)
     slice_ranks = [np.linalg.matrix_rank(xf[:, :, k], tol=1e-8) for k in range(4)]
     assert max(slice_ranks) == r
@@ -406,7 +406,7 @@ def test_truncate_extremes():
 def test_truncate_rank_bound():
     x = rand_tensor(25, (5, 5, 4))
     head, _ = truncate(x, 2)
-    assert tubal_rank(head, tol=1e-8) <= 2
+    assert tubal_rank(head) <= 2
 
 
 def test_truncate_beats_random_rank1_competitors():

@@ -172,7 +172,7 @@ def test_matched_constants_reject_delta_at_threshold():
 
 def identity_map(dims, scale=1.0):
     n = dims[0] * dims[1] * dims[2]
-    return GaussianLinearMap(m=n, dims=dims, matrix=scale * np.eye(n), seed=0, variance_mode="unit")
+    return GaussianLinearMap(m=n, dims=dims, matrix=scale * np.eye(n), seed=0)
 
 
 def test_estimate_ric_isometry():

@@ -45,13 +45,13 @@ def test_generate_lowrank_rank_and_determinism():
     x1 = generate_lowrank(4, 5, 3, 2, seed=11)
     x2 = generate_lowrank(4, 5, 3, 2, seed=11)
     assert np.array_equal(x1, x2)
-    assert tubal_rank(x1, tol=1e-8) == 2
+    assert tubal_rank(x1) == 2
     assert not np.array_equal(x1, generate_lowrank(4, 5, 3, 2, seed=12))
 
 
 def test_generate_lowrank_full_rank_square():
     x = generate_lowrank(4, 4, 2, 4, seed=3)
-    assert tubal_rank(x, tol=1e-8) == 4
+    assert tubal_rank(x) == 4
 
 
 def test_generate_lowrank_validation():
@@ -96,8 +96,15 @@ def test_spec_validation():
         mini_spec(sigma_list=(-0.1,))
     with pytest.raises(SpecValidationError):
         mini_spec(lambda_list=(0.0,))
-    with pytest.raises(SpecValidationError):
-        mini_spec(variance_mode="nope")
+    for grid in ("sigma_list", "lambda_list"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(SpecValidationError):
+                mini_spec(**{grid: (0.5, bad)})
+            with pytest.raises(SpecValidationError):
+                ExperimentSpec.from_dict({**mini_spec().to_dict(), grid: [bad]})
+    for bad in (math.nan, math.inf):
+        with pytest.raises(SpecValidationError):
+            mini_spec(sample_factor=bad)
     with pytest.raises(SpecValidationError):
         ExperimentSpec.from_dict({"case_name": "x"})
 
@@ -217,7 +224,7 @@ def test_emit_rejects_unknown_format(tmp_path, mini_result):
 
 def test_campaign_isometry(tmp_path):
     n = 4 * 4 * 1
-    op = GaussianLinearMap(m=n, dims=(4, 4, 1), matrix=np.eye(n), seed=0, variance_mode="unit")
+    op = GaussianLinearMap(m=n, dims=(4, 4, 1), matrix=np.eye(n), seed=0)
     rows = run_rip_campaign(op, [1], trials=10, seed=3, t=2.0)
     assert len(rows) == 1
     assert rows[0].delta_hat <= 1e-12

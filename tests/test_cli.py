@@ -171,3 +171,39 @@ def test_bounds_end_to_end_mode(tmp_path):
     for entry in doc["reports"]:
         if entry.get("condition_met"):
             assert entry["satisfied"] == [True, True]
+
+
+INSTANCE_SPEC = {"n": 6, "n3": 2, "r": 1, "sigma": 0.01, "lambda": 0.1, "seed": 7,
+                 "t_grid": [5.0], "rip_trials": 5, "max_iters": 20}
+
+
+@pytest.mark.parametrize("command", ["solve", "bounds"])
+@pytest.mark.parametrize(
+    "key, value", [("max_iters", None), ("rip_trials", None), ("t_grid", 3)],
+    ids=["max_iters-null", "rip_trials-null", "t_grid-scalar"],
+)
+def test_instance_spec_malformed_key_exit_2(tmp_path, command, key, value):
+    spec = write_spec(tmp_path, "instance.json", {**INSTANCE_SPEC, key: value})
+    out = tmp_path / "out.json"
+    assert main([command, "--spec", spec, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, spec",
+    [
+        ("solve", INSTANCE_SPEC),
+        ("bounds", INSTANCE_SPEC),
+        ("experiment", {"case_name": "mini", "n": 6, "n3": 2, "r": 1, "sample_factor": 2.0,
+                        "sigma_list": [0.0], "lambda_list": [0.5], "trials": 1}),
+        ("rip", {"m": 30, "n": 4, "n3": 2, "seed": 2, "rank_list": [1], "trials": 10}),
+    ],
+    ids=["solve", "bounds", "experiment", "rip"],
+)
+def test_spec_naming_variance_mode_exit_2(tmp_path, command, spec):
+    # the unit-variance scaling is gone; ignoring the key would silently
+    # change what such a spec measures
+    path = write_spec(tmp_path, "spec.json", {**spec, "variance_mode": "unit"})
+    out = tmp_path / "out.txt"
+    assert main([command, "--spec", path, "--out", str(out)]) == 2
+    assert not out.exists()

@@ -22,7 +22,7 @@ from conftest import rand_tensor
 
 def identity_map(dims):
     n = dims[0] * dims[1] * dims[2]
-    return GaussianLinearMap(m=n, dims=dims, matrix=np.eye(n), seed=0, variance_mode="unit")
+    return GaussianLinearMap(m=n, dims=dims, matrix=np.eye(n), seed=0)
 
 
 def test_vec_order_is_slice_major_column_major():
@@ -55,8 +55,6 @@ def test_gaussian_map_validation():
     with pytest.raises(ValueError):
         gaussian_map(4, (0, 2, 2), seed=1)
     with pytest.raises(ValueError):
-        gaussian_map(4, (2, 2, 2), seed=1, variance_mode="bogus")
-    with pytest.raises(ValueError):
         GaussianLinearMap(m=3, dims=(2, 2, 2), matrix=np.zeros((3, 7)), seed=0)
 
 
@@ -66,8 +64,6 @@ def test_gaussian_map_moments():
     entries = op.matrix.ravel()
     assert abs(entries.mean()) <= 4.0 * math.sqrt(1.0 / (1000 * entries.size))
     assert entries.var() == pytest.approx(1.0 / 1000, rel=0.05)
-    unit = gaussian_map(1000, (10, 10, 10), seed=42, variance_mode="unit")
-    assert unit.matrix.ravel().var() == pytest.approx(1.0, rel=0.05)
 
 
 def test_apply_zero_and_linearity():

@@ -20,6 +20,7 @@ from tubal import (
     unvec,
     vec,
 )
+from tubal import solver
 from tubal.solver import NormalEquationSolver
 
 from conftest import rand_tensor
@@ -55,7 +56,7 @@ def test_tsvt_n3_1_matches_matrix_svt(seed):
 
 def test_tsvt_does_not_raise_rank():
     x = generate_lowrank(5, 5, 3, 2, seed=1)
-    assert tubal_rank(tsvt(x, 0.4), tol=1e-8) <= tubal_rank(x, tol=1e-8)
+    assert tubal_rank(tsvt(x, 0.4)) <= tubal_rank(x)
 
 
 def test_tsvt_rejects_negative_tau():
@@ -228,7 +229,7 @@ def test_admm_histories_and_objective_decrease():
     assert res.objective_history[0] == pytest.approx(start, rel=1e-12)
     assert res.objective_history[-1] <= start
     # consensus gap below tolerance at convergence
-    assert res.residual_history[-1].max() <= config.varpi
+    assert res.residual_history[-1].max() <= solver._VARPI
 
 
 def test_admm_deterministic():
@@ -255,16 +256,20 @@ def test_admm_noiseless_recovery_small_lambda():
 
 def reference_admm(op, y, config):
     """admm_solve with M b and the residual M x formed from the matrix in
-    every sweep, instead of carried: the reference for the carried products."""
+    every sweep, instead of carried: the reference for the carried products.
+
+    Returns (x, iterations, converged, objectives, rho, tau), where rho and
+    tau are the penalty and threshold of the last sweep's prox step."""
     matrix, dims = op.matrix, op.dims
     ne_solver = NormalEquationSolver(matrix)
     mty = matrix.T @ y
     x = z = k_mult = np.zeros(dims)
-    rho = config.rho0
+    rho = solver._RHO0
     objectives = []
     for iteration in range(1, config.max_iters + 1):
         x_prev, z_prev = x, z
-        x = tsvt(z - k_mult / rho, config.lam / rho)
+        tau = config.lam / rho
+        x = tsvt(z - k_mult / rho, tau)
         b = mty + vec(k_mult) + rho * vec(x)
         z = unvec(ne_solver.solve(b, matrix @ b, rho)[0], dims)
         k_mult = k_mult + rho * (x - z)
@@ -273,13 +278,13 @@ def reference_admm(op, y, config):
         consensus = np.max(np.abs(x - z))
         residual = y - matrix @ vec(x)
         objectives.append(tnn(x) + float(residual @ residual) / (2.0 * config.lam))
-        if max(x_step, z_step, consensus) <= config.varpi:
-            return x, iteration, True, np.asarray(objectives)
-        if consensus > config.balance_ratio * rho * z_step:
-            rho = min(config.vartheta * rho, config.rho_max)
-        elif rho * z_step > config.balance_ratio * consensus:
-            rho = max(rho / config.vartheta, config.rho0)
-    return x, config.max_iters, False, np.asarray(objectives)
+        converged = max(x_step, z_step, consensus) <= solver._VARPI
+        if converged or iteration == config.max_iters:
+            return x, iteration, converged, np.asarray(objectives), rho, tau
+        if consensus > solver._BALANCE_RATIO * rho * z_step:
+            rho = min(solver._VARTHETA * rho, solver._RHO_MAX)
+        elif rho * z_step > solver._BALANCE_RATIO * consensus:
+            rho = max(rho / solver._VARTHETA, solver._RHO0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -310,10 +315,15 @@ def test_admm_matches_loop_that_forms_every_product(dims, shape, m_frac, lam, ma
     config = SolverConfig(lam=lam, max_iters=max_iters)
 
     res = admm_solve(op, y, config)
-    x_ref, iterations, converged, objectives = reference_admm(op, y, config)
+    x_ref, iterations, converged, objectives, rho, tau = reference_admm(op, y, config)
 
     assert res.iterations == iterations
     assert res.converged == converged
+    # a capped solve still reports the penalty its last prox step used, not
+    # the one rebalanced after it
+    assert res.final_state.iteration == iterations
+    assert res.final_state.rho == rho
+    assert res.final_state.last_prox_tau == tau
     assert fro_norm(res.x_hat - x_ref) <= 1e-10 * fro_norm(x_ref)
     # y - M x cancels as x fits the data, so the objective is compared on the
     # scale of its first value, |y|^2 / (2 lam) at x = 0
@@ -347,10 +357,7 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(lam=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(lam=1.0, vartheta=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(lam=1.0, rho0=1.0, rho_max=0.5)
-    with pytest.raises(ValueError):
         SolverConfig(lam=1.0, max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(lam=1.0, balance_ratio=1.0)
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            SolverConfig(lam=lam)
