@@ -48,14 +48,10 @@ x = tb.generate_lowrank(n, n, n3, r, derive_key(3, "demo3", "data"))
 sample = tb.add_noise(tb.apply(op, x), 0.01, derive_key(3, "demo3", "noise"))
 res = tb.admm_solve(op, sample.y, tb.SolverConfig(lam=0.1))
 eps = float(np.linalg.norm(sample.noise))
-for t in (8.0, 20.0):
-    probe = min(math.ceil(t * r), n)
-    est = tb.estimate_ric(op, probe, trials=50, seed=12)
-    thr = tb.ric_threshold(t, n3)
-    if est.delta_hat >= thr:
-        print(f"t={t}: delta_hat {est.delta_hat:.3f} >= threshold {thr:.3f}, skipped")
+for e in tb.check_guarantee(x, res.x_hat, op, sample.y, r, (8.0, 20.0), 0.1, eps, trials=50, seed=12):
+    if not e["condition_met"]:
+        print(f"t={e['t']}: delta_hat {e['delta_hat']:.3f} >= threshold {e['threshold']:.3f}, skipped")
         continue
-    rep = tb.verify_bounds(x, res.x_hat, op, sample.y, r, t, est.delta_hat, 0.1, eps)
-    print(f"t={t}: measurement bound {rep.lhs_meas:.4f} <= {rep.rhs_meas:.4f}; "
-          f"Frobenius bound {rep.lhs_fro:.4f} <= {rep.rhs_fro:.4f}; "
-          f"satisfied={rep.satisfied}")
+    print(f"t={e['t']}: measurement bound {e['lhs_meas']:.4f} <= {e['rhs_meas']:.4f}; "
+          f"Frobenius bound {e['lhs_fro']:.4f} <= {e['rhs_fro']:.4f}; "
+          f"satisfied={e['satisfied']}")

@@ -42,6 +42,7 @@ from .bench import (
     ExperimentSpec,
     SpecValidationError,
     case1_spec,
+    check_guarantee,
     emit,
     emit_campaign,
     generate_lowrank,

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import rng
 from .algebra import tprod, tubal_rank
-from .analysis import RipEstimate, estimate_ric, ric_threshold
+from .analysis import RipEstimate, estimate_ric, ric_threshold, verify_bounds
 from .measurement import GaussianLinearMap, add_noise, apply, gaussian_map, snr_db
 from .solver import NumericalError, SolverConfig, admm_solve
 
@@ -34,6 +34,7 @@ __all__ = [
     "ExperimentSpec",
     "RipCampaignRow",
     "SpecValidationError",
+    "check_guarantee",
     "emit",
     "emit_campaign",
     "generate_lowrank",
@@ -349,6 +350,33 @@ def run_rip_campaign(
             )
         )
     return rows
+
+
+def check_guarantee(
+    x_true: np.ndarray, x_hat: np.ndarray, op: GaussianLinearMap, y: np.ndarray, r: int,
+    t_grid: list[float], lam: float, epsilon: float, trials: int, seed: int,
+) -> list[dict]:
+    """Check the recovery guarantee on a solved instance, one entry per t of `t_grid`.
+
+    t probes rank min(ceil(t*r), n1, n2), and every delta_hat is a row of
+    one :func:`run_rip_campaign` over the probe ranks, so it never falls
+    as the rank grows.  Below the threshold an entry is the
+    :func:`verify_bounds` report plus ``probe_rank`` and ``condition_met``;
+    otherwise it holds t, probe_rank, delta_hat, threshold, condition_met.
+    delta_hat is a lower estimate, so a met condition is no certificate.
+    """
+    thresholds = [ric_threshold(t, op.dims[2]) for t in t_grid]  # rejects t <= 1 before probing
+    probe_ranks = [min(math.ceil(t * r), *op.dims[:2]) for t in t_grid]
+    delta_hats = {row.r: row.delta_hat for row in run_rip_campaign(op, probe_ranks, trials, seed)}
+    entries = []
+    for t, thr, rank in zip(t_grid, thresholds, probe_ranks):
+        delta_hat = delta_hats[rank]
+        if delta_hat < thr:
+            report = verify_bounds(x_true, x_hat, op, y, r, t, delta_hat, lam, epsilon).to_dict()
+            entries.append({**report, "probe_rank": rank, "condition_met": True})
+        else:
+            entries.append(dict(t=t, probe_rank=rank, delta_hat=delta_hat, threshold=thr, condition_met=False))
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -25,15 +24,14 @@ from .algebra import fro_norm, tnn, tsvd, tubal_rank
 from .analysis import (
     RipConditionError,
     bound_constants,
-    estimate_ric,
     eta_constants,
     matched_bound_constants,
     ric_threshold,
-    verify_bounds,
 )
 from .bench import (
     ExperimentSpec,
     SpecValidationError,
+    check_guarantee,
     emit,
     emit_campaign,
     generate_lowrank,
@@ -235,34 +233,11 @@ def _cmd_bounds(args) -> None:
 
     # End-to-end mode: build, solve, estimate distortion, sweep t.
     x, op, sample, config, seed, r, t_grid, rip_trials = _build_instance(spec, args.seed)
-    kappa = min(op.dims[0], op.dims[1])
     result = admm_solve(op, sample.y, config)
     epsilon = float(np.linalg.norm(sample.noise))
-
-    reports = []
-    estimates = {}  # t values with the same probe rank share one estimate
-    for t in t_grid:
-        probe_rank = min(max(r, math.ceil(t * r)), kappa)
-        if probe_rank not in estimates:
-            estimates[probe_rank] = estimate_ric(
-                op, probe_rank, rip_trials, derive_key(seed, "bounds", probe_rank)
-            )
-        est = estimates[probe_rank]
-        if est.delta_hat >= ric_threshold(t, op.dims[2]):
-            reports.append(
-                {
-                    "t": t,
-                    "probe_rank": probe_rank,
-                    "delta_hat": est.delta_hat,
-                    "threshold": ric_threshold(t, op.dims[2]),
-                    "condition_met": False,
-                }
-            )
-            continue
-        rep = verify_bounds(x, result.x_hat, op, sample.y, r, t, est.delta_hat, config.lam, epsilon)
-        entry = rep.to_dict()
-        entry.update({"probe_rank": probe_rank, "condition_met": True})
-        reports.append(entry)
+    reports = check_guarantee(
+        x, result.x_hat, op, sample.y, r, t_grid, config.lam, epsilon, rip_trials, derive_key(seed, "bounds")
+    )
 
     satisfied = [e for e in reports if e.get("condition_met") and all(e["satisfied"])]
     # "tightest" = smallest Frobenius-bound slack; a tool convention, not

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-import tubal.cli
+import tubal.bench
 from tubal import estimate_ric, tsvd
 from tubal import io as tio
 from tubal.cli import main
@@ -140,7 +140,7 @@ def test_bounds_estimates_once_per_probe_rank(tmp_path, monkeypatch):
         ranks.append(r)
         return estimate_ric(op, r, trials, seed)
 
-    monkeypatch.setattr(tubal.cli, "estimate_ric", counting)
+    monkeypatch.setattr(tubal.bench, "estimate_ric", counting)
     # r = 1 on 10x10 slices: the default t grid maps to probe ranks
     # 2, 2, 3, 5, 8, 10, 10, 10
     spec = write_spec(
