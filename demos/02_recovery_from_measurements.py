@@ -10,10 +10,11 @@ Run:  python demos/02_recovery_from_measurements.py
 import numpy as np
 
 import tubal as tb
+from tubal.bench import measurement_count
 from tubal.rng import derive_key
 
 n, n3, r = 10, 5, 1
-m = 2 * r * (2 * n + 1) * n3
+m = measurement_count(2.0, r, n, n3)
 dims = (n, n, n3)
 
 x = tb.generate_lowrank(n, n, n3, r, derive_key(7, "demo", "data"))

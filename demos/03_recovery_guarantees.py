@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 import tubal as tb
+from tubal.bench import measurement_count
 from tubal.rng import derive_key
 
 print("== guarantee threshold sqrt((t-1)/(n3^2+t-1)) ==")
@@ -35,7 +36,7 @@ print(f"matched-noise form c1t..c4t : {np.round(cm, 4)}  (c2 == c2t*lam: "
 print()
 print("== empirical distortion of a Gaussian map ==")
 n, n3, r = 10, 5, 1
-m = 2 * r * (2 * n + 1) * n3
+m = measurement_count(2.0, r, n, n3)
 op = tb.gaussian_map(m, (n, n, n3), derive_key(3, "demo3", "map"))
 for probe in (1, 2, 5, 10):
     est = tb.estimate_ric(op, probe, trials=50, seed=11)

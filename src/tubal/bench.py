@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -45,6 +47,32 @@ __all__ = [
 
 class SpecValidationError(ValueError):
     """An experiment description failed validation."""
+
+
+def check_spec_keys(obj: dict, known, what: str) -> None:
+    """Reject every key of a JSON spec outside `known`: a misspelt key
+    would otherwise fall back to its default without notice."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise SpecValidationError(f"unknown {what} spec key(s): {', '.join(map(repr, unknown))}")
+
+
+def spec_int(value) -> int:
+    """Read an integer spec value.  A float is taken only when it is
+    integral, so 6.7 is rejected rather than truncated; so are inf,
+    bools and strings."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise SpecValidationError(f"expected an integer, got {value!r}")
+
+
+def spec_float(value) -> float:
+    """Read a finite real spec value; inf, NaN, bools and strings are rejected."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise SpecValidationError(f"expected a finite number, got {value!r}")
 
 
 def generate_lowrank(n1: int, n2: int, n3: int, r: int, seed: int) -> np.ndarray:
@@ -93,6 +121,8 @@ class ExperimentSpec:
     base_seed: int = 0
 
     def __post_init__(self):
+        if not (isinstance(self.case_name, str) and self.case_name):
+            raise SpecValidationError(f"case_name must be a non-empty string, got {self.case_name!r}")
         if self.n < 1 or self.n3 < 1:
             raise SpecValidationError("n and n3 must be >= 1")
         if self.r <= 0:
@@ -128,21 +158,20 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentSpec":
+        check_spec_keys(obj, [f.name for f in fields(cls)], "experiment")
         try:
             return cls(
-                case_name=str(obj["case_name"]),
-                n=int(obj["n"]),
-                n3=int(obj["n3"]),
-                r=float(obj["r"]),
-                sample_factor=float(obj["sample_factor"]),
-                sigma_list=tuple(float(s) for s in obj["sigma_list"]),
-                lambda_list=tuple(float(l) for l in obj["lambda_list"]),
-                trials=int(obj.get("trials", 50)),
-                base_seed=int(obj.get("base_seed", 0)),
+                case_name=obj["case_name"],
+                n=spec_int(obj["n"]),
+                n3=spec_int(obj["n3"]),
+                r=spec_float(obj["r"]),
+                sample_factor=spec_float(obj["sample_factor"]),
+                sigma_list=tuple(spec_float(s) for s in obj["sigma_list"]),
+                lambda_list=tuple(spec_float(l) for l in obj["lambda_list"]),
+                trials=spec_int(obj.get("trials", 50)),
+                base_seed=spec_int(obj.get("base_seed", 0)),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, SpecValidationError):
-                raise
             raise SpecValidationError(f"invalid experiment spec: {exc}") from exc
 
     def to_dict(self) -> dict:

@@ -8,6 +8,23 @@ experiment  run a benchmark sweep described by a JSON spec
 rip         isometry-distortion campaign over a rank grid
 bounds      recovery-guarantee constants / end-to-end verification
 
+Spec keys
+---------
+solve, bounds  n, n3, r, lambda; optional sigma (0), max_iters (500),
+               seed (0), m or sample_factor (2), save_estimate (read by
+               solve only), t_grid (1.5 ... 50) and rip_trials (50)
+               (read by bounds only)
+bounds         with a delta key, constants only: delta, t, r, n3,
+               lambda; optional epsilon (lambda / 2)
+experiment     case_name, n, n3, r, sample_factor, sigma_list,
+               lambda_list; optional trials (50), base_seed (0)
+rip            m, rank_list, and dims or n and n3; optional seed (0),
+               trials (100), t (2)
+
+A spec is checked whole before any solve or probe.  An unknown key, a
+fractional or non-finite number, an empty grid, a t at or below 1 and
+a save_estimate that is not a non-empty path are all errors.
+
 Exit codes: 0 success, 2 invalid spec or input, 3 numerical failure.
 """
 
@@ -32,18 +49,25 @@ from .bench import (
     ExperimentSpec,
     SpecValidationError,
     check_guarantee,
+    check_spec_keys,
     emit,
     emit_campaign,
     generate_lowrank,
     measurement_count,
     run_experiment,
     run_rip_campaign,
+    spec_float,
+    spec_int,
 )
 from .measurement import add_noise, apply, gaussian_map, snr_db
 from .rng import derive_key
 from .solver import NumericalError, SolverConfig, admm_solve
 
 DEFAULT_T_GRID = (1.5, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 50.0)
+_INSTANCE_KEYS = ("n", "n3", "r", "sigma", "lambda", "max_iters", "seed", "m", "sample_factor",
+                  "t_grid", "rip_trials", "save_estimate")
+_CONSTANTS_KEYS = ("delta", "t", "r", "n3", "lambda", "epsilon")
+_RIP_KEYS = ("dims", "n", "n3", "m", "seed", "rank_list", "trials", "t")
 
 
 def _load_spec(path) -> dict:
@@ -54,12 +78,6 @@ def _load_spec(path) -> dict:
         raise SpecValidationError(f"cannot read spec {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise SpecValidationError(f"spec {path} must hold a JSON object")
-    # a "unit" spec would silently change meaning if the key were ignored
-    if "variance_mode" in obj:
-        raise SpecValidationError(
-            f"spec {path} names 'variance_mode', which no longer exists: "
-            "every measurement matrix has entry variance 1/m"
-        )
     return obj
 
 
@@ -109,24 +127,31 @@ def _build_instance(spec: dict, seed_override: int | None):
     """Parse every key of a `solve` or `bounds` instance spec, then build it.
 
     Returns (x, op, sample, config, seed, r, t_grid, rip_trials).  Every
-    key is read before any work, and a malformed one raises
-    SpecValidationError.
+    key, `save_estimate` included, is checked before any work, and an
+    unknown or malformed one raises SpecValidationError.
     """
+    check_spec_keys(spec, _INSTANCE_KEYS, "instance")
     try:
-        n = int(spec["n"])
-        n3 = int(spec["n3"])
-        r = int(spec["r"])
-        sigma = float(spec.get("sigma", 0.0))
-        config = SolverConfig(lam=float(spec["lambda"]), max_iters=int(spec.get("max_iters", 500)))
-        seed = int(spec.get("seed", 0)) if seed_override is None else seed_override
+        n = spec_int(spec["n"])
+        n3 = spec_int(spec["n3"])
+        r = spec_int(spec["r"])
+        sigma = spec_float(spec.get("sigma", 0.0))
+        config = SolverConfig(lam=spec_float(spec["lambda"]), max_iters=spec_int(spec.get("max_iters", 500)))
+        seed = spec_int(spec.get("seed", 0)) if seed_override is None else seed_override
         if "m" in spec:
-            m = int(spec["m"])
+            m = spec_int(spec["m"])
         else:
-            m = measurement_count(float(spec.get("sample_factor", 2.0)), r, n, n3)
-        t_grid = [float(t) for t in spec.get("t_grid", DEFAULT_T_GRID)]
-        rip_trials = int(spec.get("rip_trials", 50))
+            m = measurement_count(spec_float(spec.get("sample_factor", 2.0)), r, n, n3)
+        t_grid = [spec_float(t) for t in spec.get("t_grid", DEFAULT_T_GRID)]
+        rip_trials = spec_int(spec.get("rip_trials", 50))
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecValidationError(f"invalid instance spec: {exc}") from exc
+    if not t_grid or min(t_grid) <= 1:
+        raise SpecValidationError(f"t_grid must be a non-empty list of values > 1, got {t_grid}")
+    if rip_trials < 1:
+        raise SpecValidationError(f"rip_trials must be >= 1, got {rip_trials}")
+    if "save_estimate" in spec and not (isinstance(spec["save_estimate"], str) and spec["save_estimate"]):
+        raise SpecValidationError(f"save_estimate must be a non-empty path, got {spec['save_estimate']!r}")
     data_seed, map_seed, noise_seed = _instance_seeds(seed, "instance")
     x = generate_lowrank(n, n, n3, r, data_seed)
     op = gaussian_map(m, (n, n, n3), map_seed)
@@ -138,7 +163,7 @@ def _cmd_solve(args) -> None:
     spec = _load_spec(args.spec)
     x, op, sample, config, seed, *_ = _build_instance(spec, args.seed)
     result = admm_solve(op, sample.y, config)
-    if spec.get("save_estimate"):
+    if "save_estimate" in spec:
         io.save_tensor(spec["save_estimate"], result.x_hat)
     payload = {
         "dims": list(op.dims),
@@ -170,16 +195,17 @@ def _cmd_experiment(args) -> None:
 
 def _cmd_rip(args) -> None:
     spec = _load_spec(args.spec)
+    check_spec_keys(spec, _RIP_KEYS, "rip")
     try:
         if "dims" in spec:
-            dims = tuple(int(d) for d in spec["dims"])
+            dims = tuple(spec_int(d) for d in spec["dims"])
         else:
-            dims = (int(spec["n"]), int(spec["n"]), int(spec["n3"]))
-        m = int(spec["m"])
-        seed = int(spec.get("seed", 0)) if args.seed is None else args.seed
-        rank_list = [int(r) for r in spec["rank_list"]]
-        trials = int(spec.get("trials", 100))
-        t = float(spec.get("t", 2.0))
+            dims = (spec_int(spec["n"]), spec_int(spec["n"]), spec_int(spec["n3"]))
+        m = spec_int(spec["m"])
+        seed = spec_int(spec.get("seed", 0)) if args.seed is None else args.seed
+        rank_list = [spec_int(r) for r in spec["rank_list"]]
+        trials = spec_int(spec.get("trials", 100))
+        t = spec_float(spec.get("t", 2.0))
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecValidationError(f"invalid rip spec: {exc}") from exc
     op = gaussian_map(m, dims, derive_key(seed, "rip-campaign", "map"))
@@ -217,14 +243,15 @@ def _constants_payload(delta: float, t: float, r: int, n3: int, lam: float, epsi
 def _cmd_bounds(args) -> None:
     spec = _load_spec(args.spec)
     if "delta" in spec:
+        check_spec_keys(spec, _CONSTANTS_KEYS, "bounds constants")
         try:
             payload = _constants_payload(
-                float(spec["delta"]),
-                float(spec["t"]),
-                int(spec["r"]),
-                int(spec["n3"]),
-                float(spec["lambda"]),
-                float(spec.get("epsilon", float(spec["lambda"]) / 2.0)),
+                spec_float(spec["delta"]),
+                spec_float(spec["t"]),
+                spec_int(spec["r"]),
+                spec_int(spec["n3"]),
+                spec_float(spec["lambda"]),
+                spec_float(spec.get("epsilon", spec_float(spec["lambda"]) / 2.0)),
             )
         except (KeyError, TypeError) as exc:
             raise SpecValidationError(f"invalid bounds spec: {exc}") from exc

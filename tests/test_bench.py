@@ -11,6 +11,7 @@ from tubal import (
     GaussianLinearMap,
     SpecValidationError,
     case1_spec,
+    check_guarantee,
     emit,
     emit_campaign,
     gaussian_map,
@@ -107,6 +108,28 @@ def test_spec_validation():
             mini_spec(sample_factor=bad)
     with pytest.raises(SpecValidationError):
         ExperimentSpec.from_dict({"case_name": "x"})
+
+
+@pytest.mark.parametrize(
+    "key, value, match",
+    [
+        ("trails", 1, "'trails'"),
+        ("n", 6.7, "expected an integer"),
+        ("trials", math.inf, "expected an integer"),
+        ("r", "1", "expected a finite number"),
+        ("base_seed", True, "expected an integer"),
+        ("case_name", "", "case_name"),
+        ("case_name", ["a"], "case_name"),
+    ],
+    ids=["unknown-key", "fractional-int", "inf-int", "string", "bool", "empty-name", "list-name"],
+)
+def test_spec_from_dict_rejects_bad_keys(key, value, match):
+    with pytest.raises(SpecValidationError, match=match):
+        ExperimentSpec.from_dict({**mini_spec().to_dict(), key: value})
+
+
+def test_spec_from_dict_takes_integral_floats():
+    assert ExperimentSpec.from_dict({**mini_spec().to_dict(), "n": 6.0, "trials": 3.0}) == mini_spec()
 
 
 def test_spec_round_trip():
@@ -272,3 +295,30 @@ def test_emit_campaign_formats(tmp_path):
     doc = json.loads(json_path.read_text())
     assert len(doc) == 2
     assert len(doc[0]["distortion_samples"]) == 10
+
+
+def test_check_guarantee_matches_campaign_rows():
+    n, n3, r = 6, 2, 1
+    op = gaussian_map(60, (n, n, n3), seed=5)
+    x = generate_lowrank(n, n, n3, r, seed=6)
+    y = tubal.apply(op, x)
+    t_grid = [50.0, 2.0, 3.0, 1.5]
+    entries = check_guarantee(x, x, op, y, r, t_grid, lam=0.1, epsilon=0.0, trials=10, seed=9)
+    rows = {row.r: row.delta_hat for row in run_rip_campaign(op, [6, 2, 3], trials=10, seed=9)}
+    assert [e["t"] for e in entries] == t_grid
+    assert [e["probe_rank"] for e in entries] == [6, 2, 3, 2]
+    for e in entries:
+        delta_hat = e["delta"] if e["condition_met"] else e["delta_hat"]
+        assert delta_hat == rows[e["probe_rank"]]
+        assert e["condition_met"] == (delta_hat < tubal.ric_threshold(e["t"], n3))
+
+
+@pytest.mark.parametrize("t_grid", [[2.0, 1.0], []], ids=["t-at-1", "empty"])
+def test_check_guarantee_validates_grid_before_probing(monkeypatch, t_grid):
+    calls = []
+    monkeypatch.setattr(tubal.bench, "estimate_ric", lambda *args: calls.append(args))
+    op = gaussian_map(10, (3, 3, 2), seed=1)
+    x = generate_lowrank(3, 3, 2, 1, seed=2)
+    with pytest.raises(ValueError):
+        check_guarantee(x, x, op, tubal.apply(op, x), 1, t_grid, 0.1, 0.0, trials=5, seed=0)
+    assert calls == []

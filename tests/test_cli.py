@@ -1,12 +1,15 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 import tubal.bench
-from tubal import estimate_ric, tsvd
+import tubal.cli
+from tubal import estimate_ric, run_rip_campaign, tsvd
 from tubal import io as tio
 from tubal.cli import main
+from tubal.rng import derive_key
 
 from conftest import rand_tensor
 
@@ -207,3 +210,115 @@ def test_spec_naming_variance_mode_exit_2(tmp_path, command, spec):
     out = tmp_path / "out.txt"
     assert main([command, "--spec", path, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+# a 10x10x5 rank-1 bounds instance, with fewer probes and iterations than the defaults
+E2E_SPEC = {"n": 10, "n3": 5, "r": 1, "sigma": 0.01, "lambda": 0.1, "seed": 7,
+            "rip_trials": 20, "max_iters": 50}
+
+
+@pytest.fixture(scope="module")
+def bounds_runs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("bounds")
+    spec = write_spec(tmp, "spec.json", E2E_SPEC)
+    texts = []
+    for name in ("first.json", "second.json"):
+        assert main(["bounds", "--spec", spec, "--out", str(tmp / name)]) == 0
+        texts.append((tmp / name).read_text())
+    return texts
+
+
+def entry_delta(entry):
+    # a met condition reports the BoundReport field, a refuted one delta_hat
+    return entry["delta"] if entry["condition_met"] else entry["delta_hat"]
+
+
+def test_bounds_json_is_reproducible(bounds_runs):
+    assert bounds_runs[0] == bounds_runs[1]
+
+
+def test_bounds_delta_hat_nondecreasing_in_probe_rank(bounds_runs):
+    entries = sorted(json.loads(bounds_runs[0])["reports"], key=lambda e: e["probe_rank"])
+    deltas = [entry_delta(e) for e in entries]
+    assert deltas == sorted(deltas)
+
+
+def test_bounds_delta_hat_is_the_campaign_row(bounds_runs):
+    _, op, *_ = tubal.cli._build_instance(E2E_SPEC, None)
+    rows = run_rip_campaign(op, [2, 3, 5, 8, 10], E2E_SPEC["rip_trials"], derive_key(7, "bounds"))
+    delta_hats = {row.r: row.delta_hat for row in rows}
+    for entry in json.loads(bounds_runs[0])["reports"]:
+        assert entry_delta(entry) == delta_hats[entry["probe_rank"]]
+
+
+CONSTANTS_SPEC = {"delta": 0.1, "t": 2.0, "r": 1, "n3": 5, "lambda": 0.1}
+EXPERIMENT_SPEC = {"case_name": "mini", "n": 6, "n3": 2, "r": 1, "sample_factor": 2.0,
+                   "sigma_list": [0.0], "lambda_list": [0.5], "trials": 1}
+RIP_SPEC = {"m": 30, "n": 4, "n3": 2, "seed": 2, "rank_list": [1], "trials": 10}
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if a solve or a t-RIP probe runs."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the spec should be rejected before any solve or probe")
+
+    monkeypatch.setattr(tubal.cli, "admm_solve", forbidden)
+    monkeypatch.setattr(tubal.bench, "admm_solve", forbidden)
+    monkeypatch.setattr(tubal.bench, "estimate_ric", forbidden)
+
+
+@pytest.mark.parametrize(
+    "command, spec, key",
+    [
+        ("solve", INSTANCE_SPEC, "max_iter"),
+        ("bounds", INSTANCE_SPEC, "rip_trial"),
+        ("bounds", CONSTANTS_SPEC, "eps"),
+        ("experiment", EXPERIMENT_SPEC, "trails"),
+        ("rip", RIP_SPEC, "rank"),
+    ],
+    ids=["solve", "bounds", "bounds-constants", "experiment", "rip"],
+)
+def test_spec_unknown_key_exit_2(tmp_path, capsys, no_work, command, spec, key):
+    path = write_spec(tmp_path, "spec.json", {**spec, key: 5})
+    out = tmp_path / "out.txt"
+    assert main([command, "--spec", path, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, spec, key, value",
+    [
+        ("rip", RIP_SPEC, "m", 1e999),
+        ("rip", RIP_SPEC, "rank_list", [1.5]),
+        ("solve", INSTANCE_SPEC, "sample_factor", 1e999),
+        ("solve", INSTANCE_SPEC, "n", 6.7),
+        ("solve", INSTANCE_SPEC, "lambda", "0.1"),
+        ("bounds", INSTANCE_SPEC, "t_grid", [1e999]),
+        ("bounds", INSTANCE_SPEC, "t_grid", [5.0, 1.0]),
+        ("bounds", INSTANCE_SPEC, "t_grid", []),
+        ("bounds", INSTANCE_SPEC, "rip_trials", 0),
+        ("bounds", CONSTANTS_SPEC, "r", 1.5),
+        ("experiment", EXPERIMENT_SPEC, "n", 6.7),
+    ],
+    ids=["rip-m-inf", "rip-rank-fraction", "solve-sample_factor-inf", "solve-n-fraction",
+         "solve-lambda-string", "bounds-t-inf", "bounds-t-at-1", "bounds-t_grid-empty",
+         "bounds-rip_trials-0", "bounds-constants-r-fraction", "experiment-n-fraction"],
+)
+def test_spec_malformed_number_exit_2_before_work(tmp_path, no_work, command, spec, key, value):
+    path = tmp_path / "spec.json"
+    # JSON reads 1e999 as inf; json.dumps would write it as Infinity
+    path.write_text(json.dumps({**spec, key: value}).replace("Infinity", "1e999"))
+    out = tmp_path / "out.txt"
+    assert main([command, "--spec", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [2, ""], ids=["fd-2", "empty"])
+def test_solve_save_estimate_must_be_a_path_exit_2(tmp_path, no_work, value):
+    path = write_spec(tmp_path, "spec.json", {**INSTANCE_SPEC, "save_estimate": value})
+    assert main(["solve", "--spec", path, "--out", str(tmp_path / "out.json")]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+    os.fstat(2)
