@@ -7,10 +7,12 @@ unfold(b))``.  All heavy operations here (t-product, t-SVD, singular
 value thresholding, norms) act on the frontal slices of a DFT along the
 tube axis, which block-diagonalizes the circulant structure; conjugate
 symmetry of the transform of a real tensor means only ``n3 // 2 + 1``
-slices are ever touched.  Every spectral operation takes the SVDs of
-those slices in one stacked call (:func:`_slice_svd`) and rebuilds a
-tensor from them in one more (:func:`_from_slices`).  The explicit
-block-circulant path survives only as a test oracle.
+slices are ever touched.  Every spectral operation (t-SVD, truncation,
+thresholding, TNN, tubal and average rank) takes the SVDs of those
+slices in one stacked call to :func:`_slice_svd`, the only entry point
+to ``np.linalg.svd``, and any tensor it rebuilds comes from one more
+(:func:`_from_slices`).  The explicit block-circulant path survives
+only as a test oracle.
 
 :func:`tprod` also multiplies stacks, (k, n1, n2, n3) x (k, n2, n4, n3)
 -> (k, n1, n4, n3), row by row.  The transforms run along the last
@@ -61,11 +63,11 @@ __all__ = [
 _RANK_TOL = 1e-8
 
 
-def as_tensor3(x) -> np.ndarray:
-    """Validate and return `x` as a finite float64 array of shape (n1, n2, n3)."""
+def _as_array(x, ndim: int) -> np.ndarray:
+    """Validate and return `x` as a finite float64 array with `ndim` axes, none empty."""
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ValueError(f"expected a third-order tensor, got ndim={arr.ndim}")
+    if arr.ndim != ndim:
+        raise ValueError(f"expected an array with {ndim} axes, got ndim={arr.ndim}")
     if min(arr.shape) < 1:
         raise ValueError(f"tensor dimensions must be >= 1, got {arr.shape}")
     if not np.isfinite(arr).all():
@@ -73,16 +75,9 @@ def as_tensor3(x) -> np.ndarray:
     return arr
 
 
-def _as_stack(x) -> np.ndarray:
-    """Validate and return `x` as a float64 stack of shape (k, n1, n2, n3)."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 4:
-        raise ValueError(f"expected a (k, n1, n2, n3) stack, got ndim={arr.ndim}")
-    if min(arr.shape) < 1:
-        raise ValueError(f"stack dimensions must be >= 1, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("tensor entries must be finite")
-    return arr
+def as_tensor3(x) -> np.ndarray:
+    """Validate and return `x` as a finite float64 array of shape (n1, n2, n3)."""
+    return _as_array(x, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -155,15 +150,10 @@ def tprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the product of that row alone.  A stack cannot be mixed with a
     single tensor.
     """
-    if np.ndim(a) == 4 or np.ndim(b) == 4:
-        a = _as_stack(a)
-        b = _as_stack(b)
-        if a.shape[0] != b.shape[0]:
-            raise ValueError(f"t-product stack lengths differ: {a.shape} * {b.shape}")
-    else:
-        a = as_tensor3(a)
-        b = as_tensor3(b)
-    if a.shape[-2] != b.shape[-3] or a.shape[-1] != b.shape[-1]:
+    ndim = 4 if np.ndim(a) == 4 or np.ndim(b) == 4 else 3
+    a = _as_array(a, ndim)
+    b = _as_array(b, ndim)
+    if a.shape[:-3] != b.shape[:-3] or a.shape[-2] != b.shape[-3] or a.shape[-1] != b.shape[-1]:
         raise ValueError(f"t-product shape mismatch: {a.shape} * {b.shape}")
     cf = np.einsum("...ijk,...jlk->...ilk", _rfft(a), _rfft(b))
     return _irfft(cf, a.shape[-1])
@@ -233,15 +223,17 @@ class TsvdFactors:
         return tprod(tprod(self.u, self.s), conj_transpose(self.v))
 
 
-def _slice_svd(x: np.ndarray, full_matrices: bool = False):
-    """SVDs of the half-spectrum slices of `x`, in one stacked call.
+def _slice_svd(x: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
+    """SVDs of the half-spectrum slices of `x`, in one stacked call: the
+    package's only slice SVD.
 
     The slice index moves in front of each slice's rows, so a tensor
     gives (u, s, vt) of shapes (h, n1, .), (h, kappa), (h, ., n2) with
-    h = n3 // 2 + 1; leading stack axes pass through.  Self-conjugate
-    slices are real and go through the same complex SVD.
+    h = n3 // 2 + 1, or only the descending s when `compute_uv` is
+    false; leading stack axes pass through.  Self-conjugate slices are
+    real and go through the same complex SVD.
     """
-    return np.linalg.svd(np.moveaxis(_rfft(x), -1, -3), full_matrices=full_matrices)
+    return np.linalg.svd(np.moveaxis(_rfft(x), -1, -3), full_matrices=full_matrices, compute_uv=compute_uv)
 
 
 def _from_slices(u: np.ndarray, s: np.ndarray, vt: np.ndarray, n3: int) -> np.ndarray:
@@ -307,26 +299,14 @@ def tsvd(x: np.ndarray) -> TsvdFactors:
     return TsvdFactors(u=u, s=s, v=v)
 
 
-def _half_spectrum_svals(x: np.ndarray) -> np.ndarray:
-    """Descending singular values of each half-spectrum slice, shape (h, kappa)."""
-    return np.linalg.svd(np.moveaxis(_rfft(x), -1, -3), compute_uv=False)
-
-
-def _mean_spectrum(x: np.ndarray) -> np.ndarray:
-    """First-frontal-slice diagonal of the t-SVD middle factor.
-
-    Equals the mean over all n3 Fourier slices of the sorted per-slice
-    singular values, evaluated on the half spectrum with multiplicities.
-    """
-    sv = _half_spectrum_svals(x)
-    w = _half_weights(x.shape[2])
-    return (w @ sv) / x.shape[2]
-
-
 def tubal_rank(x: np.ndarray) -> int:
-    """Number of singular tubes whose first-slice value exceeds 1e-8 * largest."""
+    """Number of singular tubes whose first-slice value exceeds 1e-8 * largest.
+
+    The first-slice diagonal of the t-SVD middle factor is the mean over
+    all n3 Fourier slices of the sorted per-slice singular values.
+    """
     x = as_tensor3(x)
-    spec = _mean_spectrum(x)
+    spec = _half_weights(x.shape[2]) @ _slice_svd(x, compute_uv=False) / x.shape[2]
     if spec.size == 0 or spec[0] == 0.0:
         return 0
     return int(np.count_nonzero(spec > _RANK_TOL * spec[0]))
@@ -340,7 +320,7 @@ def average_rank(x: np.ndarray) -> Fraction:
     """
     x = as_tensor3(x)
     n3 = x.shape[2]
-    sv = _half_spectrum_svals(x)
+    sv = _slice_svd(x, compute_uv=False)
     top = sv.max(initial=0.0)
     if top == 0.0:
         return Fraction(0)
@@ -354,7 +334,7 @@ def tnn(x: np.ndarray) -> float:
     middle factor, equal to the mean over Fourier slices of the slice
     nuclear norms."""
     x = as_tensor3(x)
-    sv = _half_spectrum_svals(x)
+    sv = _slice_svd(x, compute_uv=False)
     return float(_half_weights(x.shape[2]) @ sv.sum(axis=1) / x.shape[2])
 
 

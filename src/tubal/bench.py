@@ -20,7 +20,7 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -175,17 +175,7 @@ class ExperimentSpec:
             raise SpecValidationError(f"invalid experiment spec: {exc}") from exc
 
     def to_dict(self) -> dict:
-        return {
-            "case_name": self.case_name,
-            "n": self.n,
-            "n3": self.n3,
-            "r": self.r,
-            "sample_factor": self.sample_factor,
-            "sigma_list": list(self.sigma_list),
-            "lambda_list": list(self.lambda_list),
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-        }
+        return {**asdict(self), "sigma_list": list(self.sigma_list), "lambda_list": list(self.lambda_list)}
 
 
 @dataclass
@@ -336,6 +326,24 @@ class RipCampaignRow:
     estimate: RipEstimate = field(repr=False)
 
 
+def check_rip_grid(dims, rank_list, trials: int, t: float) -> tuple[list[int], float]:
+    """Validate a campaign grid on (n1, n2, n3) tensors before any draw or probe.
+
+    Returns the sorted distinct ranks and the threshold at t.  An empty
+    `rank_list`, a rank outside [1, min(n1, n2)], ``trials < 1`` or
+    t <= 1 raises ``ValueError``.
+    """
+    n1, n2, n3 = dims
+    ranks = sorted(set(int(r) for r in rank_list))
+    if not ranks:
+        raise ValueError("rank_list must not be empty")
+    if ranks[0] < 1 or ranks[-1] > min(n1, n2):
+        raise ValueError(f"probe ranks {ranks} must lie in [1, {min(n1, n2)}]")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    return ranks, ric_threshold(t, n3)
+
+
 def run_rip_campaign(
     op: GaussianLinearMap,
     rank_list: list[int],
@@ -350,20 +358,11 @@ def run_rip_campaign(
     feasible set, so reusing them tightens the lower estimate and makes
     the reported sequence nondecreasing by construction.
 
-    The whole grid is validated before any probe runs: an empty
-    `rank_list`, a rank outside [1, min(n1, n2)] or ``trials < 1``
-    raises ``ValueError``.
+    The whole grid is validated by :func:`check_rip_grid` before any
+    probe runs.
     """
-    ranks = sorted(set(int(r) for r in rank_list))
-    kappa = min(op.dims[0], op.dims[1])
-    if not ranks:
-        raise ValueError("rank_list must not be empty")
-    if ranks[0] < 1 or ranks[-1] > kappa:
-        raise ValueError(f"probe ranks {ranks} must lie in [1, {kappa}]")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    ranks, thr = check_rip_grid(op.dims, rank_list, trials, t)
     rows: list[RipCampaignRow] = []
-    thr = ric_threshold(t, op.dims[2])
     running = 0.0
     for r in ranks:
         est = estimate_ric(op, r, trials, seed)

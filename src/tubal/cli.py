@@ -48,7 +48,9 @@ from .analysis import (
 from .bench import (
     ExperimentSpec,
     SpecValidationError,
+    _write_text,
     check_guarantee,
+    check_rip_grid,
     check_spec_keys,
     emit,
     emit_campaign,
@@ -84,8 +86,7 @@ def _load_spec(path) -> dict:
 def _write_json(payload: dict | list, out: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+        _write_text(out, text)
         print(f"wrote {out}")
     else:
         sys.stdout.write(text)
@@ -208,6 +209,7 @@ def _cmd_rip(args) -> None:
         t = spec_float(spec.get("t", 2.0))
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecValidationError(f"invalid rip spec: {exc}") from exc
+    check_rip_grid(dims, rank_list, trials, t)
     op = gaussian_map(m, dims, derive_key(seed, "rip-campaign", "map"))
     rows = run_rip_campaign(op, rank_list, trials, seed, t)
     out = args.out or f"rip.{args.format}"

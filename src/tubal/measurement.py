@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .algebra import _as_stack, as_tensor3, fro_norm
+from .algebra import _as_array, as_tensor3, fro_norm
 
 __all__ = [
     "GaussianLinearMap",
@@ -102,15 +102,12 @@ def apply(op: GaussianLinearMap, x: np.ndarray) -> np.ndarray:
     vectorization contiguously, so it is measured without a copy; other
     layouts are copied once into that order first.
     """
-    if np.ndim(x) == 4:
-        x = _as_stack(x)
-        if x.shape[1:] != op.dims:
-            raise ValueError(f"stacked tensor dims {x.shape[1:]} do not match map dims {op.dims}")
+    x = _as_array(x, 4 if np.ndim(x) == 4 else 3)
+    if x.shape[-3:] != op.dims:
+        raise ValueError(f"tensor dims {x.shape[-3:]} do not match map dims {op.dims}")
+    if x.ndim == 4:
         return x.reshape(x.shape[0], op.matrix.shape[1], order="F") @ op.matrix.T
-    x = as_tensor3(x)
-    if x.shape != op.dims:
-        raise ValueError(f"tensor dims {x.shape} do not match map dims {op.dims}")
-    return op.matrix @ vec(x)
+    return op.matrix @ x.ravel(order="F")
 
 
 def _as_measurements(op: GaussianLinearMap, y) -> np.ndarray:
@@ -124,11 +121,8 @@ def _as_measurements(op: GaussianLinearMap, y) -> np.ndarray:
 
 
 def adjoint_apply(op: GaussianLinearMap, v: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`apply`: ``unvec(matrix.T @ v)``."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (op.m,):
-        raise ValueError(f"vector shape {v.shape} does not match m={op.m}")
-    return unvec(op.matrix.T @ v, op.dims)
+    """Adjoint of :func:`apply`: ``unvec(matrix.T @ v)`` for a finite m-vector `v`."""
+    return unvec(op.matrix.T @ _as_measurements(op, v), op.dims)
 
 
 @dataclass(frozen=True)

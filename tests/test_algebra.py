@@ -4,12 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubal import (
+    apply,
+    as_tensor3,
     average_rank,
     bcirc,
     complement_indices,
     conj_transpose,
     fold,
     fro_norm,
+    gaussian_map,
     identity_tensor,
     is_fdiagonal,
     is_orthogonal,
@@ -121,6 +124,41 @@ def test_tprod_rejects_mismatch():
         tprod(np.zeros((2, 3, 2)), np.zeros((4, 2, 2)))
     with pytest.raises(ValueError):
         tprod(np.zeros((2, 3, 2)), np.zeros((3, 2, 5)))
+
+
+def _spoil(x, defect, where):
+    """`x` with one defect: an axis too few (single) or too many (stack),
+    a zero-length axis, or one non-finite entry."""
+    if defect == "ndim":
+        return x[..., 0] if x.ndim == 3 else x[None]
+    if defect == "empty":
+        return np.delete(x, np.s_[:], axis=where % x.ndim)
+    x = x.copy()
+    x.flat[where % x.size] = np.nan if defect == "nan" else np.inf
+    return x
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.one_of(st.none(), st.integers(1, 3)),
+    dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+    defect=st.sampled_from(["ndim", "empty", "nan", "inf"]),
+    where=st.integers(0, 10**6),
+)
+def test_validators_reject_bad_tensors(k, dims, defect, where):
+    n1, n2, n4, n3 = dims
+    lead = () if k is None else (k,)
+    a = np.ones(lead + (n1, n2, n3))
+    b = np.ones(lead + (n2, n4, n3))
+    bad_a, bad_b = _spoil(a, defect, where), _spoil(b, defect, where)
+    with pytest.raises(ValueError):
+        as_tensor3(bad_a if k is None else a)
+    with pytest.raises(ValueError):
+        tprod(bad_a, b)
+    with pytest.raises(ValueError):
+        tprod(a, bad_b)
+    with pytest.raises(ValueError):
+        apply(gaussian_map(2, (n1, n2, n3), seed=0), bad_a)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

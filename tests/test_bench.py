@@ -135,6 +135,9 @@ def test_spec_from_dict_takes_integral_floats():
 def test_spec_round_trip():
     spec = mini_spec()
     assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+    d = spec.to_dict()
+    assert list(d) == [f.name for f in dataclasses.fields(ExperimentSpec)]
+    assert type(d["sigma_list"]) is list and type(d["lambda_list"]) is list
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,22 @@ EXPERIMENT_SPEC = {"case_name": "mini", "n": 6, "n3": 2, "r": 1, "sample_factor"
 RIP_SPEC = {"m": 30, "n": 4, "n3": 2, "seed": 2, "rank_list": [1], "trials": 10}
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("t", 1.0), ("rank_list", [0]), ("rank_list", [5]), ("trials", 0)],
+    ids=["t-at-1", "rank-0", "rank-above-kappa", "trials-0"],
+)
+def test_rip_rejects_bad_grid_before_drawing_the_map(tmp_path, monkeypatch, key, value):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the grid should be rejected before the map is drawn")
+
+    monkeypatch.setattr(tubal.cli, "gaussian_map", forbidden)
+    path = write_spec(tmp_path, "rip.json", {**RIP_SPEC, key: value})
+    out = tmp_path / "rip.csv"
+    assert main(["rip", "--spec", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.fixture
 def no_work(monkeypatch):
     """Fail the test if a solve or a t-RIP probe runs."""

@@ -134,6 +134,12 @@ def test_adjoint_zero_and_identity():
     assert np.array_equal(adjoint_apply(eye, v), unvec(v, (2, 2, 2)))
 
 
+@pytest.mark.parametrize("v", [np.array([1.0, np.nan, 0.0]), np.zeros(4)], ids=["nan", "length"])
+def test_adjoint_rejects_bad_vector(v):
+    with pytest.raises(ValueError):
+        adjoint_apply(gaussian_map(3, (2, 2, 1), seed=0), v)
+
+
 def test_adjoint_identity_random_pairs():
     op = gaussian_map(12, (3, 3, 2), seed=5)
     gen = np.random.default_rng(99)
