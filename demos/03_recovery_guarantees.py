@@ -52,7 +52,7 @@ res = tb.admm_solve(op, sample.y, tb.SolverConfig(lam=0.1))
 eps = float(np.linalg.norm(sample.noise))
 for e in tb.check_guarantee(x, res.x_hat, op, sample.y, r, (8.0, 20.0), 0.1, eps, trials=50, seed=12):
     if not e["condition_met"]:
-        print(f"t={e['t']}: delta_hat {e['delta_hat']:.3f} >= threshold {e['threshold']:.3f}, skipped")
+        print(f"t={e['t']}: delta_hat {e['delta']:.3f} >= threshold {e['threshold']:.3f}, skipped")
         continue
     print(f"t={e['t']}: measurement bound {e['lhs_meas']:.4f} <= {e['rhs_meas']:.4f}; "
           f"Frobenius bound {e['lhs_fro']:.4f} <= {e['rhs_fro']:.4f}; "

@@ -4,7 +4,7 @@ Runs a reduced version of the standard benchmark case (fewer trials)
 over the full sigma x lambda grid and writes the table to
 demo_case1.csv / demo_case1.json next to this script.
 
-Run:  python demos/04_snr_benchmark.py        (~1 minute)
+Run:  python demos/04_snr_benchmark.py        (about 20 s on two cores)
 """
 
 import pathlib

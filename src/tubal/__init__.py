@@ -27,12 +27,12 @@ from .algebra import (
     unfold,
 )
 from .analysis import (
-    BoundReport,
     RipConditionError,
     RipEstimate,
     bound_constants,
     estimate_ric,
     eta_constants,
+    guarantee_constants,
     matched_bound_constants,
     ric_threshold,
     verify_bounds,

@@ -13,11 +13,14 @@ True constants are suprema over rank manifolds and cannot be certified
 by sampling; :func:`estimate_ric` therefore reports the max observed
 distortion as an explicit lower estimate, and :func:`verify_bounds`
 evaluates the guarantees with whatever delta the caller supplies.
+:func:`guarantee_constants` is the one place the threshold, eta1, eta2
+and both sets of bound constants are computed together.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,12 +30,12 @@ from .algebra import fro_norm, tnn, tprod, truncate, as_tensor3
 from .measurement import GaussianLinearMap, _as_measurements, apply
 
 __all__ = [
-    "BoundReport",
     "RipConditionError",
     "RipEstimate",
     "bound_constants",
     "estimate_ric",
     "eta_constants",
+    "guarantee_constants",
     "matched_bound_constants",
     "ric_threshold",
     "verify_bounds",
@@ -138,6 +141,51 @@ def matched_bound_constants(
     return bound_constants(delta, t, r, n3, lam=1.0, epsilon=0.5)
 
 
+def guarantee_constants(delta: float, t: float, r: int, n3: int, lam: float, epsilon: float) -> dict:
+    """Everything the guarantee derives from its inputs, as one record.
+
+    The keys, in order, are delta, t, r, n3, lambda, epsilon (the
+    inputs), threshold (:func:`ric_threshold`), eta1, eta2
+    (:func:`eta_constants`), c1..c4 (:func:`bound_constants`) and
+    c1_matched..c4_matched (:func:`matched_bound_constants`).  This is
+    what constants-mode ``tubal bounds`` prints, and the head of every
+    :func:`verify_bounds` record.
+    """
+    c1, c2, c3, c4 = bound_constants(delta, t, r, n3, lam, epsilon)
+    c1t, c2t, c3t, c4t = matched_bound_constants(delta, t, r, n3)
+    eta1, eta2 = eta_constants(delta, t, n3)
+    return {
+        "delta": delta,
+        "t": t,
+        "r": r,
+        "n3": n3,
+        "lambda": lam,
+        "epsilon": epsilon,
+        "threshold": ric_threshold(t, n3),
+        "eta1": eta1,
+        "eta2": eta2,
+        "c1": c1,
+        "c2": c2,
+        "c3": c3,
+        "c4": c4,
+        "c1_matched": c1t,
+        "c2_matched": c2t,
+        "c3_matched": c3t,
+        "c4_matched": c4t,
+    }
+
+
+def _as_int(value) -> int:
+    """Read an integer count.  A float is taken only when it is integral,
+    so 6.7 is rejected rather than truncated; so are inf, bools and
+    strings, each with ``ValueError``."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # empirical distortion
 
@@ -197,7 +245,10 @@ def estimate_ric(op: GaussianLinearMap, r: int, trials: int, seed: int) -> RipEs
     without a copy.  The normalized probes equal the per-probe
     ``x / fro_norm(x)`` of 3-d products, and the samples match
     per-probe measurements to roundoff.
+
+    A non-integral `r` or `trials` raises ``ValueError``.
     """
+    r, trials = _as_int(r), _as_int(trials)
     n1, n2, n3 = op.dims
     kappa = min(n1, n2)
     if not 1 <= r <= kappa:
@@ -233,44 +284,6 @@ def estimate_ric(op: GaussianLinearMap, r: int, trials: int, seed: int) -> RipEs
 # bound verification
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Both recovery bounds evaluated on a solved instance.
-
-    lhs/rhs pairs are the two sides of the measurement-domain and
-    Frobenius-domain inequalities; `satisfied` collects the two
-    comparisons.  All constants are recorded at full precision.
-    """
-
-    t: float
-    r: int
-    n3: int
-    delta: float
-    eta1: float
-    eta2: float
-    c1: float
-    c2: float
-    c3: float
-    c4: float
-    c1t: float
-    c2t: float
-    c3t: float
-    c4t: float
-    lam: float
-    epsilon: float
-    tail_tnn: float
-    lhs_meas: float
-    rhs_meas: float
-    lhs_fro: float
-    rhs_fro: float
-    satisfied: tuple[bool, bool]
-
-    def to_dict(self) -> dict:
-        out = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        out["satisfied"] = list(self.satisfied)
-        return out
-
-
 def verify_bounds(
     x_true: np.ndarray,
     x_hat: np.ndarray,
@@ -281,7 +294,7 @@ def verify_bounds(
     delta: float,
     lam: float,
     epsilon: float,
-) -> BoundReport:
+) -> dict:
     """Evaluate both recovery bounds on a solved instance.
 
     `y` must be a finite vector of length m, else ``ValueError``;
@@ -289,6 +302,11 @@ def verify_bounds(
     (the guarantee assumes a noise level, and the realized norm is the
     honest choice); `delta` is whatever isometry constant the caller
     trusts for rank t*r, typically an empirical lower estimate.
+
+    Returns the :func:`guarantee_constants` record followed by tail_tnn
+    (the nuclear norm of the ground truth beyond tubal rank r), the two
+    sides of each bound (lhs_meas, rhs_meas, lhs_fro, rhs_fro) and
+    satisfied, a list of the two comparisons.
     """
     x_true = as_tensor3(x_true)
     x_hat = as_tensor3(x_hat)
@@ -301,38 +319,20 @@ def verify_bounds(
         raise ValueError(
             f"epsilon={epsilon:.6g} is below the realized noise norm {realized:.6g}"
         )
-    c1, c2, c3, c4 = bound_constants(delta, t, r, n3, lam, epsilon)
-    c1t, c2t, c3t, c4t = matched_bound_constants(delta, t, r, n3)
-    eta1, eta2 = eta_constants(delta, t, n3)
+    record = guarantee_constants(float(delta), float(t), int(r), int(n3), float(lam), float(epsilon))
 
-    tail = truncate(x_true, r)[1]
-    tail_tnn = tnn(tail)
+    tail_tnn = tnn(truncate(x_true, r)[1])
     diff = x_hat - x_true
     lhs_meas = float(np.linalg.norm(apply(op, diff)))
-    rhs_meas = c1 * tail_tnn + c2
+    rhs_meas = record["c1"] * tail_tnn + record["c2"]
     lhs_fro = fro_norm(diff)
-    rhs_fro = c3 * tail_tnn + c4
-    return BoundReport(
-        t=float(t),
-        r=int(r),
-        n3=int(n3),
-        delta=float(delta),
-        eta1=eta1,
-        eta2=eta2,
-        c1=c1,
-        c2=c2,
-        c3=c3,
-        c4=c4,
-        c1t=c1t,
-        c2t=c2t,
-        c3t=c3t,
-        c4t=c4t,
-        lam=float(lam),
-        epsilon=float(epsilon),
-        tail_tnn=tail_tnn,
-        lhs_meas=lhs_meas,
-        rhs_meas=rhs_meas,
-        lhs_fro=lhs_fro,
-        rhs_fro=rhs_fro,
-        satisfied=(lhs_meas <= rhs_meas, lhs_fro <= rhs_fro),
-    )
+    rhs_fro = record["c3"] * tail_tnn + record["c4"]
+    return {
+        **record,
+        "tail_tnn": tail_tnn,
+        "lhs_meas": lhs_meas,
+        "rhs_meas": rhs_meas,
+        "lhs_fro": lhs_fro,
+        "rhs_fro": rhs_fro,
+        "satisfied": [lhs_meas <= rhs_meas, lhs_fro <= rhs_fro],
+    }

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import rng
 from .algebra import tprod, tubal_rank
-from .analysis import RipEstimate, estimate_ric, ric_threshold, verify_bounds
+from .analysis import RipEstimate, _as_int, estimate_ric, ric_threshold, verify_bounds
 from .measurement import GaussianLinearMap, add_noise, apply, gaussian_map, snr_db
 from .solver import NumericalError, SolverConfig, admm_solve
 
@@ -58,14 +58,12 @@ def check_spec_keys(obj: dict, known, what: str) -> None:
 
 
 def spec_int(value) -> int:
-    """Read an integer spec value.  A float is taken only when it is
-    integral, so 6.7 is rejected rather than truncated; so are inf,
-    bools and strings."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise SpecValidationError(f"expected an integer, got {value!r}")
+    """Read an integer spec value by the rule of every count in tubal
+    (6.7, inf, bools and strings are rejected), as SpecValidationError."""
+    try:
+        return _as_int(value)
+    except ValueError as exc:
+        raise SpecValidationError(str(exc)) from None
 
 
 def spec_float(value) -> float:
@@ -330,16 +328,16 @@ def check_rip_grid(dims, rank_list, trials: int, t: float) -> tuple[list[int], f
     """Validate a campaign grid on (n1, n2, n3) tensors before any draw or probe.
 
     Returns the sorted distinct ranks and the threshold at t.  An empty
-    `rank_list`, a rank outside [1, min(n1, n2)], ``trials < 1`` or
-    t <= 1 raises ``ValueError``.
+    `rank_list`, a non-integral rank or trial count, a rank outside
+    [1, min(n1, n2)], ``trials < 1`` or t <= 1 raises ``ValueError``.
     """
     n1, n2, n3 = dims
-    ranks = sorted(set(int(r) for r in rank_list))
+    ranks = sorted(set(_as_int(r) for r in rank_list))
     if not ranks:
         raise ValueError("rank_list must not be empty")
     if ranks[0] < 1 or ranks[-1] > min(n1, n2):
         raise ValueError(f"probe ranks {ranks} must lie in [1, {min(n1, n2)}]")
-    if trials < 1:
+    if _as_int(trials) < 1:
         raise ValueError("trials must be >= 1")
     return ranks, ric_threshold(t, n3)
 
@@ -370,7 +368,7 @@ def run_rip_campaign(
         rows.append(
             RipCampaignRow(
                 r=r,
-                trials=trials,
+                trials=est.trials,
                 delta_hat=running,
                 threshold=thr,
                 satisfied=running < thr,
@@ -386,24 +384,25 @@ def check_guarantee(
 ) -> list[dict]:
     """Check the recovery guarantee on a solved instance, one entry per t of `t_grid`.
 
-    t probes rank min(ceil(t*r), n1, n2), and every delta_hat is a row of
-    one :func:`run_rip_campaign` over the probe ranks, so it never falls
-    as the rank grows.  Below the threshold an entry is the
-    :func:`verify_bounds` report plus ``probe_rank`` and ``condition_met``;
-    otherwise it holds t, probe_rank, delta_hat, threshold, condition_met.
-    delta_hat is a lower estimate, so a met condition is no certificate.
+    t probes rank min(ceil(t*r), n1, n2), and every delta is a row's
+    delta_hat from one :func:`run_rip_campaign` over the probe ranks, so
+    it never falls as the rank grows.  Every entry starts with the keys
+    t, probe_rank, delta, threshold and condition_met (delta below
+    threshold).  A met entry goes on with the rest of the
+    :func:`verify_bounds` record.  delta is the campaign's sampled lower
+    estimate of the isometry constant, so a met condition is no
+    certificate.
     """
     thresholds = [ric_threshold(t, op.dims[2]) for t in t_grid]  # rejects t <= 1 before probing
     probe_ranks = [min(math.ceil(t * r), *op.dims[:2]) for t in t_grid]
     delta_hats = {row.r: row.delta_hat for row in run_rip_campaign(op, probe_ranks, trials, seed)}
     entries = []
     for t, thr, rank in zip(t_grid, thresholds, probe_ranks):
-        delta_hat = delta_hats[rank]
-        if delta_hat < thr:
-            report = verify_bounds(x_true, x_hat, op, y, r, t, delta_hat, lam, epsilon).to_dict()
-            entries.append({**report, "probe_rank": rank, "condition_met": True})
-        else:
-            entries.append(dict(t=t, probe_rank=rank, delta_hat=delta_hat, threshold=thr, condition_met=False))
+        delta = delta_hats[rank]
+        entry = dict(t=t, probe_rank=rank, delta=delta, threshold=thr, condition_met=delta < thr)
+        if entry["condition_met"]:
+            entry.update(verify_bounds(x_true, x_hat, op, y, r, t, delta, lam, epsilon))
+        entries.append(entry)
     return entries
 
 

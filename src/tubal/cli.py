@@ -11,9 +11,9 @@ bounds      recovery-guarantee constants / end-to-end verification
 Spec keys
 ---------
 solve, bounds  n, n3, r, lambda; optional sigma (0), max_iters (500),
-               seed (0), m or sample_factor (2), save_estimate (read by
-               solve only), t_grid (1.5 ... 50) and rip_trials (50)
-               (read by bounds only)
+               seed (0), m or sample_factor (2); solve also reads
+               save_estimate, bounds also reads t_grid (1.5 ... 50)
+               and rip_trials (50)
 bounds         with a delta key, constants only: delta, t, r, n3,
                lambda; optional epsilon (lambda / 2)
 experiment     case_name, n, n3, r, sample_factor, sigma_list,
@@ -21,9 +21,22 @@ experiment     case_name, n, n3, r, sample_factor, sigma_list,
 rip            m, rank_list, and dims or n and n3; optional seed (0),
                trials (100), t (2)
 
-A spec is checked whole before any solve or probe.  An unknown key, a
-fractional or non-finite number, an empty grid, a t at or below 1 and
-a save_estimate that is not a non-empty path are all errors.
+A spec is checked whole before any solve or probe.  A key the command
+does not read, a fractional or non-finite number, an empty grid, a t at
+or below 1 and a save_estimate that is not a non-empty path are all
+errors.
+
+Bounds output
+-------------
+constants mode  delta, t, r, n3, lambda, epsilon, threshold, eta1, eta2,
+                c1..c4 and c1_matched..c4_matched (the coefficients for
+                epsilon = lambda / 2; see analysis.matched_bound_constants)
+end-to-end      note, snr_db, epsilon_realized, lambda, reports and
+                tightest_satisfied.  Each report starts with t,
+                probe_rank, delta (the sampled lower estimate at that
+                rank), threshold and condition_met; a met one goes on
+                with the other constants-mode keys and tail_tnn, lhs_meas,
+                rhs_meas, lhs_fro, rhs_fro and satisfied.
 
 Exit codes: 0 success, 2 invalid spec or input, 3 numerical failure.
 """
@@ -38,13 +51,7 @@ import numpy as np
 
 from . import __version__, io
 from .algebra import fro_norm, tnn, tsvd, tubal_rank
-from .analysis import (
-    RipConditionError,
-    bound_constants,
-    eta_constants,
-    matched_bound_constants,
-    ric_threshold,
-)
+from .analysis import RipConditionError, guarantee_constants
 from .bench import (
     ExperimentSpec,
     SpecValidationError,
@@ -66,8 +73,9 @@ from .rng import derive_key
 from .solver import NumericalError, SolverConfig, admm_solve
 
 DEFAULT_T_GRID = (1.5, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 50.0)
-_INSTANCE_KEYS = ("n", "n3", "r", "sigma", "lambda", "max_iters", "seed", "m", "sample_factor",
-                  "t_grid", "rip_trials", "save_estimate")
+_INSTANCE_KEYS = ("n", "n3", "r", "sigma", "lambda", "max_iters", "seed", "m", "sample_factor")
+_SOLVE_KEYS = _INSTANCE_KEYS + ("save_estimate",)
+_BOUNDS_KEYS = _INSTANCE_KEYS + ("t_grid", "rip_trials")
 _CONSTANTS_KEYS = ("delta", "t", "r", "n3", "lambda", "epsilon")
 _RIP_KEYS = ("dims", "n", "n3", "m", "seed", "rank_list", "trials", "t")
 
@@ -128,10 +136,10 @@ def _build_instance(spec: dict, seed_override: int | None):
     """Parse every key of a `solve` or `bounds` instance spec, then build it.
 
     Returns (x, op, sample, config, seed, r, t_grid, rip_trials).  Every
-    key, `save_estimate` included, is checked before any work, and an
-    unknown or malformed one raises SpecValidationError.
+    key, `save_estimate` included, is checked before any work, and a
+    malformed one raises SpecValidationError.  The caller rejects the
+    keys its command does not read first.
     """
-    check_spec_keys(spec, _INSTANCE_KEYS, "instance")
     try:
         n = spec_int(spec["n"])
         n3 = spec_int(spec["n3"])
@@ -162,6 +170,7 @@ def _build_instance(spec: dict, seed_override: int | None):
 
 def _cmd_solve(args) -> None:
     spec = _load_spec(args.spec)
+    check_spec_keys(spec, _SOLVE_KEYS, "solve")
     x, op, sample, config, seed, *_ = _build_instance(spec, args.seed)
     result = admm_solve(op, sample.y, config)
     if "save_estimate" in spec:
@@ -217,37 +226,12 @@ def _cmd_rip(args) -> None:
     print(f"wrote {out}")
 
 
-def _constants_payload(delta: float, t: float, r: int, n3: int, lam: float, epsilon: float) -> dict:
-    c1, c2, c3, c4 = bound_constants(delta, t, r, n3, lam, epsilon)
-    c1t, c2t, c3t, c4t = matched_bound_constants(delta, t, r, n3)
-    eta1, eta2 = eta_constants(delta, t, n3)
-    return {
-        "delta": delta,
-        "t": t,
-        "r": r,
-        "n3": n3,
-        "lambda": lam,
-        "epsilon": epsilon,
-        "threshold": ric_threshold(t, n3),
-        "eta1": eta1,
-        "eta2": eta2,
-        "c1": c1,
-        "c2": c2,
-        "c3": c3,
-        "c4": c4,
-        "c1_matched": c1t,
-        "c2_matched": c2t,
-        "c3_matched": c3t,
-        "c4_matched": c4t,
-    }
-
-
 def _cmd_bounds(args) -> None:
     spec = _load_spec(args.spec)
     if "delta" in spec:
         check_spec_keys(spec, _CONSTANTS_KEYS, "bounds constants")
         try:
-            payload = _constants_payload(
+            payload = guarantee_constants(
                 spec_float(spec["delta"]),
                 spec_float(spec["t"]),
                 spec_int(spec["r"]),
@@ -261,6 +245,7 @@ def _cmd_bounds(args) -> None:
         return
 
     # End-to-end mode: build, solve, estimate distortion, sweep t.
+    check_spec_keys(spec, _BOUNDS_KEYS, "bounds")
     x, op, sample, config, seed, r, t_grid, rip_trials = _build_instance(spec, args.seed)
     result = admm_solve(op, sample.y, config)
     epsilon = float(np.linalg.norm(sample.noise))

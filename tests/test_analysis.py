@@ -275,10 +275,10 @@ def test_verify_bounds_exact_recovery_trivially_satisfied():
     op = identity_map((4, 4, 2))
     y = apply(op, x)
     rep = verify_bounds(x, x, op, y, r=1, t=2.0, delta=0.1, lam=0.5, epsilon=0.0)
-    assert rep.lhs_meas == 0.0
-    assert rep.lhs_fro == 0.0
-    assert rep.satisfied == (True, True)
-    assert rep.tail_tnn <= 1e-10
+    assert rep["lhs_meas"] == 0.0
+    assert rep["lhs_fro"] == 0.0
+    assert rep["satisfied"] == [True, True]
+    assert rep["tail_tnn"] <= 1e-10
 
 
 def test_verify_bounds_rejects_condition_failure():
@@ -320,7 +320,7 @@ def test_verify_bounds_rhs_shrinks_with_lambda():
     op = identity_map((4, 4, 2))
     y = apply(op, x)
     rhs = [
-        verify_bounds(x, x, op, y, r=1, t=2.0, delta=0.1, lam=lam, epsilon=0.0).rhs_fro
+        verify_bounds(x, x, op, y, r=1, t=2.0, delta=0.1, lam=lam, epsilon=0.0)["rhs_fro"]
         for lam in (1e-2, 1e-3, 1e-4)
     ]
     assert rhs[0] > rhs[1] > rhs[2]
@@ -331,9 +331,8 @@ def test_verify_bounds_report_fields():
     x = generate_lowrank(5, 5, 2, 2, seed=8)
     op = identity_map((5, 5, 2))
     y = apply(op, x)
-    rep = verify_bounds(x, 0.99 * x, op, y, r=2, t=3.0, delta=0.05, lam=0.2, epsilon=0.0)
-    doc = rep.to_dict()
-    for key in ("t", "r", "n3", "delta", "eta1", "eta2", "c1", "c4t", "lhs_meas", "rhs_fro"):
+    doc = verify_bounds(x, 0.99 * x, op, y, r=2, t=3.0, delta=0.05, lam=0.2, epsilon=0.0)
+    for key in ("t", "r", "n3", "delta", "eta1", "eta2", "c1", "c4_matched", "lhs_meas", "rhs_fro"):
         assert key in doc
     assert doc["satisfied"] == [True, True]
-    assert fro_norm(0.01 * x) == pytest.approx(rep.lhs_fro, rel=1e-12)
+    assert fro_norm(0.01 * x) == pytest.approx(doc["lhs_fro"], rel=1e-12)

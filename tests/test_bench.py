@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import tubal.analysis
 import tubal.bench
 from tubal import (
     ExperimentSpec,
@@ -311,9 +312,52 @@ def test_check_guarantee_matches_campaign_rows():
     assert [e["t"] for e in entries] == t_grid
     assert [e["probe_rank"] for e in entries] == [6, 2, 3, 2]
     for e in entries:
-        delta_hat = e["delta"] if e["condition_met"] else e["delta_hat"]
-        assert delta_hat == rows[e["probe_rank"]]
-        assert e["condition_met"] == (delta_hat < tubal.ric_threshold(e["t"], n3))
+        assert e["delta"] == rows[e["probe_rank"]]
+        assert e["condition_met"] == (e["delta"] < tubal.ric_threshold(e["t"], n3))
+
+
+def test_check_guarantee_entries_share_one_shape():
+    n, n3, r = 6, 2, 1
+    op = gaussian_map(60, (n, n, n3), seed=5)
+    x = generate_lowrank(n, n, n3, r, seed=6)
+    y = tubal.apply(op, x)
+    entries = check_guarantee(x, x, op, y, r, [50.0, 2.0, 3.0, 1.5], lam=0.1, epsilon=0.0, trials=10, seed=9)
+    assert {e["condition_met"] for e in entries} == {True, False}
+    for e in entries:
+        assert list(e)[:5] == ["t", "probe_rank", "delta", "threshold", "condition_met"]
+        if e["condition_met"]:
+            # the rest of the verify_bounds record follows, in its own order
+            record = tubal.verify_bounds(x, x, op, y, r, e["t"], e["delta"], 0.1, 0.0)
+            assert list(e)[5:] == [k for k in record if k not in ("t", "delta", "threshold")]
+            assert {k: e[k] for k in record} == record
+        else:
+            assert len(e) == 5
+
+
+@pytest.mark.parametrize(
+    "ranks, trials",
+    [([2.7], 5), ([1, 1.5], 5), ([2], 2.5), ([2], "5"), ([True], 5)],
+    ids=["rank-2.7", "rank-1.5", "trials-2.5", "trials-string", "rank-bool"],
+)
+def test_campaign_rejects_non_integral_rank_or_trials(monkeypatch, ranks, trials):
+    op = gaussian_map(30, (4, 4, 2), seed=1)
+    with pytest.raises(ValueError, match="expected an integer"):
+        tubal.analysis.estimate_ric(op, ranks[-1], trials, 0)
+    calls = []
+    monkeypatch.setattr(tubal.bench, "estimate_ric", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="expected an integer"):
+        run_rip_campaign(op, ranks, trials, seed=0)
+    assert calls == []
+
+
+def test_campaign_accepts_integral_rank_and_trials():
+    op = gaussian_map(30, (4, 4, 2), seed=1)
+    (row,) = run_rip_campaign(op, [2.0], 5.0, seed=0)
+    (want,) = run_rip_campaign(op, [2], 5, seed=0)
+    assert (row.r, row.trials, row.delta_hat) == (want.r, want.trials, want.delta_hat)
+    assert type(row.r) is int and type(row.trials) is int
+    est = tubal.analysis.estimate_ric(op, np.int64(2), np.int64(5), 0)
+    assert (est.r, est.trials, est.delta_hat) == (2, 5, want.estimate.delta_hat)
 
 
 @pytest.mark.parametrize("t_grid", [[2.0, 1.0], []], ids=["t-at-1", "empty"])

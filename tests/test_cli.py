@@ -178,6 +178,8 @@ def test_bounds_end_to_end_mode(tmp_path):
 
 INSTANCE_SPEC = {"n": 6, "n3": 2, "r": 1, "sigma": 0.01, "lambda": 0.1, "seed": 7,
                  "t_grid": [5.0], "rip_trials": 5, "max_iters": 20}
+# solve reads neither t_grid nor rip_trials and rejects both
+SOLVE_SPEC = {k: v for k, v in INSTANCE_SPEC.items() if k not in ("t_grid", "rip_trials")}
 
 
 @pytest.mark.parametrize("command", ["solve", "bounds"])
@@ -186,7 +188,9 @@ INSTANCE_SPEC = {"n": 6, "n3": 2, "r": 1, "sigma": 0.01, "lambda": 0.1, "seed": 
     ids=["max_iters-null", "rip_trials-null", "t_grid-scalar"],
 )
 def test_instance_spec_malformed_key_exit_2(tmp_path, command, key, value):
-    spec = write_spec(tmp_path, "instance.json", {**INSTANCE_SPEC, key: value})
+    # for solve, rip_trials and t_grid are keys it does not read
+    base = SOLVE_SPEC if command == "solve" else INSTANCE_SPEC
+    spec = write_spec(tmp_path, "instance.json", {**base, key: value})
     out = tmp_path / "out.json"
     assert main([command, "--spec", spec, "--out", str(out)]) == 2
     assert not out.exists()
@@ -195,7 +199,7 @@ def test_instance_spec_malformed_key_exit_2(tmp_path, command, key, value):
 @pytest.mark.parametrize(
     "command, spec",
     [
-        ("solve", INSTANCE_SPEC),
+        ("solve", SOLVE_SPEC),
         ("bounds", INSTANCE_SPEC),
         ("experiment", {"case_name": "mini", "n": 6, "n3": 2, "r": 1, "sample_factor": 2.0,
                         "sigma_list": [0.0], "lambda_list": [0.5], "trials": 1}),
@@ -229,8 +233,8 @@ def bounds_runs(tmp_path_factory):
 
 
 def entry_delta(entry):
-    # a met condition reports the BoundReport field, a refuted one delta_hat
-    return entry["delta"] if entry["condition_met"] else entry["delta_hat"]
+    # every entry, met or refuted, reports the campaign's estimate as delta
+    return entry["delta"]
 
 
 def test_bounds_json_is_reproducible(bounds_runs):
@@ -288,7 +292,7 @@ def no_work(monkeypatch):
 @pytest.mark.parametrize(
     "command, spec, key",
     [
-        ("solve", INSTANCE_SPEC, "max_iter"),
+        ("solve", SOLVE_SPEC, "max_iter"),
         ("bounds", INSTANCE_SPEC, "rip_trial"),
         ("bounds", CONSTANTS_SPEC, "eps"),
         ("experiment", EXPERIMENT_SPEC, "trails"),
@@ -309,9 +313,9 @@ def test_spec_unknown_key_exit_2(tmp_path, capsys, no_work, command, spec, key):
     [
         ("rip", RIP_SPEC, "m", 1e999),
         ("rip", RIP_SPEC, "rank_list", [1.5]),
-        ("solve", INSTANCE_SPEC, "sample_factor", 1e999),
-        ("solve", INSTANCE_SPEC, "n", 6.7),
-        ("solve", INSTANCE_SPEC, "lambda", "0.1"),
+        ("solve", SOLVE_SPEC, "sample_factor", 1e999),
+        ("solve", SOLVE_SPEC, "n", 6.7),
+        ("solve", SOLVE_SPEC, "lambda", "0.1"),
         ("bounds", INSTANCE_SPEC, "t_grid", [1e999]),
         ("bounds", INSTANCE_SPEC, "t_grid", [5.0, 1.0]),
         ("bounds", INSTANCE_SPEC, "t_grid", []),
@@ -334,7 +338,38 @@ def test_spec_malformed_number_exit_2_before_work(tmp_path, no_work, command, sp
 
 @pytest.mark.parametrize("value", [2, ""], ids=["fd-2", "empty"])
 def test_solve_save_estimate_must_be_a_path_exit_2(tmp_path, no_work, value):
-    path = write_spec(tmp_path, "spec.json", {**INSTANCE_SPEC, "save_estimate": value})
+    path = write_spec(tmp_path, "spec.json", {**SOLVE_SPEC, "save_estimate": value})
     assert main(["solve", "--spec", path, "--out", str(tmp_path / "out.json")]) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
     os.fstat(2)
+
+
+@pytest.mark.parametrize(
+    "command, spec, key, value",
+    [
+        ("solve", SOLVE_SPEC, "t_grid", [5.0]),
+        ("solve", SOLVE_SPEC, "rip_trials", 5),
+        ("bounds", INSTANCE_SPEC, "save_estimate", "estimate.bin"),
+    ],
+    ids=["solve-t_grid", "solve-rip_trials", "bounds-save_estimate"],
+)
+def test_instance_command_rejects_keys_it_does_not_read(tmp_path, capsys, no_work, monkeypatch,
+                                                       command, spec, key, value):
+    monkeypatch.chdir(tmp_path)
+    path = write_spec(tmp_path, "spec.json", {**spec, key: value})
+    assert main([command, "--spec", path, "--out", str(tmp_path / "out.json")]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_bounds_constants_mode_matches_each_met_entry(tmp_path, capsys, bounds_runs):
+    # the end-to-end entries and constants mode report one record under one set of names
+    met = [e for e in json.loads(bounds_runs[0])["reports"] if e["condition_met"]]
+    assert met
+    for entry in met:
+        keys = ("delta", "t", "r", "n3", "lambda", "epsilon")
+        path = write_spec(tmp_path, "constants.json", {k: entry[k] for k in keys})
+        assert main(["bounds", "--spec", path]) == 0
+        constants = json.loads(capsys.readouterr().out)
+        assert list(constants)[:6] == list(keys)
+        assert {k: entry[k] for k in constants} == constants

@@ -1,7 +1,8 @@
 """The demos run end to end against the public API.
 
-Demo 04 is left out: it runs a multi-trial sweep for about a minute and
-writes its tables next to the script.  CI runs it as a step of its own.
+Demo 04 is left out: it runs a two-worker multi-trial sweep (about 20 s
+on two cores) and writes its tables next to the script.  CI runs it as a
+step of its own.
 """
 
 import os
