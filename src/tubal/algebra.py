@@ -7,16 +7,18 @@ unfold(b))``.  All heavy operations here (t-product, t-SVD, singular
 value thresholding, norms) act on the frontal slices of a DFT along the
 tube axis, which block-diagonalizes the circulant structure; conjugate
 symmetry of the transform of a real tensor means only ``n3 // 2 + 1``
-slices are ever touched.  Every spectral operation (t-SVD, truncation,
-thresholding, TNN, tubal and average rank) takes the SVDs of those
-slices in one stacked call to :func:`_slice_svd`, the only entry point
-to ``np.linalg.svd``, and any tensor it rebuilds comes from one more
-(:func:`_from_slices`).  The explicit block-circulant path survives
-only as a test oracle.
+slices are ever touched.  Those slices are laid out slice-leading,
+(..., h, n1, n2) with h = n3 // 2 + 1, so that each spectral operation
+is one stacked call.  The t-product is one stacked matmul of the two
+half spectra.  Every other one (t-SVD, truncation, thresholding, TNN,
+tubal and average rank) takes the SVDs of the slices in one call to
+:func:`_slice_svd`, the only entry point to ``np.linalg.svd``, and any
+tensor it rebuilds comes from one more (:func:`_from_slices`).  The
+explicit block-circulant path survives only as a test oracle.
 
 :func:`tprod` also multiplies stacks, (k, n1, n2, n3) x (k, n2, n4, n3)
 -> (k, n1, n4, n3), row by row.  The transforms run along the last
-axis and the slice products broadcast over the leading one, so a
+axis and the stacked matmul runs over the leading (k, h) axes, so a
 stack costs one call instead of k, and each row of the result is
 bitwise the 3-d product of that row.  Loops over many small tensors,
 such as the isometry probes, build their tensors this way.
@@ -32,6 +34,7 @@ Conventions fixed here and relied on elsewhere in the package:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -73,6 +76,17 @@ def _as_array(x, ndim: int) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("tensor entries must be finite")
     return arr
+
+
+def _as_int(value) -> int:
+    """Read an integer count or seed.  A float is taken only when it is
+    integral, so 6.7 is rejected rather than truncated; so are inf, bools
+    and strings, each with ``ValueError``."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
 def as_tensor3(x) -> np.ndarray:
@@ -144,7 +158,9 @@ def tprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """t-product of an (n1, n2, n3) tensor with an (n2, n4, n3) tensor.
 
     Computed as slicewise matrix products in the Fourier domain, which
-    equals ``fold(bcirc(a) @ unfold(b))``.  Two stacks of k tensors,
+    equals ``fold(bcirc(a) @ unfold(b))``: both half spectra move to the
+    slice-leading layout of :func:`_slice_svd`, and one stacked ``@``
+    multiplies every pair of slices.  Two stacks of k tensors,
     (k, n1, n2, n3) and (k, n2, n4, n3), give the (k, n1, n4, n3) stack
     of row-by-row products in one call; each row is bitwise equal to
     the product of that row alone.  A stack cannot be mixed with a
@@ -155,8 +171,8 @@ def tprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = _as_array(b, ndim)
     if a.shape[:-3] != b.shape[:-3] or a.shape[-2] != b.shape[-3] or a.shape[-1] != b.shape[-1]:
         raise ValueError(f"t-product shape mismatch: {a.shape} * {b.shape}")
-    cf = np.einsum("...ijk,...jlk->...ilk", _rfft(a), _rfft(b))
-    return _irfft(cf, a.shape[-1])
+    cf = np.moveaxis(_rfft(a), -1, -3) @ np.moveaxis(_rfft(b), -1, -3)
+    return _irfft(np.moveaxis(cf, -3, -1), a.shape[-1])
 
 
 def conj_transpose(x: np.ndarray) -> np.ndarray:

@@ -26,8 +26,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import rng
-from .algebra import tprod, tubal_rank
-from .analysis import RipEstimate, _as_int, estimate_ric, ric_threshold, verify_bounds
+from .algebra import _as_int, tprod, tubal_rank
+from .analysis import RipEstimate, estimate_ric, ric_threshold, verify_bounds
 from .measurement import GaussianLinearMap, add_noise, apply, gaussian_map, snr_db
 from .solver import NumericalError, SolverConfig, admm_solve
 
@@ -77,13 +77,14 @@ def generate_lowrank(n1: int, n2: int, n3: int, r: int, seed: int) -> np.ndarray
     """Random tensor of exact tubal rank r: a t-product of two standard
     Gaussian factor tensors of inner size r.
 
-    Draws from the "data" stream of `seed`.  Generic factors give rank
-    exactly r with probability 1; this is checked and a degenerate draw
-    is rejected rather than silently returned.
+    Draws from the "data" stream of `seed`, which must be integral
+    (``ValueError`` otherwise).  Generic factors give rank exactly r with
+    probability 1; this is checked and a degenerate draw is rejected
+    rather than silently returned.
     """
     if not 1 <= r <= min(n1, n2):
         raise ValueError(f"rank {r} outside [1, {min(n1, n2)}]")
-    gen = rng.stream(int(seed), "data")
+    gen = rng.stream(_as_int(seed), "data")
     a = gen.standard_normal((n1, r, n3))
     b = gen.standard_normal((r, n2, n3))
     x = tprod(a, b)

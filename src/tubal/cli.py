@@ -38,6 +38,18 @@ end-to-end      note, snr_db, epsilon_realized, lambda, reports and
                 with the other constants-mode keys and tail_tnn, lhs_meas,
                 rhs_meas, lhs_fro, rhs_fro and satisfied.
 
+Rip output
+----------
+csv   r, trials, delta_hat, threshold_t=<t>, satisfied; the numbers are
+      printed to 12 significant digits
+json  the same per rank, plus rank_delta_hat and every
+      distortion_samples value in full precision.  A sample keeps 12
+      decimal places across versions of tubal (it moves by about
+      1e-15), but its last digits can move, and a sample near zero
+      can differ at its 12th significant digit: the products that
+      build and measure the probes round differently with the number
+      of probes per product and with the operand layout.
+
 Exit codes: 0 success, 2 invalid spec or input, 3 numerical failure.
 """
 

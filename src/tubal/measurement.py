@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .algebra import _as_array, as_tensor3, fro_norm
+from .algebra import _as_array, _as_int, as_tensor3, fro_norm
 
 __all__ = [
     "GaussianLinearMap",
@@ -78,17 +78,19 @@ def gaussian_map(m: int, dims: tuple[int, int, int], seed: int) -> GaussianLinea
     the map is an isometry in expectation: the scaling under which the
     t-RIP's distortion ``| ||M(x)||^2 / ||x||_F^2 - 1 |`` is small.
     Entries come from the "map" stream of `seed`, so the same arguments
-    always reproduce the same matrix.
+    always reproduce the same matrix.  A non-integral `seed` raises
+    ``ValueError``.
     """
     n1, n2, n3 = (int(d) for d in dims)
     if m < 1:
         raise ValueError(f"measurement count must be >= 1, got {m}")
     if min(n1, n2, n3) < 1:
         raise ValueError(f"dims must be >= 1, got {dims}")
-    gen = rng.stream(int(seed), "map")
+    seed = _as_int(seed)
+    gen = rng.stream(seed, "map")
     matrix = gen.standard_normal((m, n1 * n2 * n3))
     matrix /= math.sqrt(m)
-    return GaussianLinearMap(m=m, dims=(n1, n2, n3), matrix=matrix, seed=int(seed))
+    return GaussianLinearMap(m=m, dims=(n1, n2, n3), matrix=matrix, seed=seed)
 
 
 def apply(op: GaussianLinearMap, x: np.ndarray) -> np.ndarray:
@@ -149,16 +151,18 @@ def add_noise(y: np.ndarray, sigma: float, noise_seed: int) -> NoisySample:
     """Add N(0, sigma^2) noise drawn from the "noise" stream of `noise_seed`.
 
     sigma = 0 returns the measurements unchanged (no draw is consumed).
+    A non-integral `noise_seed` raises ``ValueError``, whatever sigma is.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1:
         raise ValueError("measurements must be a vector")
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
+    noise_seed = _as_int(noise_seed)
     if sigma == 0.0:
-        return NoisySample(y=y.copy(), sigma=0.0, noise_seed=int(noise_seed), noise=np.zeros_like(y))
-    w = sigma * rng.stream(int(noise_seed), "noise").standard_normal(y.size)
-    return NoisySample(y=y + w, sigma=float(sigma), noise_seed=int(noise_seed), noise=w)
+        return NoisySample(y=y.copy(), sigma=0.0, noise_seed=noise_seed, noise=np.zeros_like(y))
+    w = sigma * rng.stream(noise_seed, "noise").standard_normal(y.size)
+    return NoisySample(y=y + w, sigma=float(sigma), noise_seed=noise_seed, noise=w)
 
 
 def snr_db(x_true: np.ndarray, x_hat: np.ndarray) -> float:

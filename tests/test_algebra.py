@@ -179,6 +179,24 @@ def test_tprod_stack_rows_equal_single_products(k, inner, n3, seed):
         assert np.array_equal(out[i], tprod(a[i], b[i]))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.integers(1, 4),
+    inner=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+    n3=st.sampled_from([1, 2, 5, 6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tprod_stack_rows_match_bcirc_oracle(k, inner, n3, seed):
+    n1, n2, n4 = inner
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal((k, n1, n2, n3))
+    b = gen.standard_normal((k, n2, n4, n3))
+    out = tprod(a, b)
+    for i in range(k):
+        slow = bcirc_product(a[i], b[i])
+        assert np.max(np.abs(out[i] - slow)) <= 1e-10 * max(1.0, np.max(np.abs(slow)))
+
+
 @pytest.mark.parametrize(
     "a_shape, b_shape",
     [
@@ -192,7 +210,7 @@ def test_tprod_stack_rows_equal_single_products(k, inner, n3, seed):
 )
 def test_tprod_rejects_stack_mismatch(a_shape, b_shape):
     # k = 1 against k = 3 would broadcast, and n3 = 4 and 5 share a half
-    # spectrum of 3 slices, so the einsum alone would not raise
+    # spectrum of 3 slices, so the stacked matmul alone would not raise
     with pytest.raises(ValueError):
         tprod(np.zeros(a_shape), np.zeros(b_shape))
 

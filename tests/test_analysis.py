@@ -246,6 +246,18 @@ def test_estimate_ric_small_blocks_match_default(monkeypatch):
     np.testing.assert_allclose(small.distortion_samples, default.distortion_samples, rtol=0, atol=1e-12)
 
 
+def test_estimate_ric_measures_400_trials_in_two_blocks(monkeypatch):
+    sizes = []
+
+    def recorder(op, x):
+        sizes.append(x.shape[0])
+        return apply(op, x)
+
+    monkeypatch.setattr(analysis, "apply", recorder)
+    estimate_ric(gaussian_map(40, (4, 5, 3), seed=13), r=2, trials=400, seed=21)
+    assert sizes == [200, 200]
+
+
 def test_estimate_ric_shrinks_with_more_measurements():
     dims = (6, 6, 3)
     small, large = [], []

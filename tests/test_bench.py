@@ -7,14 +7,17 @@ import pytest
 
 import tubal.analysis
 import tubal.bench
+import tubal.rng
 from tubal import (
     ExperimentSpec,
     GaussianLinearMap,
     SpecValidationError,
+    add_noise,
     case1_spec,
     check_guarantee,
     emit,
     emit_campaign,
+    estimate_ric,
     gaussian_map,
     generate_lowrank,
     run_experiment,
@@ -358,6 +361,55 @@ def test_campaign_accepts_integral_rank_and_trials():
     assert type(row.r) is int and type(row.trials) is int
     est = tubal.analysis.estimate_ric(op, np.int64(2), np.int64(5), 0)
     assert (est.r, est.trials, est.delta_hat) == (2, 5, want.estimate.delta_hat)
+
+
+def test_rip_campaign_matches_pinned_values():
+    # seed-determined outputs of the probe path, as the case1 test pins
+    # the solver's: a change to the t-product, the measurement product or
+    # the blocking of the 300 probes that moves the samples beyond
+    # roundoff shows up here
+    rows = run_rip_campaign(gaussian_map(210, (10, 10, 5), 1), [1, 2, 5, 10], 300, 1)
+    expected = [0.293746399490, 0.293746399490, 0.317471166932, 0.330609562838]
+    assert [row.delta_hat for row in rows] == pytest.approx(expected, rel=1e-11)
+
+
+# every seeded draw of the package, as a function of (op, seed)
+SEEDED_DRAWS = {
+    "gaussian_map": lambda op, seed: gaussian_map(30, (4, 4, 2), seed).matrix,
+    "add_noise": lambda op, seed: add_noise(np.ones(30), 0.1, seed).y,
+    "generate_lowrank": lambda op, seed: generate_lowrank(4, 4, 2, 1, seed),
+    "estimate_ric": lambda op, seed: estimate_ric(op, 2, 5, seed).distortion_samples,
+}
+
+
+@pytest.mark.parametrize("name", SEEDED_DRAWS)
+def test_seeded_draws_reject_fractional_seed(monkeypatch, name):
+    op = gaussian_map(30, (4, 4, 2), seed=1)
+    streams = []
+    monkeypatch.setattr(tubal.rng, "stream", lambda *parts: streams.append(parts))
+    with pytest.raises(ValueError, match="expected an integer"):
+        SEEDED_DRAWS[name](op, 2.7)
+    assert streams == []
+
+
+@pytest.mark.parametrize("seed", [2.0, np.int64(2)], ids=["float", "int64"])
+@pytest.mark.parametrize("name", SEEDED_DRAWS)
+def test_seeded_draws_take_integral_seed(name, seed):
+    op = gaussian_map(30, (4, 4, 2), seed=1)
+    assert np.array_equal(SEEDED_DRAWS[name](op, seed), SEEDED_DRAWS[name](op, 2))
+
+
+@pytest.mark.parametrize("seed", [2.0, np.int64(2)], ids=["float", "int64"])
+def test_recorded_seeds_are_checked_ints(seed):
+    recorded = [
+        gaussian_map(30, (4, 4, 2), seed).seed,
+        add_noise(np.ones(3), 0.1, seed).noise_seed,
+        add_noise(np.ones(3), 0.0, seed).noise_seed,
+    ]
+    assert recorded == [2, 2, 2]
+    assert all(type(v) is int for v in recorded)
+    with pytest.raises(ValueError, match="expected an integer"):
+        add_noise(np.ones(3), 0.0, 2.7)
 
 
 @pytest.mark.parametrize("t_grid", [[2.0, 1.0], []], ids=["t-at-1", "empty"])
