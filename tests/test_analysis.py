@@ -211,9 +211,22 @@ def _per_probe_distortions(op, r, trials, seed):
 
 _BUILD, _BLOCK = analysis._BUILD_BLOCK, analysis._PROBE_BLOCK
 # both sides of a sub-block edge and of a block edge, plus counts whose
-# sub-blocks (2 * _BUILD + 1) and blocks (2 * _BLOCK + 1) split unevenly
+# sub-blocks (2 * _BUILD + 1) and blocks (2 * _BLOCK + 1) split unevenly;
+# 4 * _BUILD - 1, 4 * _BUILD and 4 * _BUILD + 1 fill one block with four
+# sub-blocks, the last one short, four full ones, or five near-equal ones
 BLOCK_EDGE_TRIALS = [
-    1, _BUILD - 1, _BUILD, _BUILD + 1, 2 * _BUILD + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1
+    1,
+    _BUILD - 1,
+    _BUILD,
+    _BUILD + 1,
+    2 * _BUILD + 1,
+    4 * _BUILD - 1,
+    4 * _BUILD,
+    4 * _BUILD + 1,
+    _BLOCK - 1,
+    _BLOCK,
+    _BLOCK + 1,
+    2 * _BLOCK + 1,
 ]
 
 
