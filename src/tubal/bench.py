@@ -77,11 +77,12 @@ def generate_lowrank(n1: int, n2: int, n3: int, r: int, seed: int) -> np.ndarray
     """Random tensor of exact tubal rank r: a t-product of two standard
     Gaussian factor tensors of inner size r.
 
-    Draws from the "data" stream of `seed`, which must be integral
-    (``ValueError`` otherwise).  Generic factors give rank exactly r with
-    probability 1; this is checked and a degenerate draw is rejected
-    rather than silently returned.
+    Draws from the "data" stream of `seed`.  The sizes, the rank and the
+    seed must be integral (``ValueError`` otherwise).  Generic factors
+    give rank exactly r with probability 1; this is checked and a
+    degenerate draw is rejected rather than silently returned.
     """
+    n1, n2, n3, r = (_as_int(v) for v in (n1, n2, n3, r))
     if not 1 <= r <= min(n1, n2):
         raise ValueError(f"rank {r} outside [1, {min(n1, n2)}]")
     gen = rng.stream(_as_int(seed), "data")
@@ -269,7 +270,11 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     separate processes.  Results are keyed by trial index before
     reduction, so aggregates do not depend on scheduling.  A solver
     abort marks its cell for that trial and the sweep continues.
+    `workers` must be an integer >= 1 (``ValueError`` otherwise).
     """
+    workers = _as_int(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     nt = spec.trials
     if workers > 1:
         # Imported here: the process pool costs every `import tubal` time

@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-tsvd        factorize a tensor container file
+tsvd        factorize a tensor stored in a .npy file
 solve       generate and solve one synthetic recovery instance
 experiment  run a benchmark sweep described by a JSON spec
 rip         isometry-distortion campaign over a rank grid
@@ -20,6 +20,14 @@ experiment     case_name, n, n3, r, sample_factor, sigma_list,
                lambda_list; optional trials (50), base_seed (0)
 rip            m, rank_list, and dims or n and n3; optional seed (0),
                trials (100), t (2)
+
+Files
+-----
+tsvd reads a .npy file that holds one real, finite 3-axis array; a
+pickle, an object array, an .npz archive, a complex array and any other
+file are rejected.  tsvd --out P writes the factors to P_u.npy, P_s.npy
+and P_v.npy and the summary to P.json.  solve's save_estimate writes
+the estimate as .npy at exactly the given path, whatever its suffix.
 
 A spec is checked whole before any solve or probe.  A key the command
 does not read, a fractional or non-finite number, an empty grid, a t at
@@ -61,8 +69,8 @@ import sys
 
 import numpy as np
 
-from . import __version__, io
-from .algebra import fro_norm, tnn, tsvd, tubal_rank
+from . import __version__
+from .algebra import as_tensor3, fro_norm, tnn, tsvd, tubal_rank
 from .analysis import RipConditionError, guarantee_constants
 from .bench import (
     ExperimentSpec,
@@ -103,6 +111,27 @@ def _load_spec(path) -> dict:
     return obj
 
 
+def _load_tensor(path) -> np.ndarray:
+    """Read a real, finite 3-axis array from a .npy file; anything else is a ValueError naming `path`."""
+    try:
+        with open(path, "rb") as fh:
+            # an empty file or a header cut short raises EOFError
+            arr = np.load(fh, allow_pickle=False)
+        if not isinstance(arr, np.ndarray):
+            raise ValueError("found an .npz archive, not one array")
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(f"found dtype {arr.dtype}, not a real array")
+        return as_tensor3(arr)
+    except (EOFError, ValueError) as exc:
+        raise ValueError(f"{path}: expected a .npy file holding a real, finite 3-axis array: {exc}") from exc
+
+
+def _save_tensor(path, x: np.ndarray) -> None:
+    # np.save given a path appends .npy; a handle writes exactly `path`
+    with open(path, "wb") as fh:
+        np.save(fh, x, allow_pickle=False)
+
+
 def _write_json(payload: dict | list, out: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out:
@@ -117,7 +146,7 @@ def _write_json(payload: dict | list, out: str | None) -> None:
 
 
 def _cmd_tsvd(args) -> None:
-    x = io.load_tensor(args.tensor)
+    x = _load_tensor(args.tensor)
     factors = tsvd(x)
     recon_err = fro_norm(factors.compose() - x) / max(fro_norm(x), np.finfo(float).tiny)
     summary = {
@@ -128,9 +157,9 @@ def _cmd_tsvd(args) -> None:
         "relative_reconstruction_error": recon_err,
     }
     if args.out:
+        summary["factors"] = {name: f"{args.out}_{name}.npy" for name in ("u", "s", "v")}
         for name, arr in (("u", factors.u), ("s", factors.s), ("v", factors.v)):
-            io.save_tensor(f"{args.out}_{name}.bin", arr)
-        summary["factors"] = {name: f"{args.out}_{name}.bin" for name in ("u", "s", "v")}
+            _save_tensor(summary["factors"][name], arr)
         _write_json(summary, f"{args.out}.json")
     else:
         _write_json(summary, None)
@@ -186,7 +215,7 @@ def _cmd_solve(args) -> None:
     x, op, sample, config, seed, *_ = _build_instance(spec, args.seed)
     result = admm_solve(op, sample.y, config)
     if "save_estimate" in spec:
-        io.save_tensor(spec["save_estimate"], result.x_hat)
+        _save_tensor(spec["save_estimate"], result.x_hat)
     payload = {
         "dims": list(op.dims),
         "m": op.m,
@@ -289,9 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_tsvd = sub.add_parser("tsvd", help="factorize a tensor container file")
-    p_tsvd.add_argument("tensor", help="path to a tensor container")
-    p_tsvd.add_argument("--out", help="prefix for factor containers and summary JSON")
+    p_tsvd = sub.add_parser("tsvd", help="factorize a tensor stored in a .npy file")
+    p_tsvd.add_argument("tensor", help="path to a .npy file holding a real, finite 3-axis array")
+    p_tsvd.add_argument("--out", help="prefix P: writes P_u.npy, P_s.npy, P_v.npy and the summary P.json")
     p_tsvd.set_defaults(func=_cmd_tsvd)
 
     for name, func, needs_format in (

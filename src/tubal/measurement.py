@@ -3,8 +3,8 @@
 A measurement operator is a dense m x (n1*n2*n3) matrix applied to the
 vectorization of a tensor.  Vectorization order is frontal-slice-major,
 column-major within a slice (Fortran ravel of an (n1, n2, n3) array);
-every serialized artifact and every matrix in this package uses that
-order, so measurements are reproducible bit-for-bit.
+every matrix in this package uses that order, so measurements are
+reproducible bit-for-bit.
 
 :func:`apply` also measures a stack of k tensors, shape (k, n1, n2, n3),
 as one matrix-matrix product with a (k, m) result.  That reads the
@@ -78,10 +78,11 @@ def gaussian_map(m: int, dims: tuple[int, int, int], seed: int) -> GaussianLinea
     the map is an isometry in expectation: the scaling under which the
     t-RIP's distortion ``| ||M(x)||^2 / ||x||_F^2 - 1 |`` is small.
     Entries come from the "map" stream of `seed`, so the same arguments
-    always reproduce the same matrix.  A non-integral `seed` raises
-    ``ValueError``.
+    always reproduce the same matrix.  A non-integral `m`, dimension or
+    `seed` raises ``ValueError``.
     """
-    n1, n2, n3 = (int(d) for d in dims)
+    m = _as_int(m)
+    n1, n2, n3 = (_as_int(d) for d in dims)
     if m < 1:
         raise ValueError(f"measurement count must be >= 1, got {m}")
     if min(n1, n2, n3) < 1:
@@ -141,8 +142,8 @@ class NoisySample:
     noise: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.y.shape != self.noise.shape:
             raise ValueError("noise and measurement lengths differ")
 
@@ -156,8 +157,8 @@ def add_noise(y: np.ndarray, sigma: float, noise_seed: int) -> NoisySample:
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1:
         raise ValueError("measurements must be a vector")
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     noise_seed = _as_int(noise_seed)
     if sigma == 0.0:
         return NoisySample(y=y.copy(), sigma=0.0, noise_seed=noise_seed, noise=np.zeros_like(y))

@@ -399,6 +399,42 @@ def test_seeded_draws_take_integral_seed(name, seed):
     assert np.array_equal(SEEDED_DRAWS[name](op, seed), SEEDED_DRAWS[name](op, 2))
 
 
+# every count argument of the seeded draws, as (draw of that count, a valid count)
+COUNT_ARGS = {
+    "gaussian_map-m": (lambda v: gaussian_map(v, (4, 4, 2), 1).matrix, 30),
+    "gaussian_map-n1": (lambda v: gaussian_map(30, (v, 4, 2), 1).matrix, 4),
+    "gaussian_map-n2": (lambda v: gaussian_map(30, (4, v, 2), 1).matrix, 4),
+    "gaussian_map-n3": (lambda v: gaussian_map(30, (4, 4, v), 1).matrix, 2),
+    "generate_lowrank-n1": (lambda v: generate_lowrank(v, 4, 2, 1, 1), 4),
+    "generate_lowrank-n2": (lambda v: generate_lowrank(4, v, 2, 1, 1), 4),
+    "generate_lowrank-n3": (lambda v: generate_lowrank(4, 4, v, 1, 1), 2),
+    "generate_lowrank-r": (lambda v: generate_lowrank(4, 4, 2, v, 1), 1),
+}
+
+
+@pytest.mark.parametrize("bad", ["fraction", "bool"])
+@pytest.mark.parametrize("name", COUNT_ARGS)
+def test_seeded_draws_reject_non_integral_counts(monkeypatch, name, bad):
+    draw, count = COUNT_ARGS[name]
+    streams = []
+    monkeypatch.setattr(tubal.rng, "stream", lambda *parts: streams.append(parts))
+    with pytest.raises(ValueError, match="expected an integer"):
+        draw(count + 0.5 if bad == "fraction" else True)
+    assert streams == []
+
+
+@pytest.mark.parametrize("name", COUNT_ARGS)
+def test_seeded_draws_take_integral_float_counts(name):
+    draw, count = COUNT_ARGS[name]
+    assert np.array_equal(draw(float(count)), draw(count))
+
+
+def test_gaussian_map_records_integral_counts_as_ints():
+    op = gaussian_map(30.0, (4.0, np.int64(4), 2.0), 1)
+    assert (op.m, op.dims) == (30, (4, 4, 2))
+    assert all(type(v) is int for v in (op.m, *op.dims))
+
+
 @pytest.mark.parametrize("seed", [2.0, np.int64(2)], ids=["float", "int64"])
 def test_recorded_seeds_are_checked_ints(seed):
     recorded = [

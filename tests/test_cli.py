@@ -1,3 +1,4 @@
+import io
 import json
 import os
 
@@ -6,8 +7,7 @@ import pytest
 
 import tubal.bench
 import tubal.cli
-from tubal import estimate_ric, run_rip_campaign, tsvd
-from tubal import io as tio
+from tubal import admm_solve, estimate_ric, run_rip_campaign, tnn, tsvd
 from tubal.cli import main
 from tubal.rng import derive_key
 
@@ -20,24 +20,71 @@ def write_spec(tmp_path, name, obj):
     return str(path)
 
 
+def saved_bytes(arr, save=np.save, **kwargs):
+    buf = io.BytesIO()
+    save(buf, arr, **kwargs)
+    return buf.getvalue()
+
+
 def test_tsvd_subcommand(tmp_path):
     x = rand_tensor(80, (4, 3, 2))
-    tensor_path = tmp_path / "x.bin"
-    tio.save_tensor(tensor_path, x)
+    tensor_path = tmp_path / "x.npy"
+    np.save(tensor_path, x)
     prefix = str(tmp_path / "fac")
     assert main(["tsvd", str(tensor_path), "--out", prefix]) == 0
     summary = json.loads((tmp_path / "fac.json").read_text())
     assert summary["dims"] == [4, 3, 2]
+    assert summary["tnn"] == tnn(x)
     assert summary["relative_reconstruction_error"] <= 1e-10
-    u = tio.load_tensor(tmp_path / "fac_u.bin")
-    assert np.allclose(u, tsvd(x).u)
+    factors = tsvd(x)
+    assert summary["factors"] == {name: f"{prefix}_{name}.npy" for name in ("u", "s", "v")}
+    for name in ("u", "s", "v"):
+        assert np.array_equal(np.load(summary["factors"][name]), getattr(factors, name))
 
 
 def test_tsvd_missing_file(tmp_path):
-    assert main(["tsvd", str(tmp_path / "absent.bin")]) == 2
+    assert main(["tsvd", str(tmp_path / "absent.npy"), "--out", str(tmp_path / "fac")]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_solve_subcommand(tmp_path):
+GOOD_NPY = saved_bytes(rand_tensor(81, (2, 2, 2)))
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"",
+        b"NOPE" + b"\x00" * 24,
+        GOOD_NPY[:20],
+        GOOD_NPY[:-8],
+        # the container tubal wrote before it used .npy: magic, dims, doubles
+        b"TNS3" + np.array([2, 2, 2], dtype="<u8").tobytes() + np.zeros(8, dtype="<f8").tobytes(),
+        saved_bytes(np.array([[[1.0]]], dtype=object), allow_pickle=True),
+        saved_bytes(rand_tensor(81, (2, 2, 2)), save=np.savez),
+        saved_bytes(np.ones((2, 2, 2), dtype=complex)),
+        saved_bytes(np.ones((2, 2))),
+        saved_bytes(np.array([[[1.0, np.nan]]])),
+    ],
+    ids=["empty", "garbage", "truncated-header", "truncated-payload", "old-container",
+         "object-array", "npz", "complex", "2-d", "nan"],
+)
+def test_tsvd_rejects_bad_input_exit_2(tmp_path, capsys, content):
+    # a missing file is test_tsvd_missing_file
+    path = tmp_path / "x.npy"
+    path.write_bytes(content)
+    assert main(["tsvd", str(path), "--out", str(tmp_path / "fac")]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["x.npy"]
+    assert str(path) in capsys.readouterr().err
+
+
+def test_solve_subcommand(tmp_path, monkeypatch):
+    results = []
+
+    def recording(*args):
+        results.append(admm_solve(*args))
+        return results[-1]
+
+    monkeypatch.setattr(tubal.cli, "admm_solve", recording)
     spec = write_spec(
         tmp_path,
         "solve.json",
@@ -50,7 +97,9 @@ def test_solve_subcommand(tmp_path):
     assert doc["m"] == 2 * 1 * 13 * 2
     assert doc["converged"] is True
     assert doc["snr_db"] > 10.0
-    assert (tmp_path / "xhat.bin").exists()
+    # the estimate is .npy at exactly the given path, whatever its suffix
+    assert not (tmp_path / "xhat.bin.npy").exists()
+    assert np.array_equal(np.load(tmp_path / "xhat.bin"), results[0].x_hat)
 
 
 def test_experiment_subcommand(tmp_path):
@@ -287,6 +336,14 @@ def no_work(monkeypatch):
     monkeypatch.setattr(tubal.cli, "admm_solve", forbidden)
     monkeypatch.setattr(tubal.bench, "admm_solve", forbidden)
     monkeypatch.setattr(tubal.bench, "estimate_ric", forbidden)
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_experiment_rejects_workers_below_1_exit_2(tmp_path, no_work, workers):
+    path = write_spec(tmp_path, "exp.json", EXPERIMENT_SPEC)
+    out = tmp_path / "grid.csv"
+    assert main(["experiment", "--spec", path, "--out", str(out), "--workers", workers]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tubal import (
     GaussianLinearMap,
+    NoisySample,
     add_noise,
     adjoint_apply,
     apply,
@@ -178,6 +179,14 @@ def test_add_noise_validation():
         add_noise(np.zeros(4), -0.1, noise_seed=0)
     with pytest.raises(ValueError):
         add_noise(np.zeros((2, 2)), 0.1, noise_seed=0)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf], ids=["nan", "inf"])
+def test_noise_level_must_be_finite(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        add_noise(np.zeros(4), sigma, noise_seed=0)
+    with pytest.raises(ValueError, match="sigma"):
+        NoisySample(y=np.zeros(4), sigma=sigma, noise_seed=0, noise=np.zeros(4))
 
 
 def test_snr_db_values():

@@ -361,3 +361,15 @@ def test_solver_config_validation():
     for lam in (np.nan, np.inf):
         with pytest.raises(ValueError):
             SolverConfig(lam=lam)
+
+
+@pytest.mark.parametrize("max_iters", [2.5, np.inf, True, "5"], ids=["fraction", "inf", "bool", "string"])
+def test_solver_config_rejects_non_integral_max_iters(max_iters):
+    with pytest.raises(ValueError, match="expected an integer"):
+        SolverConfig(lam=0.1, max_iters=max_iters)
+
+
+@pytest.mark.parametrize("max_iters", [2.0, np.int64(2)], ids=["float", "int64"])
+def test_solver_config_stores_integral_max_iters_as_int(max_iters):
+    config = SolverConfig(lam=0.1, max_iters=max_iters)
+    assert config.max_iters == 2 and type(config.max_iters) is int
