@@ -25,10 +25,10 @@ print()
 print("== bound constants at delta = half the threshold ==")
 t, r, n3, lam = 5.0, 1, 5, 0.1
 delta = 0.5 * tb.ric_threshold(t, n3)
-eta1, eta2 = tb.eta_constants(delta, t, n3)
-c = tb.bound_constants(delta, t, r, n3, lam, epsilon=lam / 2)
-cm = tb.matched_bound_constants(delta, t, r, n3)
-print(f"eta1={eta1:.4f}  eta2={eta2:.4f}  (eta2 < 1 below the threshold)")
+g = tb.guarantee_constants(delta, t, r, n3, lam, epsilon=lam / 2)
+c = [g[f"c{i}"] for i in range(1, 5)]
+cm = [g[f"c{i}_matched"] for i in range(1, 5)]
+print(f"eta1={g['eta1']:.4f}  eta2={g['eta2']:.4f}  (eta2 < 1 below the threshold)")
 print(f"general constants  c1..c4   : {np.round(c, 4)}")
 print(f"matched-noise form c1t..c4t : {np.round(cm, 4)}  (c2 == c2t*lam: "
       f"{math.isclose(c[1], cm[1] * lam)})")

@@ -29,11 +29,8 @@ from .algebra import (
 from .analysis import (
     RipConditionError,
     RipEstimate,
-    bound_constants,
     estimate_ric,
-    eta_constants,
     guarantee_constants,
-    matched_bound_constants,
     ric_threshold,
     verify_bounds,
 )

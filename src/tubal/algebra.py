@@ -34,6 +34,7 @@ Conventions fixed here and relied on elsewhere in the package:
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,8 +68,15 @@ _RANK_TOL = 1e-8
 
 
 def _as_array(x, ndim: int) -> np.ndarray:
-    """Validate and return `x` as a finite float64 array with `ndim` axes, none empty."""
-    arr = np.asarray(x, dtype=np.float64)
+    """Validate and return `x` as a finite float64 array with `ndim` axes, none empty.
+
+    Only integer and real floating dtypes are converted: a complex, bool,
+    string or object array raises ``ValueError`` rather than losing its
+    imaginary part or its meaning in the cast."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"expected a real array, got dtype {arr.dtype}")
+    arr = arr.astype(np.float64, copy=False)
     if arr.ndim != ndim:
         raise ValueError(f"expected an array with {ndim} axes, got ndim={arr.ndim}")
     if min(arr.shape) < 1:
@@ -87,6 +95,20 @@ def _as_int(value) -> int:
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _as_real(value, name: str = "") -> float:
+    """Read a finite real number as a float.  Bools, strings, NaN and
+    +-inf raise ``ValueError``; `name`, when given, is named in the message."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:  # an int or a fraction beyond the float range
+            real = math.inf
+        if math.isfinite(real):
+            return real
+    where = f" for {name}" if name else ""
+    raise ValueError(f"expected a finite number{where}, got {value!r}")
 
 
 def as_tensor3(x) -> np.ndarray:
@@ -379,9 +401,10 @@ def truncate(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Split x into its best tubal-rank-r approximation and the residual.
 
     Returns ``(head, tail)`` where head keeps the r leading singular
-    tubes and ``tail = x - head``.
+    tubes and ``tail = x - head``.  A non-integral `r` raises ``ValueError``.
     """
     x = as_tensor3(x)
+    r = _as_int(r)
     kappa = min(x.shape[0], x.shape[1])
     if not 0 <= r <= kappa:
         raise ValueError(f"truncation rank {r} outside [0, {kappa}]")
@@ -390,7 +413,7 @@ def truncate(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _validate_index_set(indices: Sequence[int], kappa: int) -> np.ndarray:
-    idx = np.asarray(sorted(int(i) for i in indices), dtype=np.intp)
+    idx = np.asarray(sorted(_as_int(i) for i in indices), dtype=np.intp)
     if idx.size and (idx[0] < 0 or idx[-1] >= kappa):
         raise ValueError(f"index set entries must lie in [0, {kappa})")
     if np.unique(idx).size != idx.size:

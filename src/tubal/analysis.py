@@ -13,8 +13,11 @@ True constants are suprema over rank manifolds and cannot be certified
 by sampling; :func:`estimate_ric` therefore reports the max observed
 distortion as an explicit lower estimate, and :func:`verify_bounds`
 evaluates the guarantees with whatever delta the caller supplies.
-:func:`guarantee_constants` is the one place the threshold, eta1, eta2
-and both sets of bound constants are computed together.
+:func:`guarantee_constants` is the only code that computes eta1, eta2
+and the bound constants, for the caller's noise level and for the one
+matched to the regularization; it takes the threshold from
+:func:`ric_threshold`.  Its scalar inputs follow the package's rules:
+reals must be finite and counts integral, and bools are neither.
 """
 
 from __future__ import annotations
@@ -25,17 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .algebra import _as_int, as_tensor3, fro_norm, tnn, tprod, truncate
+from .algebra import _as_int, _as_real, as_tensor3, fro_norm, tnn, tprod, truncate
 from .measurement import GaussianLinearMap, _as_measurements, apply
 
 __all__ = [
     "RipConditionError",
     "RipEstimate",
-    "bound_constants",
     "estimate_ric",
-    "eta_constants",
     "guarantee_constants",
-    "matched_bound_constants",
     "ric_threshold",
     "verify_bounds",
 ]
@@ -50,8 +50,11 @@ def ric_threshold(t: float, n3: int) -> float:
 
     Equals ``sqrt((t-1) / (n3^2 + t - 1))``: strictly increasing in the
     oversampling factor t, strictly decreasing in n3, and reducing to
-    the matrix-recovery threshold ``sqrt((t-1)/t)`` at n3 = 1.
+    the matrix-recovery threshold ``sqrt((t-1)/t)`` at n3 = 1.  A t that
+    is not a finite real above 1, or a non-integral n3, raises
+    ``ValueError``.
     """
+    t, n3 = _as_real(t, "t"), _as_int(n3)
     if t <= 1:
         raise ValueError(f"oversampling factor t must exceed 1, got {t}")
     if n3 < 1:
@@ -59,37 +62,8 @@ def ric_threshold(t: float, n3: int) -> float:
     return math.sqrt((t - 1.0) / (n3 * n3 + t - 1.0))
 
 
-def eta_constants(delta: float, t: float, n3: int) -> tuple[float, float]:
-    """Distortion-derived constants feeding the error bounds.
-
-    eta1 = 2 / ((1 - delta) * sqrt(1 + delta))
-    eta2 = sqrt(n3) * delta / sqrt((1 - delta^2) * (t - 1))
-
-    eta2 < 1 whenever delta < ric_threshold(t, n3); it equals
-    1/sqrt(n3) exactly at the threshold.
-    """
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"delta must lie in [0, 1), got {delta}")
-    if t <= 1:
-        raise ValueError(f"oversampling factor t must exceed 1, got {t}")
-    eta1 = 2.0 / ((1.0 - delta) * math.sqrt(1.0 + delta))
-    eta2 = math.sqrt(n3) * delta / math.sqrt((1.0 - delta * delta) * (t - 1.0))
-    return eta1, eta2
-
-
-def _require_condition(delta: float, t: float, n3: int) -> None:
-    thr = ric_threshold(t, n3)
-    if not 0.0 <= delta < thr:
-        raise RipConditionError(
-            f"delta={delta:.6g} is not below the guarantee threshold "
-            f"{thr:.6g} for t={t:.6g}, n3={n3}"
-        )
-
-
-def bound_constants(
-    delta: float, t: float, r: int, n3: int, lam: float, epsilon: float
-) -> tuple[float, float, float, float]:
-    """Coefficients (c1, c2, c3, c4) of the recovery error bounds.
+def guarantee_constants(delta: float, t: float, r: int, n3: int, lam: float, epsilon: float) -> dict:
+    """Everything the guarantee derives from its inputs, as one record.
 
     With h = x_hat - x_true and tail = nuclear norm of the ground truth
     beyond tubal rank r, the guarantees read
@@ -98,80 +72,69 @@ def bound_constants(
         ||h||_F    <= c3 * tail + c4
 
     for a noise level ||w||_2 <= epsilon and regularization weight lam.
-    Requires delta < ric_threshold(t, n3), which keeps eta2 < 1 and all
-    four constants finite and positive.
+    The coefficients are built from
+
+        eta1 = 2 / ((1 - delta) * sqrt(1 + delta))
+        eta2 = sqrt(n3) * delta / sqrt((1 - delta^2) * (t - 1))
+
+    and need delta below :func:`ric_threshold` (t, n3), else
+    ``RipConditionError``.  That keeps eta2 < 1 (it reaches 1/sqrt(n3)
+    at the threshold) and all constants finite and positive.
+
+    c1_matched..c4_matched are the coefficients at the noise level
+    matched to the regularization, epsilon = lam / 2.  The bounds then
+    read ``||M(h)||_2 <= c1_matched * tail + c2_matched * lam`` and
+    ``||h||_F <= c3_matched * tail + c4_matched * lam``: lam factors out,
+    and they are c1..c4 at lam = 1, epsilon = 1/2.  At epsilon = lam/2,
+    c1 = c1_matched, c2 = c2_matched * lam, c3 = c3_matched and
+    c4 = c4_matched * lam.
+
+    delta, t, lam and epsilon must be finite reals, r and n3 integers
+    (``ValueError`` otherwise); r >= 1, lam > 0 and epsilon >= 0.  The
+    keys, in order, are delta, t, r, n3, lambda, epsilon (the inputs),
+    threshold, eta1, eta2, c1..c4 and c1_matched..c4_matched.  This is
+    what constants-mode ``tubal bounds`` prints, and the head of every
+    :func:`verify_bounds` record.
     """
+    delta, t = _as_real(delta, "delta"), _as_real(t, "t")
+    lam, epsilon = _as_real(lam, "lam"), _as_real(epsilon, "epsilon")
+    r, n3 = _as_int(r), _as_int(n3)
     if r < 1:
         raise ValueError("rank r must be >= 1")
     if lam <= 0:
         raise ValueError("lam must be positive")
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    _require_condition(delta, t, n3)
-    eta1, eta2 = eta_constants(delta, t, n3)
+    thr = ric_threshold(t, n3)
+    if not 0.0 <= delta < thr:
+        raise RipConditionError(
+            f"delta={delta:.6g} is not below the guarantee threshold "
+            f"{thr:.6g} for t={t:.6g}, n3={n3}"
+        )
+    eta1 = 2.0 / ((1.0 - delta) * math.sqrt(1.0 + delta))
+    eta2 = math.sqrt(n3) * delta / math.sqrt((1.0 - delta * delta) * (t - 1.0))
     sr = math.sqrt(r)
     srn = math.sqrt(n3 * r)
     sn = math.sqrt(n3)
-    c1 = 2.0 / (sr * eta1)
-    c2 = 2.0 * sr * eta1 * lam + 2.0 * epsilon
-    c3 = (2.0 * sr * eta1 * (2.0 * srn + 1.0 + eta2) * lam + 2.0 * (srn + eta2) * epsilon) / (
-        r * eta1 * (1.0 - eta2) * lam
-    )
-    c4 = (
-        ((srn + 1.0) * eta1 * lam + (srn - sn * eta2 + sn + 1.0) * epsilon)
-        * (2.0 * sr * eta1 * lam + 2.0 * epsilon)
-        / ((1.0 - eta2) * lam)
-    )
-    return c1, c2, c3, c4
 
+    def coefficients(lam: float, epsilon: float) -> list[float]:
+        c1 = 2.0 / (sr * eta1)
+        c2 = 2.0 * sr * eta1 * lam + 2.0 * epsilon
+        c3 = (2.0 * sr * eta1 * (2.0 * srn + 1.0 + eta2) * lam + 2.0 * (srn + eta2) * epsilon) / (
+            r * eta1 * (1.0 - eta2) * lam
+        )
+        c4 = (
+            ((srn + 1.0) * eta1 * lam + (srn - sn * eta2 + sn + 1.0) * epsilon)
+            * (2.0 * sr * eta1 * lam + 2.0 * epsilon)
+            / ((1.0 - eta2) * lam)
+        )
+        return [c1, c2, c3, c4]
 
-def matched_bound_constants(
-    delta: float, t: float, r: int, n3: int
-) -> tuple[float, float, float, float]:
-    """Coefficients for the noise level matched to the regularization,
-    epsilon = lam / 2.
-
-    The bounds become ``||M(h)||_2 <= c1t * tail + c2t * lam`` and
-    ``||h||_F <= c3t * tail + c4t * lam``; the lam-dependence factors
-    out entirely, so these take no lam argument.  Consistent with
-    :func:`bound_constants`: at epsilon = lam/2, c2 = c2t * lam,
-    c3 = c3t and c4 = c4t * lam.
-    """
-    return bound_constants(delta, t, r, n3, lam=1.0, epsilon=0.5)
-
-
-def guarantee_constants(delta: float, t: float, r: int, n3: int, lam: float, epsilon: float) -> dict:
-    """Everything the guarantee derives from its inputs, as one record.
-
-    The keys, in order, are delta, t, r, n3, lambda, epsilon (the
-    inputs), threshold (:func:`ric_threshold`), eta1, eta2
-    (:func:`eta_constants`), c1..c4 (:func:`bound_constants`) and
-    c1_matched..c4_matched (:func:`matched_bound_constants`).  This is
-    what constants-mode ``tubal bounds`` prints, and the head of every
-    :func:`verify_bounds` record.
-    """
-    c1, c2, c3, c4 = bound_constants(delta, t, r, n3, lam, epsilon)
-    c1t, c2t, c3t, c4t = matched_bound_constants(delta, t, r, n3)
-    eta1, eta2 = eta_constants(delta, t, n3)
-    return {
-        "delta": delta,
-        "t": t,
-        "r": r,
-        "n3": n3,
-        "lambda": lam,
-        "epsilon": epsilon,
-        "threshold": ric_threshold(t, n3),
-        "eta1": eta1,
-        "eta2": eta2,
-        "c1": c1,
-        "c2": c2,
-        "c3": c3,
-        "c4": c4,
-        "c1_matched": c1t,
-        "c2_matched": c2t,
-        "c3_matched": c3t,
-        "c4_matched": c4t,
-    }
+    record = {"delta": delta, "t": t, "r": r, "n3": n3, "lambda": lam, "epsilon": epsilon,
+              "threshold": thr, "eta1": eta1, "eta2": eta2}
+    record.update(zip(("c1", "c2", "c3", "c4"), coefficients(lam, epsilon)))
+    record.update(zip(("c1_matched", "c2_matched", "c3_matched", "c4_matched"), coefficients(1.0, 0.5)))
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +258,9 @@ def verify_bounds(
     `epsilon` must dominate the realized noise ``||y - M(x_true)||_2``
     (the guarantee assumes a noise level, and the realized norm is the
     honest choice); `delta` is whatever isometry constant the caller
-    trusts for rank t*r, typically an empirical lower estimate.
+    trusts for rank t*r, typically an empirical lower estimate.  The
+    scalars are read and checked by :func:`guarantee_constants` before
+    any measurement is taken.
 
     Returns the :func:`guarantee_constants` record followed by tail_tnn
     (the nuclear norm of the ground truth beyond tubal rank r), the two
@@ -306,14 +271,14 @@ def verify_bounds(
     x_hat = as_tensor3(x_hat)
     if x_true.shape != op.dims or x_hat.shape != op.dims:
         raise ValueError("tensor dims do not match the measurement map")
-    n3 = op.dims[2]
     y = _as_measurements(op, y)
+    record = guarantee_constants(delta, t, r, op.dims[2], lam, epsilon)
+    epsilon = record["epsilon"]
     realized = float(np.linalg.norm(y - apply(op, x_true)))
     if realized > epsilon * (1.0 + 1e-9) + 1e-12:
         raise ValueError(
             f"epsilon={epsilon:.6g} is below the realized noise norm {realized:.6g}"
         )
-    record = guarantee_constants(float(delta), float(t), int(r), int(n3), float(lam), float(epsilon))
 
     tail_tnn = tnn(truncate(x_true, r)[1])
     diff = x_hat - x_true

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
@@ -26,7 +24,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import rng
-from .algebra import _as_int, tprod, tubal_rank
+from .algebra import _as_int, _as_real, tprod, tubal_rank
 from .analysis import RipEstimate, estimate_ric, ric_threshold, verify_bounds
 from .measurement import GaussianLinearMap, add_noise, apply, gaussian_map, snr_db
 from .solver import NumericalError, SolverConfig, admm_solve
@@ -67,10 +65,12 @@ def spec_int(value) -> int:
 
 
 def spec_float(value) -> float:
-    """Read a finite real spec value; inf, NaN, bools and strings are rejected."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
-        return float(value)
-    raise SpecValidationError(f"expected a finite number, got {value!r}")
+    """Read a real spec value by the rule of every real input in tubal
+    (inf, NaN, bools and strings are rejected), as SpecValidationError."""
+    try:
+        return _as_real(value)
+    except ValueError as exc:
+        raise SpecValidationError(str(exc)) from None
 
 
 def generate_lowrank(n1: int, n2: int, n3: int, r: int, seed: int) -> np.ndarray:
@@ -107,7 +107,11 @@ class ExperimentSpec:
     `r` may be an absolute rank (>= 1) or a fraction of n (in (0, 1)),
     rounded to the nearest integer with a floor of 1.  The measurement
     count is :func:`measurement_count` of the rank.  Sigma values must be
-    finite and >= 0, lambda values finite and > 0.
+    >= 0, lambda values > 0.  The fields are read when the spec is
+    built: n, n3, trials and base_seed by the rule of :func:`spec_int`
+    and stored as ints; r, sample_factor and the grids by the rule of
+    :func:`spec_float` and stored as floats and tuples of floats.  Any
+    violation raises SpecValidationError.
     """
 
     case_name: str
@@ -123,22 +127,34 @@ class ExperimentSpec:
     def __post_init__(self):
         if not (isinstance(self.case_name, str) and self.case_name):
             raise SpecValidationError(f"case_name must be a non-empty string, got {self.case_name!r}")
+
+        def real_grid(values) -> tuple[float, ...]:
+            return tuple(_as_real(v) for v in values)
+
+        for name, read in (
+            ("n", _as_int), ("n3", _as_int), ("r", _as_real), ("sample_factor", _as_real),
+            ("sigma_list", real_grid), ("lambda_list", real_grid), ("trials", _as_int), ("base_seed", _as_int),
+        ):
+            try:
+                object.__setattr__(self, name, read(getattr(self, name)))
+            except (TypeError, ValueError) as exc:
+                raise SpecValidationError(f"{name}: {exc}") from None
         if self.n < 1 or self.n3 < 1:
             raise SpecValidationError("n and n3 must be >= 1")
         if self.r <= 0:
             raise SpecValidationError("r must be positive")
         if self.rank > self.n:
             raise SpecValidationError(f"rank {self.rank} exceeds n={self.n}")
-        if not (math.isfinite(self.sample_factor) and self.sample_factor > 0):
-            raise SpecValidationError("sample_factor must be finite and positive")
+        if self.sample_factor <= 0:
+            raise SpecValidationError("sample_factor must be positive")
         if self.trials < 1:
             raise SpecValidationError("trials must be >= 1")
         if not self.sigma_list or not self.lambda_list:
             raise SpecValidationError("sigma_list and lambda_list must be non-empty")
-        if not all(math.isfinite(s) and s >= 0 for s in self.sigma_list):
-            raise SpecValidationError("sigma values must be finite and >= 0")
-        if not all(math.isfinite(l) and l > 0 for l in self.lambda_list):
-            raise SpecValidationError("lambda values must be finite and positive")
+        if min(self.sigma_list) < 0:
+            raise SpecValidationError("sigma values must be >= 0")
+        if min(self.lambda_list) <= 0:
+            raise SpecValidationError("lambda values must be positive")
 
     @property
     def rank(self) -> int:
@@ -160,18 +176,8 @@ class ExperimentSpec:
     def from_dict(cls, obj: dict) -> "ExperimentSpec":
         check_spec_keys(obj, [f.name for f in fields(cls)], "experiment")
         try:
-            return cls(
-                case_name=obj["case_name"],
-                n=spec_int(obj["n"]),
-                n3=spec_int(obj["n3"]),
-                r=spec_float(obj["r"]),
-                sample_factor=spec_float(obj["sample_factor"]),
-                sigma_list=tuple(spec_float(s) for s in obj["sigma_list"]),
-                lambda_list=tuple(spec_float(l) for l in obj["lambda_list"]),
-                trials=spec_int(obj.get("trials", 50)),
-                base_seed=spec_int(obj.get("base_seed", 0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(**obj)
+        except (TypeError, ValueError) as exc:
             raise SpecValidationError(f"invalid experiment spec: {exc}") from exc
 
     def to_dict(self) -> dict:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .algebra import _as_array, _as_int, as_tensor3, fro_norm
+from .algebra import _as_array, _as_int, _as_real, as_tensor3, fro_norm
 
 __all__ = [
     "GaussianLinearMap",
@@ -128,6 +128,14 @@ def adjoint_apply(op: GaussianLinearMap, v: np.ndarray) -> np.ndarray:
     return unvec(op.matrix.T @ _as_measurements(op, v), op.dims)
 
 
+def _as_sigma(sigma) -> float:
+    """Read a noise level: a finite real >= 0, else ``ValueError``."""
+    sigma = _as_real(sigma, "sigma")
+    if sigma < 0:
+        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    return sigma
+
+
 @dataclass(frozen=True)
 class NoisySample:
     """Measurement vector with additive Gaussian noise.
@@ -142,8 +150,7 @@ class NoisySample:
     noise: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        object.__setattr__(self, "sigma", _as_sigma(self.sigma))
         if self.y.shape != self.noise.shape:
             raise ValueError("noise and measurement lengths differ")
 
@@ -157,13 +164,12 @@ def add_noise(y: np.ndarray, sigma: float, noise_seed: int) -> NoisySample:
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1:
         raise ValueError("measurements must be a vector")
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    sigma = _as_sigma(sigma)
     noise_seed = _as_int(noise_seed)
     if sigma == 0.0:
         return NoisySample(y=y.copy(), sigma=0.0, noise_seed=noise_seed, noise=np.zeros_like(y))
     w = sigma * rng.stream(noise_seed, "noise").standard_normal(y.size)
-    return NoisySample(y=y + w, sigma=float(sigma), noise_seed=noise_seed, noise=w)
+    return NoisySample(y=y + w, sigma=sigma, noise_seed=noise_seed, noise=w)
 
 
 def snr_db(x_true: np.ndarray, x_hat: np.ndarray) -> float:

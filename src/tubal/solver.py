@@ -30,13 +30,12 @@ form gives for free: ``M z = (M b - M M^T u) / rho = u``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .algebra import _as_int, as_tensor3, fro_norm, tnn, _from_slices, _slice_svd
+from .algebra import _as_int, _as_real, as_tensor3, fro_norm, tnn, _from_slices, _slice_svd
 from .measurement import GaussianLinearMap, _as_measurements, unvec, vec
 
 __all__ = [
@@ -73,9 +72,10 @@ _PROBE_SEED = 0
 class SolverConfig:
     """The settings of the splitting scheme that callers choose.
 
-    lam is the regularization weight of the data-fit term, finite and
-    positive; max_iters caps the number of sweeps, an integer >= 1 (an
-    integral float such as 2.0 is stored as 2).
+    lam is the regularization weight of the data-fit term, a finite
+    positive real stored as a float (a bool is rejected); max_iters caps
+    the number of sweeps, an integer >= 1 (an integral float such as 2.0
+    is stored as 2).
 
     The penalty follows residual balancing: rho starts at _RHO0, grows
     by _VARTHETA (up to _RHO_MAX) when the consensus residual exceeds
@@ -97,8 +97,9 @@ class SolverConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"lam must be finite and positive, got {self.lam}")
+        object.__setattr__(self, "lam", _as_real(self.lam, "lam"))
+        if self.lam <= 0:
+            raise ValueError(f"lam must be positive, got {self.lam}")
         object.__setattr__(self, "max_iters", _as_int(self.max_iters))
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")

@@ -161,6 +161,36 @@ def test_validators_reject_bad_tensors(k, dims, defect, where):
         apply(gaussian_map(2, (n1, n2, n3), seed=0), bad_a)
 
 
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.ones((2, 2, 2)) + 1j,
+        np.ones((2, 2, 2), dtype=bool),
+        np.ones((2, 2, 2), dtype=object),
+        np.full((2, 2, 2), "1.0"),
+    ],
+    ids=["complex", "bool", "object", "string"],
+)
+def test_validators_reject_non_real_dtypes(x):
+    # a cast would drop the imaginary part or read a flag or text as a number
+    with pytest.raises(ValueError, match="real array"):
+        as_tensor3(x)
+    with pytest.raises(ValueError, match="real array"):
+        tsvd(x)
+    with pytest.raises(ValueError, match="real array"):
+        tprod(x, np.ones((2, 2, 2)))
+    with pytest.raises(ValueError, match="real array"):
+        apply(gaussian_map(2, (2, 2, 2), seed=0), x)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64, np.float32, np.float64])
+def test_validators_take_integer_and_float_dtypes(dtype):
+    x = np.arange(8).reshape(2, 2, 2).astype(dtype)
+    out = as_tensor3(x)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, np.arange(8.0).reshape(2, 2, 2))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     k=st.integers(1, 5),
@@ -459,6 +489,16 @@ def test_truncate_extremes():
         truncate(x, -1)
 
 
+def test_truncate_reads_r_as_a_count():
+    x = rand_tensor(24, (4, 4, 3))
+    for r in (2.0, np.int64(2)):
+        head, tail = truncate(x, r)
+        assert np.array_equal(head, truncate(x, 2)[0]) and np.array_equal(tail, truncate(x, 2)[1])
+    for r in (1.5, True, np.inf, "2"):
+        with pytest.raises(ValueError, match="expected an integer"):
+            truncate(x, r)
+
+
 def test_truncate_rank_bound():
     x = rand_tensor(25, (5, 5, 4))
     head, _ = truncate(x, 2)
@@ -524,3 +564,10 @@ def test_restrict_validates_indices():
         restrict(x, [3])
     with pytest.raises(ValueError):
         restrict(x, [-1])
+    # an index is a count: a fraction or a bool is rejected, not truncated
+    for bad in ([0.7], [True], [1, 1.5]):
+        with pytest.raises(ValueError, match="expected an integer"):
+            restrict(x, bad)
+        with pytest.raises(ValueError, match="expected an integer"):
+            complement_indices(bad, 3)
+    assert np.array_equal(restrict(x, [1.0]), restrict(x, [1]))

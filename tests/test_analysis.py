@@ -8,13 +8,11 @@ from tubal import (
     RipConditionError,
     add_noise,
     apply,
-    bound_constants,
     estimate_ric,
-    eta_constants,
     fro_norm,
     gaussian_map,
     generate_lowrank,
-    matched_bound_constants,
+    guarantee_constants,
     ric_threshold,
     tprod,
     verify_bounds,
@@ -54,27 +52,34 @@ def test_ric_threshold_rejects_t_at_most_1():
         ric_threshold(0.5, 3)
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan], ids=["inf", "nan"])
+def test_ric_threshold_rejects_non_finite_t(t):
+    with pytest.raises(ValueError, match="finite number for t"):
+        ric_threshold(t, 5)
+
+
 # ---------------------------------------------------------------------------
-# eta constants
+# guarantee constants: eta1, eta2
 
 
 def test_eta_limits_at_zero_delta():
-    eta1, eta2 = eta_constants(0.0, 2.0, 4)
-    assert eta1 == pytest.approx(2.0, abs=1e-15)
-    assert eta2 == 0.0
+    rec = guarantee_constants(0.0, 2.0, 1, 4, 1.0, 0.0)
+    assert rec["eta1"] == pytest.approx(2.0, abs=1e-15)
+    assert rec["eta2"] == 0.0
 
 
 def test_eta_reference_value():
-    eta1, _ = eta_constants(0.5, 2.0, 1)
+    eta1 = guarantee_constants(0.5, 2.0, 1, 1, 1.0, 0.0)["eta1"]
     assert eta1 == pytest.approx(2.0 / (0.5 * math.sqrt(1.5)), abs=1e-12)
     assert eta1 == pytest.approx(3.26598632371, abs=1e-9)
 
 
 def test_eta2_at_threshold_is_inverse_sqrt_n3():
+    # the record rejects delta at the threshold, so take the float just below it
     for t in T_GRID:
         for n3 in N3_GRID:
-            thr = ric_threshold(t, n3)
-            _, eta2 = eta_constants(thr, t, n3)
+            delta = math.nextafter(ric_threshold(t, n3), 0.0)
+            eta2 = guarantee_constants(delta, t, 1, n3, 1.0, 0.0)["eta2"]
             assert eta2 == pytest.approx(1.0 / math.sqrt(n3), abs=1e-12)
 
 
@@ -82,25 +87,28 @@ def test_eta2_below_one_under_threshold():
     for t in T_GRID:
         for n3 in N3_GRID:
             delta = 0.999 * ric_threshold(t, n3)
-            _, eta2 = eta_constants(delta, t, n3)
-            assert eta2 < 1.0
+            assert guarantee_constants(delta, t, 1, n3, 1.0, 0.0)["eta2"] < 1.0
 
 
 def test_eta_validation():
     with pytest.raises(ValueError):
-        eta_constants(1.0, 2.0, 3)
+        guarantee_constants(1.0, 2.0, 1, 3, 1.0, 0.0)
     with pytest.raises(ValueError):
-        eta_constants(-0.1, 2.0, 3)
+        guarantee_constants(-0.1, 2.0, 1, 3, 1.0, 0.0)
     with pytest.raises(ValueError):
-        eta_constants(0.5, 1.0, 3)
+        guarantee_constants(0.5, 1.0, 1, 3, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
-# bound constants
+# guarantee constants: c1..c4 and the matched-noise set
+
+
+def coefficients(rec, suffix=""):
+    return [rec[f"c{i}{suffix}"] for i in range(1, 5)]
 
 
 def test_bound_constants_zero_delta_reference():
-    c1, c2, c3, c4 = bound_constants(0.0, 2.0, 1, 1, 1.0, 0.0)
+    c1, c2, c3, c4 = coefficients(guarantee_constants(0.0, 2.0, 1, 1, 1.0, 0.0))
     assert c1 == pytest.approx(1.0, abs=1e-12)
     assert c2 == pytest.approx(4.0, abs=1e-12)
     assert c3 == pytest.approx(6.0, abs=1e-12)
@@ -109,38 +117,37 @@ def test_bound_constants_zero_delta_reference():
 
 def test_bound_constants_epsilon_zero_c2():
     delta, t, r, n3, lam = 0.1, 2.0, 2, 3, 0.3
-    eta1, _ = eta_constants(delta, t, n3)
-    c2 = bound_constants(delta, t, r, n3, lam, 0.0)[1]
-    assert c2 == pytest.approx(2.0 * math.sqrt(r) * eta1 * lam, rel=1e-12)
+    rec = guarantee_constants(delta, t, r, n3, lam, 0.0)
+    assert rec["c2"] == pytest.approx(2.0 * math.sqrt(r) * rec["eta1"] * lam, rel=1e-12)
 
 
 def test_bound_constants_reject_delta_at_threshold():
     thr = ric_threshold(2.0, 5)
     with pytest.raises(RipConditionError):
-        bound_constants(thr, 2.0, 1, 5, 0.1, 0.0)
+        guarantee_constants(thr, 2.0, 1, 5, 0.1, 0.0)
     with pytest.raises(RipConditionError):
-        bound_constants(0.9, 2.0, 1, 5, 0.1, 0.0)
+        guarantee_constants(0.9, 2.0, 1, 5, 0.1, 0.0)
 
 
 def test_bound_constants_validation():
     with pytest.raises(ValueError):
-        bound_constants(0.1, 2.0, 0, 5, 0.1, 0.0)
+        guarantee_constants(0.1, 2.0, 0, 5, 0.1, 0.0)
     with pytest.raises(ValueError):
-        bound_constants(0.1, 2.0, 1, 5, 0.0, 0.0)
+        guarantee_constants(0.1, 2.0, 1, 5, 0.0, 0.0)
     with pytest.raises(ValueError):
-        bound_constants(0.1, 2.0, 1, 5, 0.1, -1.0)
+        guarantee_constants(0.1, 2.0, 1, 5, 0.1, -1.0)
 
 
 def test_bound_constants_finite_near_threshold():
     for t in (1.5, 2.0, 5.0):
         for n3 in (1, 3, 5):
             delta = 0.9 * ric_threshold(t, n3)
-            vals = bound_constants(delta, t, 2, n3, 0.5, 0.1)
+            vals = coefficients(guarantee_constants(delta, t, 2, n3, 0.5, 0.1))
             assert all(np.isfinite(v) and v > 0 for v in vals)
 
 
 def test_matched_constants_zero_delta_reference():
-    c1t, c2t, c3t, c4t = matched_bound_constants(0.0, 2.0, 1, 1)
+    c1t, c2t, c3t, c4t = coefficients(guarantee_constants(0.0, 2.0, 1, 1, 0.3, 0.2), "_matched")
     assert c1t == pytest.approx(1.0, abs=1e-12)
     assert c2t == pytest.approx(5.0, abs=1e-12)
     assert c3t == pytest.approx(6.5, abs=1e-12)
@@ -153,8 +160,9 @@ def test_matched_constants_consistent_with_general():
             for r in (1, 3):
                 for lam in (0.05, 1.0):
                     delta = 0.5 * ric_threshold(t, n3)
-                    c1, c2, c3, c4 = bound_constants(delta, t, r, n3, lam, lam / 2.0)
-                    c1t, c2t, c3t, c4t = matched_bound_constants(delta, t, r, n3)
+                    rec = guarantee_constants(delta, t, r, n3, lam, lam / 2.0)
+                    c1, c2, c3, c4 = coefficients(rec)
+                    c1t, c2t, c3t, c4t = coefficients(rec, "_matched")
                     assert c1 == pytest.approx(c1t, rel=1e-12)
                     assert c2 == pytest.approx(c2t * lam, rel=1e-12)
                     assert c3 == pytest.approx(c3t, rel=1e-12)
@@ -163,7 +171,43 @@ def test_matched_constants_consistent_with_general():
 
 def test_matched_constants_reject_delta_at_threshold():
     with pytest.raises(RipConditionError):
-        matched_bound_constants(ric_threshold(2.0, 3), 2.0, 1, 3)
+        guarantee_constants(ric_threshold(2.0, 3), 2.0, 1, 3, 1.0, 0.5)
+
+
+def test_guarantee_constants_takes_the_threshold_once(monkeypatch):
+    calls = []
+
+    def counting(t, n3):
+        calls.append((t, n3))
+        return ric_threshold(t, n3)
+
+    monkeypatch.setattr(analysis, "ric_threshold", counting)
+    rec = guarantee_constants(0.1, 2.0, 1, 5, 0.1, 0.05)
+    assert calls == [(2.0, 5)]
+    assert rec["threshold"] == ric_threshold(2.0, 5)
+
+
+@pytest.mark.parametrize("key", ["delta", "t", "lam", "epsilon"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, True, "0.1"], ids=["nan", "inf", "bool", "string"])
+def test_guarantee_constants_rejects_non_finite_reals(key, value):
+    # at nan or inf the formulas would give nan or inf constants, not an error
+    args = {**dict(delta=0.1, t=2.0, r=1, n3=5, lam=0.1, epsilon=0.05), key: value}
+    with pytest.raises(ValueError, match=f"finite number for {key}"):
+        guarantee_constants(**args)
+
+
+@pytest.mark.parametrize("key", ["r", "n3"])
+@pytest.mark.parametrize("value", [1.5, True, math.inf], ids=["fraction", "bool", "inf"])
+def test_guarantee_constants_rejects_non_integral_counts(key, value):
+    args = {**dict(delta=0.01, t=2.0, r=1, n3=1, lam=0.1, epsilon=0.05), key: value}
+    with pytest.raises(ValueError, match="expected an integer"):
+        guarantee_constants(**args)
+
+
+def test_guarantee_constants_reads_integral_floats_as_counts():
+    rec = guarantee_constants(np.float64(0.1), 2, 1.0, 5.0, 0.1, 0.05)
+    assert rec == guarantee_constants(0.1, 2.0, 1, 5, 0.1, 0.05)
+    assert [type(rec[k]) for k in ("delta", "t", "r", "n3")] == [float, float, int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +364,27 @@ def test_verify_bounds_rejects_understated_epsilon():
     sample = add_noise(apply(op, x), 0.1, noise_seed=3)
     with pytest.raises(ValueError):
         verify_bounds(x, x, op, sample.y, r=1, t=2.0, delta=0.1, lam=0.5, epsilon=0.0)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("r", 1.5), ("r", True), ("lam", np.nan), ("epsilon", np.inf), ("delta", np.nan)]
+)
+def test_verify_bounds_reads_its_scalars_by_the_package_rules(key, value):
+    # a fractional r was truncated in the record but not in the tail
+    x = generate_lowrank(4, 4, 2, 1, seed=2)
+    op = identity_map((4, 4, 2))
+    args = {**dict(r=1, t=2.0, delta=0.1, lam=0.5, epsilon=0.0), key: value}
+    with pytest.raises(ValueError, match="expected a finite number|expected an integer"):
+        verify_bounds(x, x, op, apply(op, x), **args)
+
+
+def test_verify_bounds_takes_integral_floats():
+    x = generate_lowrank(4, 4, 2, 1, seed=2)
+    op = identity_map((4, 4, 2))
+    y = apply(op, x)
+    a = verify_bounds(x, 0.9 * x, op, y, r=2.0, t=3, delta=0.1, lam=1, epsilon=0)
+    b = verify_bounds(x, 0.9 * x, op, y, r=2, t=3.0, delta=0.1, lam=1.0, epsilon=0.0)
+    assert a == b and type(a["r"]) is int
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "column", "short"])

@@ -132,6 +132,36 @@ def test_spec_from_dict_rejects_bad_keys(key, value, match):
         ExperimentSpec.from_dict({**mini_spec().to_dict(), key: value})
 
 
+@pytest.mark.parametrize(
+    "key, value, match",
+    [
+        ("n", 6.5, "n: expected an integer"),
+        ("n3", True, "n3: expected an integer"),
+        ("trials", 1.5, "trials: expected an integer"),
+        ("base_seed", 1.5, "base_seed: expected an integer"),
+        ("r", math.inf, "r: expected a finite number"),
+        ("r", True, "r: expected a finite number"),
+        ("sample_factor", "2", "sample_factor: expected a finite number"),
+        ("sigma_list", (True,), "sigma_list: expected a finite number"),
+        ("lambda_list", 0.5, "lambda_list: "),
+    ],
+    ids=["n-fraction", "n3-bool", "trials-fraction", "base_seed-fraction", "r-inf", "r-bool",
+         "sample_factor-string", "sigma-bool", "lambda-scalar"],
+)
+def test_spec_checks_its_fields_when_built(key, value, match):
+    with pytest.raises(SpecValidationError, match=match):
+        mini_spec(**{key: value})
+
+
+def test_spec_stores_fields_by_type():
+    spec = ExperimentSpec("c", 10.0, np.int64(5), 1, 2, [0.01], (np.float32(0.5),), trials=2.0, base_seed=7.0)
+    assert spec == ExperimentSpec("c", 10, 5, 1.0, 2.0, (0.01,), (0.5,), trials=2, base_seed=7)
+    assert [type(getattr(spec, k)) for k in ("n", "n3", "trials", "base_seed", "r", "sample_factor")] == (
+        [int] * 4 + [float] * 2
+    )
+    assert type(spec.sigma_list) is tuple and type(spec.lambda_list[0]) is float
+
+
 def test_spec_from_dict_takes_integral_floats():
     assert ExperimentSpec.from_dict({**mini_spec().to_dict(), "n": 6.0, "trials": 3.0}) == mini_spec()
 

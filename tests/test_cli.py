@@ -176,6 +176,36 @@ def test_bounds_constants_mode(tmp_path, capsys):
     assert doc["c2"] == pytest.approx(doc["c2_matched"] * 0.1, rel=1e-12)
 
 
+# constants-mode output on CONSTANTS_SPEC, the CI spec, to the last digit
+CONSTANTS_TEXT = (
+    '{\n'
+    '  "delta": 0.1,\n'
+    '  "t": 2.0,\n'
+    '  "r": 1,\n'
+    '  "n3": 5,\n'
+    '  "lambda": 0.1,\n'
+    '  "epsilon": 0.05,\n'
+    '  "threshold": 0.19611613513818404,\n'
+    '  "eta1": 2.118805753879094,\n'
+    '  "eta2": 0.22473328748774737,\n'
+    '  "c1": 0.9439279633531364,\n'
+    '  "c2": 0.5237611507758188,\n'
+    '  "c3": 16.194617730236263,\n'
+    '  "c4": 6.31094629957749,\n'
+    '  "c1_matched": 0.9439279633531364,\n'
+    '  "c2_matched": 5.237611507758188,\n'
+    '  "c3_matched": 16.194617730236263,\n'
+    '  "c4_matched": 63.109462995774905\n'
+    '}\n'
+)
+
+
+def test_bounds_constants_mode_text_is_pinned(tmp_path, capsys):
+    spec = write_spec(tmp_path, "bounds.json", CONSTANTS_SPEC)
+    assert main(["bounds", "--spec", spec]) == 0
+    assert capsys.readouterr().out == CONSTANTS_TEXT
+
+
 def test_bounds_condition_failure_exit_3(tmp_path):
     spec = write_spec(
         tmp_path,
@@ -378,11 +408,13 @@ def test_spec_unknown_key_exit_2(tmp_path, capsys, no_work, command, spec, key):
         ("bounds", INSTANCE_SPEC, "t_grid", []),
         ("bounds", INSTANCE_SPEC, "rip_trials", 0),
         ("bounds", CONSTANTS_SPEC, "r", 1.5),
+        ("bounds", CONSTANTS_SPEC, "lambda", True),
         ("experiment", EXPERIMENT_SPEC, "n", 6.7),
     ],
     ids=["rip-m-inf", "rip-rank-fraction", "solve-sample_factor-inf", "solve-n-fraction",
          "solve-lambda-string", "bounds-t-inf", "bounds-t-at-1", "bounds-t_grid-empty",
-         "bounds-rip_trials-0", "bounds-constants-r-fraction", "experiment-n-fraction"],
+         "bounds-rip_trials-0", "bounds-constants-r-fraction", "bounds-constants-lambda-bool",
+         "experiment-n-fraction"],
 )
 def test_spec_malformed_number_exit_2_before_work(tmp_path, no_work, command, spec, key, value):
     path = tmp_path / "spec.json"

@@ -181,12 +181,21 @@ def test_add_noise_validation():
         add_noise(np.zeros((2, 2)), 0.1, noise_seed=0)
 
 
-@pytest.mark.parametrize("sigma", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "sigma", [math.nan, math.inf, True, False, "0.1"], ids=["nan", "inf", "true", "false", "string"]
+)
 def test_noise_level_must_be_finite(sigma):
     with pytest.raises(ValueError, match="sigma"):
         add_noise(np.zeros(4), sigma, noise_seed=0)
     with pytest.raises(ValueError, match="sigma"):
         NoisySample(y=np.zeros(4), sigma=sigma, noise_seed=0, noise=np.zeros(4))
+
+
+def test_noise_level_is_stored_as_float():
+    for sigma in (0, np.float32(0.25), 1):
+        assert type(add_noise(np.ones(3), sigma, noise_seed=1).sigma) is float
+    sample = NoisySample(y=np.zeros(3), sigma=np.float64(0.5), noise_seed=0, noise=np.zeros(3))
+    assert type(sample.sigma) is float
 
 
 def test_snr_db_values():

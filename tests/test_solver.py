@@ -358,9 +358,15 @@ def test_solver_config_validation():
         SolverConfig(lam=0.0)
     with pytest.raises(ValueError):
         SolverConfig(lam=1.0, max_iters=0)
-    for lam in (np.nan, np.inf):
+    for lam in (np.nan, np.inf, True, "0.1"):
         with pytest.raises(ValueError):
             SolverConfig(lam=lam)
+
+
+@pytest.mark.parametrize("lam", [1, np.float32(0.5), np.int64(2)], ids=["int", "float32", "int64"])
+def test_solver_config_stores_lam_as_float(lam):
+    config = SolverConfig(lam=lam)
+    assert config.lam == float(lam) and type(config.lam) is float
 
 
 @pytest.mark.parametrize("max_iters", [2.5, np.inf, True, "5"], ids=["fraction", "inf", "bool", "string"])
