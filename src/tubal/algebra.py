@@ -67,22 +67,23 @@ __all__ = [
 _RANK_TOL = 1e-8
 
 
-def _as_array(x, ndim: int) -> np.ndarray:
+def _as_array(x, ndim: int, name: str = "tensor") -> np.ndarray:
     """Validate and return `x` as a finite float64 array with `ndim` axes, none empty.
 
     Only integer and real floating dtypes are converted: a complex, bool,
     string or object array raises ``ValueError`` rather than losing its
-    imaginary part or its meaning in the cast."""
+    imaginary part or its meaning in the cast.  Every message starts
+    with `name`, the kind of input being read."""
     arr = np.asarray(x)
     if arr.dtype.kind not in "iuf":
-        raise ValueError(f"expected a real array, got dtype {arr.dtype}")
+        raise ValueError(f"{name}: expected a real array, got dtype {arr.dtype}")
     arr = arr.astype(np.float64, copy=False)
     if arr.ndim != ndim:
-        raise ValueError(f"expected an array with {ndim} axes, got ndim={arr.ndim}")
+        raise ValueError(f"{name}: expected an array with {ndim} axes, got ndim={arr.ndim}")
     if min(arr.shape) < 1:
-        raise ValueError(f"tensor dimensions must be >= 1, got {arr.shape}")
+        raise ValueError(f"{name}: dimensions must be >= 1, got {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValueError("tensor entries must be finite")
+        raise ValueError(f"{name}: entries must be finite")
     return arr
 
 
@@ -146,10 +147,9 @@ def unfold(x: np.ndarray) -> np.ndarray:
 
 
 def fold(mat: np.ndarray, n3: int) -> np.ndarray:
-    """Inverse of :func:`unfold`; `mat` must have n3 row blocks."""
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ValueError("fold expects a matrix")
+    """Inverse of :func:`unfold`; `mat` must be a real, finite matrix of n3 row blocks."""
+    mat = _as_array(mat, 2, "matrix")
+    n3 = _as_int(n3)
     rows, n2 = mat.shape
     if n3 < 1 or rows % n3 != 0:
         raise ValueError(f"row count {rows} is not divisible by n3={n3}")
@@ -209,6 +209,7 @@ def conj_transpose(x: np.ndarray) -> np.ndarray:
 
 def identity_tensor(n: int, n3: int) -> np.ndarray:
     """Identity for the t-product: eye(n) in slice 1, zeros elsewhere."""
+    n, n3 = _as_int(n), _as_int(n3)
     if n < 1 or n3 < 1:
         raise ValueError("identity_tensor dimensions must be >= 1")
     out = np.zeros((n, n, n3))
@@ -219,6 +220,7 @@ def identity_tensor(n: int, n3: int) -> np.ndarray:
 def is_orthogonal(q: np.ndarray, tol: float = 1e-8) -> bool:
     """True iff q^* * q and q * q^* are within `tol` of the identity (Frobenius)."""
     q = as_tensor3(q)
+    tol = _as_real(tol, "tol")
     if q.shape[0] != q.shape[1]:
         raise ValueError(f"orthogonality requires square slices, got {q.shape}")
     eye = identity_tensor(q.shape[0], q.shape[2])
@@ -231,6 +233,7 @@ def is_orthogonal(q: np.ndarray, tol: float = 1e-8) -> bool:
 def is_fdiagonal(s: np.ndarray, tol: float = 0.0) -> bool:
     """True iff every frontal slice is diagonal up to `tol` (entrywise)."""
     s = as_tensor3(s)
+    tol = _as_real(tol, "tol")
     k = min(s.shape[0], s.shape[1])
     off = s.copy()
     off[np.arange(k), np.arange(k), :] = 0.0

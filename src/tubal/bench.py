@@ -55,24 +55,6 @@ def check_spec_keys(obj: dict, known, what: str) -> None:
         raise SpecValidationError(f"unknown {what} spec key(s): {', '.join(map(repr, unknown))}")
 
 
-def spec_int(value) -> int:
-    """Read an integer spec value by the rule of every count in tubal
-    (6.7, inf, bools and strings are rejected), as SpecValidationError."""
-    try:
-        return _as_int(value)
-    except ValueError as exc:
-        raise SpecValidationError(str(exc)) from None
-
-
-def spec_float(value) -> float:
-    """Read a real spec value by the rule of every real input in tubal
-    (inf, NaN, bools and strings are rejected), as SpecValidationError."""
-    try:
-        return _as_real(value)
-    except ValueError as exc:
-        raise SpecValidationError(str(exc)) from None
-
-
 def generate_lowrank(n1: int, n2: int, n3: int, r: int, seed: int) -> np.ndarray:
     """Random tensor of exact tubal rank r: a t-product of two standard
     Gaussian factor tensors of inner size r.
@@ -108,10 +90,9 @@ class ExperimentSpec:
     rounded to the nearest integer with a floor of 1.  The measurement
     count is :func:`measurement_count` of the rank.  Sigma values must be
     >= 0, lambda values > 0.  The fields are read when the spec is
-    built: n, n3, trials and base_seed by the rule of :func:`spec_int`
-    and stored as ints; r, sample_factor and the grids by the rule of
-    :func:`spec_float` and stored as floats and tuples of floats.  Any
-    violation raises SpecValidationError.
+    built: n, n3, trials and base_seed as ints by ``algebra._as_int``;
+    r, sample_factor and the grids as floats and tuples of floats by
+    ``algebra._as_real``.  Any violation raises SpecValidationError.
     """
 
     case_name: str

@@ -11,15 +11,16 @@ bounds      recovery-guarantee constants / end-to-end verification
 Spec keys
 ---------
 solve, bounds  n, n3, r, lambda; optional sigma (0), max_iters (500),
-               seed (0), m or sample_factor (2); solve also reads
-               save_estimate, bounds also reads t_grid (1.5 ... 50)
-               and rip_trials (50)
+               seed (0), m or sample_factor (2), not both; solve also
+               reads save_estimate, bounds also reads t_grid
+               (1.5 ... 50) and rip_trials (50)
 bounds         with a delta key, constants only: delta, t, r, n3,
-               lambda; optional epsilon (lambda / 2)
+               lambda; optional epsilon (lambda / 2).  Constants mode
+               draws nothing, so it reads no --seed
 experiment     case_name, n, n3, r, sample_factor, sigma_list,
                lambda_list; optional trials (50), base_seed (0)
-rip            m, rank_list, and dims or n and n3; optional seed (0),
-               trials (100), t (2)
+rip            m, rank_list, and dims, or n and n3, not both; optional
+               seed (0), trials (100), t (2)
 
 Files
 -----
@@ -30,9 +31,10 @@ and P_v.npy and the summary to P.json.  solve's save_estimate writes
 the estimate as .npy at exactly the given path, whatever its suffix.
 
 A spec is checked whole before any solve or probe.  A key the command
-does not read, a fractional or non-finite number, an empty grid, a t at
-or below 1 and a save_estimate that is not a non-empty path are all
-errors.
+does not read, two keys that set the same thing (m and sample_factor;
+dims and n or n3), a fractional or non-finite number, an empty grid, a
+t at or below 1, a save_estimate that is not a non-empty path and a
+--seed given with a constants-mode spec are all errors.
 
 Bounds output
 -------------
@@ -70,7 +72,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import as_tensor3, fro_norm, tnn, tsvd, tubal_rank
+from .algebra import _as_int, _as_real, as_tensor3, fro_norm, tnn, tsvd, tubal_rank
 from .analysis import RipConditionError, guarantee_constants
 from .bench import (
     ExperimentSpec,
@@ -85,8 +87,6 @@ from .bench import (
     measurement_count,
     run_experiment,
     run_rip_campaign,
-    spec_float,
-    spec_int,
 )
 from .measurement import add_noise, apply, gaussian_map, snr_db
 from .rng import derive_key
@@ -176,22 +176,25 @@ def _build_instance(spec: dict, seed_override: int | None):
 
     Returns (x, op, sample, config, seed, r, t_grid, rip_trials).  Every
     key, `save_estimate` included, is checked before any work, and a
-    malformed one raises SpecValidationError.  The caller rejects the
-    keys its command does not read first.
+    malformed one, or both m and sample_factor, raises
+    SpecValidationError.  The caller rejects the keys its command does
+    not read first.
     """
+    if "m" in spec and "sample_factor" in spec:
+        raise SpecValidationError("instance spec gives both m and sample_factor; give one of them")
     try:
-        n = spec_int(spec["n"])
-        n3 = spec_int(spec["n3"])
-        r = spec_int(spec["r"])
-        sigma = spec_float(spec.get("sigma", 0.0))
-        config = SolverConfig(lam=spec_float(spec["lambda"]), max_iters=spec_int(spec.get("max_iters", 500)))
-        seed = spec_int(spec.get("seed", 0)) if seed_override is None else seed_override
+        n = _as_int(spec["n"])
+        n3 = _as_int(spec["n3"])
+        r = _as_int(spec["r"])
+        sigma = _as_real(spec.get("sigma", 0.0), "sigma")
+        config = SolverConfig(lam=_as_real(spec["lambda"], "lambda"), max_iters=spec.get("max_iters", 500))
+        seed = _as_int(spec.get("seed", 0)) if seed_override is None else seed_override
         if "m" in spec:
-            m = spec_int(spec["m"])
+            m = _as_int(spec["m"])
         else:
-            m = measurement_count(spec_float(spec.get("sample_factor", 2.0)), r, n, n3)
-        t_grid = [spec_float(t) for t in spec.get("t_grid", DEFAULT_T_GRID)]
-        rip_trials = spec_int(spec.get("rip_trials", 50))
+            m = measurement_count(_as_real(spec.get("sample_factor", 2.0), "sample_factor"), r, n, n3)
+        t_grid = [_as_real(t, "t") for t in spec.get("t_grid", DEFAULT_T_GRID)]
+        rip_trials = _as_int(spec.get("rip_trials", 50))
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecValidationError(f"invalid instance spec: {exc}") from exc
     if not t_grid or min(t_grid) <= 1:
@@ -245,16 +248,19 @@ def _cmd_experiment(args) -> None:
 def _cmd_rip(args) -> None:
     spec = _load_spec(args.spec)
     check_spec_keys(spec, _RIP_KEYS, "rip")
+    sizes = " and ".join(key for key in ("n", "n3") if key in spec)
+    if "dims" in spec and sizes:
+        raise SpecValidationError(f"rip spec gives both dims and {sizes}; give dims, or n and n3")
     try:
         if "dims" in spec:
-            dims = tuple(spec_int(d) for d in spec["dims"])
+            dims = tuple(_as_int(d) for d in spec["dims"])
         else:
-            dims = (spec_int(spec["n"]), spec_int(spec["n"]), spec_int(spec["n3"]))
-        m = spec_int(spec["m"])
-        seed = spec_int(spec.get("seed", 0)) if args.seed is None else args.seed
-        rank_list = [spec_int(r) for r in spec["rank_list"]]
-        trials = spec_int(spec.get("trials", 100))
-        t = spec_float(spec.get("t", 2.0))
+            dims = (_as_int(spec["n"]), _as_int(spec["n"]), _as_int(spec["n3"]))
+        m = _as_int(spec["m"])
+        seed = _as_int(spec.get("seed", 0)) if args.seed is None else args.seed
+        rank_list = [_as_int(r) for r in spec["rank_list"]]
+        trials = _as_int(spec.get("trials", 100))
+        t = _as_real(spec.get("t", 2.0), "t")
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecValidationError(f"invalid rip spec: {exc}") from exc
     check_rip_grid(dims, rank_list, trials, t)
@@ -269,9 +275,11 @@ def _cmd_bounds(args) -> None:
     spec = _load_spec(args.spec)
     if "delta" in spec:
         check_spec_keys(spec, _CONSTANTS_KEYS, "bounds constants")
+        if args.seed is not None:
+            raise SpecValidationError("--seed has no use with a constants-mode spec (one with a delta key)")
         try:
             # guarantee_constants reads every value by the package's rules
-            lam = spec_float(spec["lambda"])
+            lam = _as_real(spec["lambda"], "lambda")
             payload = guarantee_constants(
                 spec["delta"], spec["t"], spec["r"], spec["n3"], lam, spec.get("epsilon", lam / 2.0)
             )

@@ -114,17 +114,15 @@ def apply(op: GaussianLinearMap, x: np.ndarray) -> np.ndarray:
 
 
 def _as_measurements(op: GaussianLinearMap, y) -> np.ndarray:
-    """Validate and return `y` as a finite float64 vector of length m."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (op.m,):
-        raise ValueError(f"measurement length {y.shape} does not match m={op.m}")
-    if not np.isfinite(y).all():
-        raise ValueError("measurements must be finite")
+    """Validate and return `y` as a real, finite float64 vector of length m."""
+    y = _as_array(y, 1, "measurements")
+    if y.size != op.m:
+        raise ValueError(f"measurements: length {y.size} does not match m={op.m}")
     return y
 
 
 def adjoint_apply(op: GaussianLinearMap, v: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`apply`: ``unvec(matrix.T @ v)`` for a finite m-vector `v`."""
+    """Adjoint of :func:`apply`: ``unvec(matrix.T @ v)`` for a real, finite m-vector `v`."""
     return unvec(op.matrix.T @ _as_measurements(op, v), op.dims)
 
 
@@ -159,11 +157,10 @@ def add_noise(y: np.ndarray, sigma: float, noise_seed: int) -> NoisySample:
     """Add N(0, sigma^2) noise drawn from the "noise" stream of `noise_seed`.
 
     sigma = 0 returns the measurements unchanged (no draw is consumed).
-    A non-integral `noise_seed` raises ``ValueError``, whatever sigma is.
+    `y` must be a real, finite, non-empty vector, and a non-integral
+    `noise_seed` raises ``ValueError``, whatever sigma is.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1:
-        raise ValueError("measurements must be a vector")
+    y = _as_array(y, 1, "measurements")
     sigma = _as_sigma(sigma)
     noise_seed = _as_int(noise_seed)
     if sigma == 0.0:

@@ -107,20 +107,16 @@ class SolverConfig:
 
 @dataclass
 class AdmmState:
-    """Iterates of the splitting scheme after an update sweep.
+    """The last update sweep of the splitting scheme.
 
-    last_prox_input / last_prox_tau record the argument and threshold of
-    the most recent nuclear-norm proximal step, so optimality of the
-    final x-block can be audited after the fact.
+    rho is the penalty that sweep used.  last_prox_input / last_prox_tau
+    record the argument and threshold of its nuclear-norm proximal step,
+    so optimality of the final x-block can be audited after the fact.
     """
 
-    x: np.ndarray
-    z: np.ndarray
-    k_mult: np.ndarray
     rho: float
-    iteration: int
-    last_prox_input: np.ndarray | None = None
-    last_prox_tau: float | None = None
+    last_prox_input: np.ndarray
+    last_prox_tau: float
 
 
 @dataclass
@@ -151,9 +147,10 @@ def tsvt(y_tensor: np.ndarray, tau: float) -> np.ndarray:
     thresholding the singular values of each Fourier slice by `tau` and
     transforming back, with one stacked SVD of the half spectrum.  The
     (1/n3) factors in the tensor norms cancel, so the per-slice
-    threshold is `tau` itself.
+    threshold is `tau` itself, a finite real >= 0.
     """
     y_tensor = as_tensor3(y_tensor)
+    tau = _as_real(tau, "tau")
     if tau < 0:
         raise ValueError("threshold tau must be >= 0")
     try:
@@ -266,7 +263,7 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
     Raises
     ------
     ValueError
-        If `y` has the wrong length or a non-finite entry; this is checked
+        If `y` is not a real, finite vector of length m; this is checked
         before the measurement matrix is factored.
     NumericalError
         If an iterate acquires non-finite entries.
@@ -333,13 +330,5 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
         converged=converged,
         residual_history=np.asarray(gaps_hist),
         objective_history=np.asarray(obj_hist),
-        final_state=AdmmState(
-            x=x,
-            z=z,
-            k_mult=k_mult,
-            rho=sweep_rho,
-            iteration=iteration,
-            last_prox_input=prox_input,
-            last_prox_tau=tau,
-        ),
+        final_state=AdmmState(rho=sweep_rho, last_prox_input=prox_input, last_prox_tau=tau),
     )

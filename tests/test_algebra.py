@@ -70,6 +70,19 @@ def test_fold_rejects_shape_mismatch():
         fold(np.zeros((7, 2)), 3)
 
 
+def test_fold_reads_a_real_finite_matrix_and_an_integral_n3():
+    mat = unfold(rand_tensor(8, (2, 3, 2)))
+    with pytest.raises(ValueError, match="matrix: expected a real array"):
+        fold(mat + 1j, 2)
+    nan_mat = mat.copy()
+    nan_mat[1, 1] = np.nan
+    with pytest.raises(ValueError, match="matrix: entries must be finite"):
+        fold(nan_mat, 2)
+    with pytest.raises(ValueError, match="integer"):
+        fold(mat, 2.5)
+    assert np.array_equal(fold(mat, 2.0), fold(mat, 2))
+
+
 def test_bcirc_n3_1():
     x = rand_tensor(7, (3, 4, 1))
     assert np.array_equal(bcirc(x), x[:, :, 0])
@@ -273,6 +286,13 @@ def test_identity_tensor_properties():
         assert np.allclose(eyef[:, :, k], np.eye(3), atol=1e-12)
 
 
+def test_identity_tensor_reads_its_sizes_as_counts():
+    assert np.array_equal(identity_tensor(2.0, 2.0), identity_tensor(2, 2))
+    for n, n3 in ((2.5, 2), (2, 2.5), (True, 2), ("2", 2)):
+        with pytest.raises(ValueError, match="integer"):
+            identity_tensor(n, n3)
+
+
 # ---------------------------------------------------------------------------
 # predicates
 
@@ -294,6 +314,15 @@ def test_is_fdiagonal():
     assert not is_fdiagonal(bad, tol=1e-6)
     f = tsvd(rand_tensor(16, (4, 5, 3)))
     assert is_fdiagonal(f.s, tol=1e-12)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, True, "1e-8"], ids=["nan", "inf", "bool", "string"])
+def test_predicates_read_a_finite_tol(tol):
+    # a NaN tol would read every tensor as not orthogonal, an inf one every tensor as f-diagonal
+    with pytest.raises(ValueError, match="tol"):
+        is_orthogonal(identity_tensor(2, 2), tol)
+    with pytest.raises(ValueError, match="tol"):
+        is_fdiagonal(np.ones((2, 2, 2)), tol)
 
 
 # ---------------------------------------------------------------------------

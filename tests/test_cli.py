@@ -451,6 +451,36 @@ def test_instance_command_rejects_keys_it_does_not_read(tmp_path, capsys, no_wor
     assert repr(key) in capsys.readouterr().err
 
 
+RIP_WITHOUT_N = {k: v for k, v in RIP_SPEC.items() if k != "n"}
+
+
+@pytest.mark.parametrize(
+    "command, spec, args, names",
+    [
+        ("solve", {**SOLVE_SPEC, "m": 30, "sample_factor": 9}, [], ("m", "sample_factor")),
+        ("bounds", {**INSTANCE_SPEC, "m": 30, "sample_factor": 9}, [], ("m", "sample_factor")),
+        ("rip", {**RIP_SPEC, "dims": [4, 4, 2], "n": 9, "n3": 7}, [], ("dims", "n", "n3")),
+        ("rip", {"dims": [4, 4, 2], **RIP_WITHOUT_N}, [], ("dims", "n3")),
+        ("bounds", CONSTANTS_SPEC, ["--seed", "4"], ("--seed", "delta")),
+    ],
+    ids=["solve-m-and-sample_factor", "bounds-m-and-sample_factor", "rip-dims-and-n-n3",
+         "rip-dims-and-n3", "bounds-constants-seed"],
+)
+def test_input_the_command_would_ignore_exit_2_before_any_draw(tmp_path, capsys, no_work, monkeypatch,
+                                                               command, spec, args, names):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the spec should be rejected before any draw")
+
+    monkeypatch.setattr(tubal.cli, "gaussian_map", forbidden)
+    monkeypatch.setattr(tubal.cli, "generate_lowrank", forbidden)
+    path = write_spec(tmp_path, "spec.json", spec)
+    out = tmp_path / "out.txt"
+    assert main([command, "--spec", path, "--out", str(out), *args]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert all(name in err for name in names)
+
+
 def test_bounds_constants_mode_matches_each_met_entry(tmp_path, capsys, bounds_runs):
     # the end-to-end entries and constants mode report one record under one set of names
     met = [e for e in json.loads(bounds_runs[0])["reports"] if e["condition_met"]]

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,15 +9,19 @@ from hypothesis import strategies as st
 from tubal import (
     GaussianLinearMap,
     NoisySample,
+    SolverConfig,
     add_noise,
     adjoint_apply,
+    admm_solve,
     apply,
     fro_norm,
     gaussian_map,
     snr_db,
     unvec,
     vec,
+    verify_bounds,
 )
+from tubal import solver
 
 from conftest import rand_tensor
 
@@ -179,6 +184,48 @@ def test_add_noise_validation():
         add_noise(np.zeros(4), -0.1, noise_seed=0)
     with pytest.raises(ValueError):
         add_noise(np.zeros((2, 2)), 0.1, noise_seed=0)
+
+
+def _spoil_measurements(y, defect, where):
+    """`y` with one defect: a complex or bool dtype, one NaN or +-inf
+    entry, an axis too many, no entries, or one entry too few."""
+    if defect == "complex":
+        return y + 1j
+    if defect == "bool":
+        return y > 0
+    if defect == "2-d":
+        return y[:, None]
+    if defect == "empty":
+        return y[:0]
+    if defect == "short":
+        return y[:-1]
+    y = y.copy()
+    y[where % y.size] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[defect]
+    return y
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+    m=st.integers(1, 6),
+    defect=st.sampled_from(["complex", "bool", "nan", "inf", "-inf", "2-d", "empty", "short"]),
+    where=st.integers(0, 10**6),
+)
+def test_measurement_readers_reject_bad_vectors(dims, m, defect, where):
+    # every reader of y reads it by one rule and names it in the error
+    op = gaussian_map(m, dims, seed=0)
+    x = np.ones(dims)
+    y = _spoil_measurements(apply(op, x), defect, where)
+    with mock.patch.object(solver, "NormalEquationSolver", side_effect=AssertionError("factored")):
+        with pytest.raises(ValueError, match="measurements"):
+            admm_solve(op, y, SolverConfig(lam=1.0))
+    with pytest.raises(ValueError, match="measurements"):
+        adjoint_apply(op, y)
+    with pytest.raises(ValueError, match="measurements"):
+        verify_bounds(x, x, op, y, r=1, t=2.0, delta=0.0, lam=0.5, epsilon=1.0)
+    if defect != "short":  # add_noise has no m to hold a length against
+        with pytest.raises(ValueError, match="measurements"):
+            add_noise(y, 0.1, noise_seed=0)
 
 
 @pytest.mark.parametrize(
