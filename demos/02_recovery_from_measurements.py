@@ -10,17 +10,13 @@ Run:  python demos/02_recovery_from_measurements.py
 import numpy as np
 
 import tubal as tb
-from tubal.bench import measurement_count
-from tubal.rng import derive_key
+from tubal.bench import draw_instance, measurement_count
 
 n, n3, r = 10, 5, 1
 m = measurement_count(2.0, r, n, n3)
-dims = (n, n, n3)
 
-x = tb.generate_lowrank(n, n, n3, r, derive_key(7, "demo", "data"))
-op = tb.gaussian_map(m, dims, derive_key(7, "demo", "map"))
-y_clean = tb.apply(op, x)
-print(f"ground truth: {dims} tensor, tubal rank {r}, {m} measurements "
+x, op, y_clean, noise_seed = draw_instance(n, n3, r, m, 7, "demo")
+print(f"ground truth: {op.dims} tensor, tubal rank {r}, {m} measurements "
       f"({m / (n * n * n3):.0%} of the entries)")
 
 print()
@@ -32,7 +28,7 @@ print(f"relative error {rel:.2e}  (SNR {tb.snr_db(x, res.x_hat):.1f} dB)")
 
 print()
 print("== noise sigma=0.01, lambda on the grid optimum ==")
-sample = tb.add_noise(y_clean, 0.01, derive_key(7, "demo", "noise"))
+sample = tb.add_noise(y_clean, 0.01, noise_seed)
 res = tb.admm_solve(op, sample.y, tb.SolverConfig(lam=0.1))
 print(f"iterations {res.iterations}, converged={res.converged}")
 print(f"SNR {tb.snr_db(x, res.x_hat):.2f} dB, realized ||w||_2 = "

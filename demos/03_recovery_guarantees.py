@@ -12,8 +12,7 @@ import math
 import numpy as np
 
 import tubal as tb
-from tubal.bench import measurement_count
-from tubal.rng import derive_key
+from tubal.bench import draw_instance, measurement_count
 
 print("== guarantee threshold sqrt((t-1)/(n3^2+t-1)) ==")
 for n3 in (1, 3, 5):
@@ -36,8 +35,7 @@ print(f"matched-noise form c1t..c4t : {np.round(cm, 4)}  (c2 == c2t*lam: "
 print()
 print("== empirical distortion of a Gaussian map ==")
 n, n3, r = 10, 5, 1
-m = measurement_count(2.0, r, n, n3)
-op = tb.gaussian_map(m, (n, n, n3), derive_key(3, "demo3", "map"))
+x, op, y_clean, noise_seed = draw_instance(n, n3, r, measurement_count(2.0, r, n, n3), 3, "demo3")
 # one campaign: each row's delta_hat also counts the probes of lower ranks,
 # which lie in every higher-rank set, so it never falls as the rank grows
 for row in tb.run_rip_campaign(op, [1, 2, 5, 10], trials=50, seed=11):
@@ -46,8 +44,7 @@ for row in tb.run_rip_campaign(op, [1, 2, 5, 10], trials=50, seed=11):
 
 print()
 print("== verify both bounds on a solved noisy instance ==")
-x = tb.generate_lowrank(n, n, n3, r, derive_key(3, "demo3", "data"))
-sample = tb.add_noise(tb.apply(op, x), 0.01, derive_key(3, "demo3", "noise"))
+sample = tb.add_noise(y_clean, 0.01, noise_seed)
 res = tb.admm_solve(op, sample.y, tb.SolverConfig(lam=0.1))
 eps = float(np.linalg.norm(sample.noise))
 for e in tb.check_guarantee(x, res.x_hat, op, sample.y, r, (8.0, 20.0), 0.1, eps, trials=50, seed=12):

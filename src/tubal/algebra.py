@@ -82,7 +82,9 @@ def _as_array(x, ndim: int, name: str = "tensor") -> np.ndarray:
         raise ValueError(f"{name}: expected an array with {ndim} axes, got ndim={arr.ndim}")
     if min(arr.shape) < 1:
         raise ValueError(f"{name}: dimensions must be >= 1, got {arr.shape}")
-    if not np.isfinite(arr).all():
+    # min and max carry any NaN or +-inf through, and unlike isfinite they
+    # allocate nothing: on a measurement matrix that mask is megabytes
+    if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
         raise ValueError(f"{name}: entries must be finite")
     return arr
 

@@ -76,6 +76,17 @@ def generate_lowrank(n1: int, n2: int, n3: int, r: int, seed: int) -> np.ndarray
     return x
 
 
+def draw_instance(n: int, n3: int, r: int, m: int, *key):
+    """Draw a rank-r n x n x n3 truth x and an m-row map op under the seed key `key`.
+
+    Returns ``(x, op, apply(op, x), noise_seed)``.  x, op and noise_seed
+    come from ``derive_key(*key, "data" | "map" | "noise")``; no other
+    code derives them."""
+    x = generate_lowrank(n, n, n3, r, rng.derive_key(*key, "data"))
+    op = gaussian_map(m, (n, n, n3), rng.derive_key(*key, "map"))
+    return x, op, apply(op, x), rng.derive_key(*key, "noise")
+
+
 def measurement_count(sample_factor: float, r: int, n: int, n3: int) -> int:
     """Measurement count ``round(sample_factor * r * (2n + 1) * n3)`` for a
     rank-r tensor of size n x n x n3."""
@@ -149,10 +160,6 @@ class ExperimentSpec:
     def sample_count(self) -> int:
         return measurement_count(self.sample_factor, self.rank, self.n, self.n3)
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return (self.n, self.n, self.n3)
-
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentSpec":
         check_spec_keys(obj, [f.name for f in fields(cls)], "experiment")
@@ -225,14 +232,9 @@ def _trial_worker(spec: ExperimentSpec, trial: int):
     aborted = np.zeros((nl, ns), dtype=bool)
     truncated = np.zeros((nl, ns), dtype=bool)
 
-    data_seed = rng.derive_key(spec.base_seed, spec.case_name, trial, "data")
-    map_seed = rng.derive_key(spec.base_seed, spec.case_name, trial, "map")
-    noise_seed = rng.derive_key(spec.base_seed, spec.case_name, trial, "noise")
-
-    x = generate_lowrank(spec.n, spec.n, spec.n3, spec.rank, data_seed)
-    op = gaussian_map(spec.sample_count, spec.dims, map_seed)
-    y_clean = apply(op, x)
-
+    x, op, y_clean, noise_seed = draw_instance(
+        spec.n, spec.n3, spec.rank, spec.sample_count, spec.base_seed, spec.case_name, trial
+    )
     for si, sigma in enumerate(spec.sigma_list):
         sample = add_noise(y_clean, sigma, noise_seed)
         for li, lam in enumerate(spec.lambda_list):
@@ -306,25 +308,23 @@ def _package_version() -> str:
 
 @dataclass(frozen=True)
 class RipCampaignRow:
-    """One probed rank: cumulative distortion estimate vs. the guarantee
-    threshold at the user-chosen oversampling factor."""
+    """One probed rank and its cumulative distortion estimate; the
+    verdict against the guarantee threshold is :func:`emit_campaign`'s."""
 
     r: int
     trials: int
     delta_hat: float
-    threshold: float
-    satisfied: bool
     estimate: RipEstimate = field(repr=False)
 
 
-def check_rip_grid(dims, rank_list, trials: int, t: float) -> tuple[list[int], float]:
+def check_rip_grid(dims, rank_list, trials: int) -> list[int]:
     """Validate a campaign grid on (n1, n2, n3) tensors before any draw or probe.
 
-    Returns the sorted distinct ranks and the threshold at t.  An empty
-    `rank_list`, a non-integral rank or trial count, a rank outside
-    [1, min(n1, n2)], ``trials < 1`` or t <= 1 raises ``ValueError``.
+    Returns the sorted distinct ranks.  An empty `rank_list`, a
+    non-integral rank or trial count, a rank outside [1, min(n1, n2)] or
+    ``trials < 1`` raises ``ValueError``.
     """
-    n1, n2, n3 = dims
+    n1, n2 = dims[:2]
     ranks = sorted(set(_as_int(r) for r in rank_list))
     if not ranks:
         raise ValueError("rank_list must not be empty")
@@ -332,7 +332,7 @@ def check_rip_grid(dims, rank_list, trials: int, t: float) -> tuple[list[int], f
         raise ValueError(f"probe ranks {ranks} must lie in [1, {min(n1, n2)}]")
     if _as_int(trials) < 1:
         raise ValueError("trials must be >= 1")
-    return ranks, ric_threshold(t, n3)
+    return ranks
 
 
 def run_rip_campaign(
@@ -340,34 +340,24 @@ def run_rip_campaign(
     rank_list: list[int],
     trials: int,
     seed: int,
-    t: float = 2.0,
 ) -> list[RipCampaignRow]:
     """Estimate isometry distortion over a grid of tubal ranks.
 
     Rows are sorted by rank and each row's delta_hat is cumulative over
     all ranks probed so far: lower-rank probes lie in every higher-rank
     feasible set, so reusing them tightens the lower estimate and makes
-    the reported sequence nondecreasing by construction.
+    the reported sequence nondecreasing by construction.  No threshold
+    is read: :func:`emit_campaign` judges the rows.
 
     The whole grid is validated by :func:`check_rip_grid` before any
     probe runs.
     """
-    ranks, thr = check_rip_grid(op.dims, rank_list, trials, t)
     rows: list[RipCampaignRow] = []
     running = 0.0
-    for r in ranks:
+    for r in check_rip_grid(op.dims, rank_list, trials):
         est = estimate_ric(op, r, trials, seed)
         running = max(running, est.delta_hat)
-        rows.append(
-            RipCampaignRow(
-                r=r,
-                trials=est.trials,
-                delta_hat=running,
-                threshold=thr,
-                satisfied=running < thr,
-                estimate=est,
-            )
-        )
+        rows.append(RipCampaignRow(r=r, trials=est.trials, delta_hat=running, estimate=est))
     return rows
 
 
@@ -429,15 +419,16 @@ def emit(result: ExperimentResult, fmt: str, path) -> None:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def emit_campaign(rows: list[RipCampaignRow], fmt: str, path, t: float) -> None:
+def emit_campaign(rows: list[RipCampaignRow], fmt: str, path, t: float, n3: int) -> None:
     """Write campaign rows as CSV (r, trials, delta_hat, threshold, satisfied)
-    or as JSON with the per-sample distortions included."""
+    or as JSON with the per-sample distortions included.  The one verdict site:
+    a row is satisfied when delta_hat < ``ric_threshold(t, n3)``."""
+    thr = ric_threshold(t, n3)
     if fmt == "csv":
         lines = [f"r,trials,delta_hat,threshold_t={_grid_label(t)},satisfied"]
         for row in rows:
-            lines.append(
-                f"{row.r},{row.trials},{row.delta_hat:.12g},{row.threshold:.12g},{str(row.satisfied).lower()}"
-            )
+            satisfied = str(row.delta_hat < thr).lower()
+            lines.append(f"{row.r},{row.trials},{row.delta_hat:.12g},{thr:.12g},{satisfied}")
         _write_text(path, "\n".join(lines) + "\n")
     elif fmt == "json":
         payload = [
@@ -445,9 +436,9 @@ def emit_campaign(rows: list[RipCampaignRow], fmt: str, path, t: float) -> None:
                 "r": row.r,
                 "trials": row.trials,
                 "delta_hat": row.delta_hat,
-                "threshold": row.threshold,
+                "threshold": thr,
                 "t": t,
-                "satisfied": row.satisfied,
+                "satisfied": row.delta_hat < thr,
                 "rank_delta_hat": row.estimate.delta_hat,
                 "distortion_samples": row.estimate.distortion_samples.tolist(),
             }

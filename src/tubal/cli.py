@@ -73,7 +73,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import _as_int, _as_real, as_tensor3, fro_norm, tnn, tsvd, tubal_rank
-from .analysis import RipConditionError, guarantee_constants
+from .analysis import RipConditionError, guarantee_constants, ric_threshold
 from .bench import (
     ExperimentSpec,
     SpecValidationError,
@@ -81,14 +81,14 @@ from .bench import (
     check_guarantee,
     check_rip_grid,
     check_spec_keys,
+    draw_instance,
     emit,
     emit_campaign,
-    generate_lowrank,
     measurement_count,
     run_experiment,
     run_rip_campaign,
 )
-from .measurement import add_noise, apply, gaussian_map, snr_db
+from .measurement import add_noise, gaussian_map, snr_db
 from .rng import derive_key
 from .solver import NumericalError, SolverConfig, admm_solve
 
@@ -163,14 +163,6 @@ def _cmd_tsvd(args) -> None:
         _write_json(summary, None)
 
 
-def _instance_seeds(seed: int, label: str) -> tuple[int, int, int]:
-    return (
-        derive_key(seed, label, "data"),
-        derive_key(seed, label, "map"),
-        derive_key(seed, label, "noise"),
-    )
-
-
 def _build_instance(spec: dict, seed_override: int | None):
     """Parse every key of a `solve` or `bounds` instance spec, then build it.
 
@@ -203,10 +195,8 @@ def _build_instance(spec: dict, seed_override: int | None):
         raise SpecValidationError(f"rip_trials must be >= 1, got {rip_trials}")
     if "save_estimate" in spec and not (isinstance(spec["save_estimate"], str) and spec["save_estimate"]):
         raise SpecValidationError(f"save_estimate must be a non-empty path, got {spec['save_estimate']!r}")
-    data_seed, map_seed, noise_seed = _instance_seeds(seed, "instance")
-    x = generate_lowrank(n, n, n3, r, data_seed)
-    op = gaussian_map(m, (n, n, n3), map_seed)
-    sample = add_noise(apply(op, x), sigma, noise_seed)
+    x, op, y_clean, noise_seed = draw_instance(n, n3, r, m, seed, "instance")
+    sample = add_noise(y_clean, sigma, noise_seed)
     return x, op, sample, config, seed, r, t_grid, rip_trials
 
 
@@ -263,11 +253,12 @@ def _cmd_rip(args) -> None:
         t = _as_real(spec.get("t", 2.0), "t")
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecValidationError(f"invalid rip spec: {exc}") from exc
-    check_rip_grid(dims, rank_list, trials, t)
+    check_rip_grid(dims, rank_list, trials)
+    ric_threshold(t, dims[2])  # rejects t <= 1 before the draw
     op = gaussian_map(m, dims, derive_key(seed, "rip-campaign", "map"))
-    rows = run_rip_campaign(op, rank_list, trials, seed, t)
+    rows = run_rip_campaign(op, rank_list, trials, seed)
     out = args.out or f"rip.{args.format}"
-    emit_campaign(rows, args.format, out, t)
+    emit_campaign(rows, args.format, out, t, dims[2])
     print(f"wrote {out}")
 
 

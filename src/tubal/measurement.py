@@ -41,34 +41,44 @@ def vec(x: np.ndarray) -> np.ndarray:
 
 
 def unvec(v: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
-    """Inverse of :func:`vec` for the given (n1, n2, n3)."""
-    v = np.asarray(v, dtype=np.float64)
+    """Inverse of :func:`vec` for the given (n1, n2, n3); `v` is read as a real, finite vector."""
+    v = _as_array(v, 1, "vector")
     n1, n2, n3 = dims
     if v.size != n1 * n2 * n3:
         raise ValueError(f"vector of length {v.size} does not fill dims {dims}")
     return np.ascontiguousarray(v.reshape((n1, n2, n3), order="F"))
 
 
+def _as_dims(dims) -> tuple[int, int, int]:
+    """Read tensor dimensions (n1, n2, n3) as three integers >= 1."""
+    n1, n2, n3 = (_as_int(d) for d in dims)
+    if min(n1, n2, n3) < 1:
+        raise ValueError(f"dims must be >= 1, got {dims}")
+    return n1, n2, n3
+
+
 @dataclass(frozen=True)
 class GaussianLinearMap:
     """Dense linear map from (n1, n2, n3) tensors to m-vectors.
 
-    ``matrix`` has shape (m, n1*n2*n3); `seed` records how
-    :func:`gaussian_map` drew it, so it can be regenerated bit-exactly.
+    ``matrix`` has shape (m, n1*n2*n3), and `m` is its row count.  When
+    the map is built, `dims` is read as three integers >= 1 and `matrix`
+    as a real, finite 2-D float64 array with n1*n2*n3 columns; anything
+    else raises ``ValueError``.
     """
 
-    m: int
     dims: tuple[int, int, int]
     matrix: np.ndarray
-    seed: int
 
     def __post_init__(self):
-        n1, n2, n3 = self.dims
-        if self.matrix.shape != (self.m, n1 * n2 * n3):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} inconsistent with "
-                f"m={self.m} and dims={self.dims}"
-            )
+        object.__setattr__(self, "dims", _as_dims(self.dims))
+        object.__setattr__(self, "matrix", _as_array(self.matrix, 2, "matrix"))
+        if self.matrix.shape[1] != math.prod(self.dims):
+            raise ValueError(f"matrix: {self.matrix.shape[1]} columns do not match dims {self.dims}")
+
+    @property
+    def m(self) -> int:
+        return self.matrix.shape[0]
 
 
 def gaussian_map(m: int, dims: tuple[int, int, int], seed: int) -> GaussianLinearMap:
@@ -78,20 +88,16 @@ def gaussian_map(m: int, dims: tuple[int, int, int], seed: int) -> GaussianLinea
     the map is an isometry in expectation: the scaling under which the
     t-RIP's distortion ``| ||M(x)||^2 / ||x||_F^2 - 1 |`` is small.
     Entries come from the "map" stream of `seed`, so the same arguments
-    always reproduce the same matrix.  A non-integral `m`, dimension or
-    `seed` raises ``ValueError``.
+    always reproduce the same matrix; the map does not keep the seed.  A
+    non-integral `m`, dimension or `seed` raises ``ValueError``.
     """
     m = _as_int(m)
-    n1, n2, n3 = (_as_int(d) for d in dims)
     if m < 1:
         raise ValueError(f"measurement count must be >= 1, got {m}")
-    if min(n1, n2, n3) < 1:
-        raise ValueError(f"dims must be >= 1, got {dims}")
-    seed = _as_int(seed)
-    gen = rng.stream(seed, "map")
-    matrix = gen.standard_normal((m, n1 * n2 * n3))
+    dims = _as_dims(dims)
+    matrix = rng.stream(_as_int(seed), "map").standard_normal((m, math.prod(dims)))
     matrix /= math.sqrt(m)
-    return GaussianLinearMap(m=m, dims=(n1, n2, n3), matrix=matrix, seed=seed)
+    return GaussianLinearMap(dims=dims, matrix=matrix)
 
 
 def apply(op: GaussianLinearMap, x: np.ndarray) -> np.ndarray:
@@ -138,13 +144,12 @@ def _as_sigma(sigma) -> float:
 class NoisySample:
     """Measurement vector with additive Gaussian noise.
 
-    ``noise`` keeps the realized draw so callers can use its 2-norm as
-    the noise level when checking recovery bounds.
+    ``noise`` keeps the realized draw, not its seed, so callers can use
+    its 2-norm as the noise level when checking recovery bounds.
     """
 
     y: np.ndarray
     sigma: float
-    noise_seed: int
     noise: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -164,9 +169,9 @@ def add_noise(y: np.ndarray, sigma: float, noise_seed: int) -> NoisySample:
     sigma = _as_sigma(sigma)
     noise_seed = _as_int(noise_seed)
     if sigma == 0.0:
-        return NoisySample(y=y.copy(), sigma=0.0, noise_seed=noise_seed, noise=np.zeros_like(y))
+        return NoisySample(y=y.copy(), sigma=0.0, noise=np.zeros_like(y))
     w = sigma * rng.stream(noise_seed, "noise").standard_normal(y.size)
-    return NoisySample(y=y + w, sigma=sigma, noise_seed=noise_seed, noise=w)
+    return NoisySample(y=y + w, sigma=sigma, noise=w)
 
 
 def snr_db(x_true: np.ndarray, x_hat: np.ndarray) -> float:

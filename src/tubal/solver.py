@@ -203,15 +203,13 @@ class NormalEquationSolver:
     ``min(m, N)^2`` floats of storage.  A wide M is kept by reference, and
     each solve multiplies by its transpose once and by the m x m
     eigenvectors twice; the caller supplies ``M b``, so no N x m factor is
-    stored and no other pass over M is made.  Eigenvalues that roundoff
+    stored and no other pass over M is made.  M is used as given, as a
+    checked :class:`GaussianLinearMap` matrix.  Eigenvalues that roundoff
     pushed below zero are clamped to 0, their exact value when M is
     rank-deficient.
     """
 
     def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise ValueError("measurement matrix must be 2-d")
         self._wide = matrix.shape[0] < matrix.shape[1]
         gram = matrix @ matrix.T if self._wide else matrix.T @ matrix
         try:
@@ -293,16 +291,19 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
         tau = config.lam / rho
         x = tsvt(prox_input, tau)
 
-        mx = op.matrix @ vec(x)
-        b = mty + vec(k_mult) + rho * vec(x)
+        x_vec = vec(x)
+        mx = op.matrix @ x_vec
+        b = mty + vec(k_mult) + rho * x_vec
         z_vec, mz = ne_solver.solve(b, mmty + mk + rho * mx, rho)
+        if not np.isfinite(z_vec).all():
+            raise NumericalError(f"non-finite z-block solve at iteration {iteration} (rho={rho:.3e})")
         z = unvec(z_vec, dims)
 
         k_mult = k_mult + rho * (x - z)
         if mz is not None:
             mk = mk + rho * (mx - mz)
 
-        if not (np.isfinite(x).all() and np.isfinite(z).all() and np.isfinite(k_mult).all()):
+        if not (np.isfinite(x).all() and np.isfinite(k_mult).all()):
             raise NumericalError(
                 f"non-finite iterate at iteration {iteration} (rho={rho:.3e}, lam={config.lam:.3e})"
             )

@@ -216,7 +216,7 @@ def test_guarantee_constants_reads_integral_floats_as_counts():
 
 def identity_map(dims, scale=1.0):
     n = dims[0] * dims[1] * dims[2]
-    return GaussianLinearMap(m=n, dims=dims, matrix=scale * np.eye(n), seed=0)
+    return GaussianLinearMap(dims=dims, matrix=scale * np.eye(n))
 
 
 def test_estimate_ric_isometry():

@@ -24,6 +24,20 @@ from tubal import (
     run_rip_campaign,
     tubal_rank,
 )
+from tubal.bench import draw_instance
+
+
+def test_draw_instance_pins_the_key_scheme():
+    # truth, map and noise come from the "data", "map" and "noise" keys
+    # under the caller's key; perfbench/reference.py rebuilds sweeps this way
+    x, op, y_clean, noise_seed = draw_instance(6, 2, 1, 30, 7, "instance")
+    want_x = generate_lowrank(6, 6, 2, 1, tubal.rng.derive_key(7, "instance", "data"))
+    want_op = gaussian_map(30, (6, 6, 2), tubal.rng.derive_key(7, "instance", "map"))
+    assert np.array_equal(x, want_x)
+    assert op.dims == want_op.dims
+    assert np.array_equal(op.matrix, want_op.matrix)
+    assert np.array_equal(y_clean, tubal.apply(want_op, want_x))
+    assert noise_seed == tubal.rng.derive_key(7, "instance", "noise")
 
 
 def mini_spec(**overrides):
@@ -284,16 +298,18 @@ def test_emit_rejects_unknown_format(tmp_path, mini_result):
 
 def test_campaign_isometry(tmp_path):
     n = 4 * 4 * 1
-    op = GaussianLinearMap(m=n, dims=(4, 4, 1), matrix=np.eye(n), seed=0)
-    rows = run_rip_campaign(op, [1], trials=10, seed=3, t=2.0)
+    op = GaussianLinearMap(dims=(4, 4, 1), matrix=np.eye(n))
+    rows = run_rip_campaign(op, [1], trials=10, seed=3)
     assert len(rows) == 1
     assert rows[0].delta_hat <= 1e-12
-    assert rows[0].satisfied
+    csv_path = tmp_path / "rip.csv"
+    emit_campaign(rows, "csv", csv_path, t=2.0, n3=1)
+    assert csv_path.read_text().splitlines()[1].endswith(",true")
 
 
 def test_campaign_nested_ranks_nondecreasing():
     op = gaussian_map(40, (5, 5, 2), seed=8)
-    rows = run_rip_campaign(op, [3, 1, 2], trials=15, seed=4, t=2.0)
+    rows = run_rip_campaign(op, [3, 1, 2], trials=15, seed=4)
     assert [row.r for row in rows] == [1, 2, 3]
     deltas = [row.delta_hat for row in rows]
     assert all(a <= b for a, b in zip(deltas, deltas[1:]))
@@ -321,14 +337,14 @@ def test_campaign_validates_grid_before_probing(monkeypatch, ranks, trials):
 
 def test_emit_campaign_formats(tmp_path):
     op = gaussian_map(40, (5, 5, 2), seed=8)
-    rows = run_rip_campaign(op, [1, 2], trials=10, seed=4, t=2.0)
+    rows = run_rip_campaign(op, [1, 2], trials=10, seed=4)
     csv_path = tmp_path / "rip.csv"
-    emit_campaign(rows, "csv", csv_path, t=2.0)
+    emit_campaign(rows, "csv", csv_path, t=2.0, n3=2)
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "r,trials,delta_hat,threshold_t=2,satisfied"
     assert len(lines) == 3
     json_path = tmp_path / "rip.json"
-    emit_campaign(rows, "json", json_path, t=2.0)
+    emit_campaign(rows, "json", json_path, t=2.0, n3=2)
     doc = json.loads(json_path.read_text())
     assert len(doc) == 2
     assert len(doc[0]["distortion_samples"]) == 10
@@ -467,13 +483,15 @@ def test_gaussian_map_records_integral_counts_as_ints():
 
 @pytest.mark.parametrize("seed", [2.0, np.int64(2)], ids=["float", "int64"])
 def test_recorded_seeds_are_checked_ints(seed):
-    recorded = [
-        gaussian_map(30, (4, 4, 2), seed).seed,
-        add_noise(np.ones(3), 0.1, seed).noise_seed,
-        add_noise(np.ones(3), 0.0, seed).noise_seed,
-    ]
-    assert recorded == [2, 2, 2]
-    assert all(type(v) is int for v in recorded)
+    # the map and the sample keep no seed; the fields they keep are read
+    # by the package's rules whatever form the seed took
+    op = gaussian_map(30, (4, 4, 2), seed)
+    assert (op.m, op.dims) == (30, (4, 4, 2))
+    assert all(type(v) is int for v in (op.m, *op.dims))
+    for sigma in (0.1, 0.0):
+        sample = add_noise(np.ones(3), sigma, seed)
+        assert type(sample.sigma) is float
+        assert np.array_equal(sample.noise, add_noise(np.ones(3), sigma, 2).noise)
     with pytest.raises(ValueError, match="expected an integer"):
         add_noise(np.ones(3), 0.0, 2.7)
 

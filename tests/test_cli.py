@@ -151,6 +151,28 @@ def test_rip_subcommand(tmp_path):
     assert len(lines) == 3
 
 
+def test_rip_verdict_is_pinned(tmp_path):
+    # the console-script spec: at t = 2 the threshold is sqrt(1/5), rank 1
+    # lies below it and rank 2 above, so both verdicts are printed
+    spec = write_spec(
+        tmp_path, "spec.json", {"m": 30, "n": 4, "n3": 2, "seed": 2, "rank_list": [1, 2], "trials": 10}
+    )
+    csv_path, json_path = tmp_path / "rip.csv", tmp_path / "rip.json"
+    assert main(["rip", "--spec", spec, "--out", str(csv_path)]) == 0
+    assert csv_path.read_text() == (
+        "r,trials,delta_hat,threshold_t=2,satisfied\n"
+        "1,10,0.354363354827,0.4472135955,true\n"
+        "2,10,0.669084049626,0.4472135955,false\n"
+    )
+    assert main(["rip", "--spec", spec, "--format", "json", "--out", str(json_path)]) == 0
+    doc = json.loads(json_path.read_text())
+    assert [list(row)[:6] for row in doc] == [["r", "trials", "delta_hat", "threshold", "t", "satisfied"]] * 2
+    assert [(row["threshold"], row["t"], row["satisfied"]) for row in doc] == [
+        (0.4472135954999579, 2.0, True),
+        (0.4472135954999579, 2.0, False),
+    ]
+
+
 @pytest.mark.parametrize("rank_list", [[], [1, 2, 5]], ids=["empty", "rank-above-kappa"])
 def test_rip_rejects_bad_rank_list_exit_2(tmp_path, rank_list):
     spec = write_spec(
@@ -472,7 +494,8 @@ def test_input_the_command_would_ignore_exit_2_before_any_draw(tmp_path, capsys,
         raise AssertionError("the spec should be rejected before any draw")
 
     monkeypatch.setattr(tubal.cli, "gaussian_map", forbidden)
-    monkeypatch.setattr(tubal.cli, "generate_lowrank", forbidden)
+    monkeypatch.setattr(tubal.bench, "gaussian_map", forbidden)
+    monkeypatch.setattr(tubal.bench, "generate_lowrank", forbidden)
     path = write_spec(tmp_path, "spec.json", spec)
     out = tmp_path / "out.txt"
     assert main([command, "--spec", path, "--out", str(out), *args]) == 2

@@ -28,7 +28,7 @@ from conftest import rand_tensor
 
 def identity_map(dims):
     n = dims[0] * dims[1] * dims[2]
-    return GaussianLinearMap(m=n, dims=dims, matrix=np.eye(n), seed=0)
+    return GaussianLinearMap(dims=dims, matrix=np.eye(n))
 
 
 def test_vec_order_is_slice_major_column_major():
@@ -47,6 +47,36 @@ def test_unvec_rejects_bad_length():
         unvec(np.zeros(5), (2, 2, 2))
 
 
+def test_unvec_reads_a_real_vector():
+    with pytest.raises(ValueError, match="vector"):
+        unvec(np.ones(8) + 1j, (2, 2, 2))
+
+
+@pytest.mark.parametrize("defect", ["complex", "nan", "inf", "bool", "1-d"])
+def test_map_reads_a_real_finite_matrix(defect):
+    matrix = np.ones((3, 8))
+    if defect == "complex":
+        matrix = matrix + 1j
+    elif defect == "bool":
+        matrix = matrix.astype(bool)
+    elif defect == "1-d":
+        matrix = matrix.ravel()
+    else:
+        matrix[1, 2] = np.nan if defect == "nan" else np.inf
+    with pytest.raises(ValueError, match="matrix"):
+        GaussianLinearMap(dims=(2, 2, 2), matrix=matrix)
+
+
+def test_map_reads_its_dims_as_counts_and_takes_m_from_the_matrix():
+    op = GaussianLinearMap(dims=(2.0, np.int64(2), 2), matrix=np.ones((3, 8), dtype=np.float32))
+    assert op.dims == (2, 2, 2)
+    assert all(type(d) is int for d in op.dims)
+    assert (op.m, op.matrix.dtype) == (3, np.float64)
+    for dims in ((2, 2.5, 2), (0, 2, 2), (2, 2, True), (2, 2, 3)):
+        with pytest.raises(ValueError):
+            GaussianLinearMap(dims=dims, matrix=np.ones((3, 8)))
+
+
 def test_gaussian_map_deterministic():
     a = gaussian_map(20, (3, 3, 2), seed=7)
     b = gaussian_map(20, (3, 3, 2), seed=7)
@@ -61,7 +91,7 @@ def test_gaussian_map_validation():
     with pytest.raises(ValueError):
         gaussian_map(4, (0, 2, 2), seed=1)
     with pytest.raises(ValueError):
-        GaussianLinearMap(m=3, dims=(2, 2, 2), matrix=np.zeros((3, 7)), seed=0)
+        GaussianLinearMap(dims=(2, 2, 2), matrix=np.zeros((3, 7)))
 
 
 def test_gaussian_map_moments():
@@ -235,13 +265,13 @@ def test_noise_level_must_be_finite(sigma):
     with pytest.raises(ValueError, match="sigma"):
         add_noise(np.zeros(4), sigma, noise_seed=0)
     with pytest.raises(ValueError, match="sigma"):
-        NoisySample(y=np.zeros(4), sigma=sigma, noise_seed=0, noise=np.zeros(4))
+        NoisySample(y=np.zeros(4), sigma=sigma, noise=np.zeros(4))
 
 
 def test_noise_level_is_stored_as_float():
     for sigma in (0, np.float32(0.25), 1):
         assert type(add_noise(np.ones(3), sigma, noise_seed=1).sigma) is float
-    sample = NoisySample(y=np.zeros(3), sigma=np.float64(0.5), noise_seed=0, noise=np.zeros(3))
+    sample = NoisySample(y=np.zeros(3), sigma=np.float64(0.5), noise=np.zeros(3))
     assert type(sample.sigma) is float
 
 

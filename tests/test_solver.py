@@ -353,6 +353,15 @@ def test_admm_nonfinite_abort():
             admm_solve(op, y, SolverConfig(lam=1.0))
 
 
+def test_admm_nonfinite_zsolve_is_a_numerical_error(monkeypatch):
+    # the z block is checked before unvec reads it, so a NaN there is a
+    # numerical failure, not a rejected input
+    op = gaussian_map(8, (2, 2, 2), seed=3)
+    monkeypatch.setattr(NormalEquationSolver, "solve", lambda self, b, mb, rho: (np.full_like(b, np.nan), None))
+    with pytest.raises(NumericalError, match="z-block"):
+        admm_solve(op, np.ones(8), SolverConfig(lam=1.0))
+
+
 def test_admm_rejects_bad_measurement_length():
     op = gaussian_map(8, (2, 2, 2), seed=3)
     with pytest.raises(ValueError):
