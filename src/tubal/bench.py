@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import warnings
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 
@@ -179,6 +180,9 @@ class ExperimentResult:
     truncated_trials counts the solves of a cell that stopped at
     ``max_iters`` without meeting the stopping rule; their SNR is still
     scored and averaged into mean_snr_db, and they count in ok_trials.
+    max_gap is the largest exit relative duality gap of a cell's solves
+    (see :mod:`tubal.solver`), NaN when every solve aborted: above the
+    solver's tolerance it tells how far a truncated solve stopped short.
     """
 
     spec: ExperimentSpec
@@ -187,6 +191,7 @@ class ExperimentResult:
     ok_trials: np.ndarray
     aborted_trials: np.ndarray
     truncated_trials: np.ndarray
+    max_gap: np.ndarray
     mean_iterations: np.ndarray
     mean_seconds: np.ndarray
     created_at: str = ""
@@ -204,6 +209,7 @@ class ExperimentResult:
                         "ok_trials": int(self.ok_trials[li, si]),
                         "aborted_trials": int(self.aborted_trials[li, si]),
                         "truncated_trials": int(self.truncated_trials[li, si]),
+                        "max_gap": float(self.max_gap[li, si]),
                         "mean_iterations": float(self.mean_iterations[li, si]),
                         "mean_seconds": float(self.mean_seconds[li, si]),
                     }
@@ -222,11 +228,12 @@ class ExperimentResult:
 def _trial_worker(spec: ExperimentSpec, trial: int):
     """Run one trial: all grid cells against a shared instance.
 
-    Returns (snr, iterations, seconds, aborted, truncated) arrays of
-    shape (len(lambda_list), len(sigma_list)).
+    Returns (snr, iterations, seconds, aborted, truncated, gap) arrays
+    of shape (len(lambda_list), len(sigma_list)).
     """
     nl, ns = len(spec.lambda_list), len(spec.sigma_list)
     snr = np.full((nl, ns), np.nan)
+    gap = np.full((nl, ns), np.nan)
     iters = np.full((nl, ns), np.nan)
     secs = np.full((nl, ns), np.nan)
     aborted = np.zeros((nl, ns), dtype=bool)
@@ -249,7 +256,8 @@ def _trial_worker(spec: ExperimentSpec, trial: int):
             iters[li, si] = result.iterations
             snr[li, si] = snr_db(x, result.x_hat)
             truncated[li, si] = not result.converged
-    return snr, iters, secs, aborted, truncated
+            gap[li, si] = result.gap
+    return snr, iters, secs, aborted, truncated, gap
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
@@ -274,9 +282,12 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
             outs = list(pool.map(_trial_worker, [spec] * nt, range(nt)))
     else:
         outs = [_trial_worker(spec, trial) for trial in range(nt)]
-    snr, iters, secs, aborted, truncated = (np.stack(parts) for parts in zip(*outs))
+    snr, iters, secs, aborted, truncated, gap = (np.stack(parts) for parts in zip(*outs))
 
-    with np.errstate(invalid="ignore"):
+    # a cell with +inf SNRs (exact recoveries) or with every trial aborted
+    # has no finite mean or spread: it reads inf or NaN, without a warning
+    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
         mean_snr = np.nanmean(snr, axis=0)
         std_snr = np.nanstd(snr, axis=0)
         mean_iters = np.nanmean(iters, axis=0)
@@ -289,6 +300,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
         ok_trials=nt - n_aborted,
         aborted_trials=n_aborted,
         truncated_trials=truncated.sum(axis=0),
+        max_gap=np.fmax.reduce(gap, axis=0),  # NaN only where every trial aborted
         mean_iterations=np.asarray(mean_iters),
         mean_seconds=np.asarray(mean_secs),
         created_at=datetime.now(timezone.utc).isoformat(),

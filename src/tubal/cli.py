@@ -36,6 +36,13 @@ dims and n or n3), a fractional or non-finite number, an empty grid, a
 t at or below 1, a save_estimate that is not a non-empty path and a
 --seed given with a constants-mode spec are all errors.
 
+Solve output
+------------
+dims, m, rank, lambda, sigma, seed, snr_db, relative_error, iterations,
+converged, final_objective, gap and realized_noise_norm.  gap is the
+solver's exit relative duality gap (P - D) / P, a bound on how far
+final_objective is above the minimum; converged means gap <= 1e-6.
+
 Bounds output
 -------------
 constants mode  delta, t, r, n3, lambda, epsilon, threshold, eta1, eta2,
@@ -219,6 +226,7 @@ def _cmd_solve(args) -> None:
         "iterations": result.iterations,
         "converged": result.converged,
         "final_objective": float(result.objective_history[-1]),
+        "gap": result.gap,
         "realized_noise_norm": float(np.linalg.norm(sample.noise)),
     }
     _write_json(payload, args.out)

@@ -8,6 +8,7 @@ import pytest
 import tubal.analysis
 import tubal.bench
 import tubal.rng
+import tubal.solver
 from tubal import (
     ExperimentSpec,
     GaussianLinearMap,
@@ -220,9 +221,9 @@ def test_case1_sweep_matches_pinned_values():
     # beyond roundoff shows up here
     spec = dataclasses.replace(case1_spec(trials=1), sigma_list=(0.01, 0.1), lambda_list=(1.0, 0.01))
     result = run_experiment(spec)
-    expected_snr = [[22.58089091143951, 19.698033222363772], [39.7840548850029, 21.413748775560407]]
+    expected_snr = [[22.579318190920713, 19.697957891736156], [39.78403311020688, 21.41365310909499]]
     assert np.allclose(result.mean_snr_db, expected_snr, rtol=0.0, atol=1e-6)
-    assert np.array_equal(result.mean_iterations, [[343, 297], [251, 388]])
+    assert np.array_equal(result.mean_iterations, [[144, 156], [206, 297]])
 
 
 def test_experiment_workers_match_serial(tmp_path, mini_result):
@@ -241,18 +242,32 @@ def test_experiment_counts_exact_recovery_as_ok(monkeypatch):
     assert np.all(result.mean_snr_db == math.inf)
 
 
+def test_experiment_reports_no_gap_for_aborted_cells(monkeypatch):
+    # a cell whose every solve aborts has no exit gap: NaN, without a warning
+    def abort(*args):
+        raise tubal.solver.NumericalError("aborted")
+
+    monkeypatch.setattr("tubal.bench.admm_solve", abort)
+    result = run_experiment(mini_spec(trials=2, lambda_list=(0.5,)))
+    assert np.all(result.aborted_trials == 2)
+    assert np.all(np.isnan(result.max_gap)) and np.all(np.isnan(result.mean_snr_db))
+
+
 def test_experiment_reports_truncated_solves(tmp_path):
-    # at sigma=0.01 the lambda=1 solve converges (343 iterations) and the
-    # lambda=1e-4 solve stops at max_iters=500
+    # at sigma=0.01 the lambda=1 solve converges (144 iterations) and the
+    # lambda=1e-4 solve stops at max_iters=500, its duality gap far above
+    # the tolerance
     spec = dataclasses.replace(case1_spec(trials=1), sigma_list=(0.01,), lambda_list=(1.0, 1e-4))
     result = run_experiment(spec)
     assert result.truncated_trials.tolist() == [[0], [1]]
-    assert result.mean_iterations.tolist() == [[343.0], [500.0]]
+    assert result.mean_iterations.tolist() == [[144.0], [500.0]]
     assert result.ok_trials.tolist() == [[1], [1]]
     path = tmp_path / "grid.json"
     emit(result, "json", path)
     cells = json.loads(path.read_text())["cells"]
     assert [row[0]["truncated_trials"] for row in cells] == [0, 1]
+    gaps = [row[0]["max_gap"] for row in cells]
+    assert gaps[0] <= tubal.solver._GAP_TOL < 0.1 < gaps[1]
 
 
 def test_emit_csv_layout(tmp_path, mini_result):

@@ -96,6 +96,7 @@ def test_solve_subcommand(tmp_path, monkeypatch):
     doc = json.loads((tmp_path / "result.json").read_text())
     assert doc["m"] == 2 * 1 * 13 * 2
     assert doc["converged"] is True
+    assert doc["gap"] == results[0].gap and 0.0 <= doc["gap"] <= 1e-6
     assert doc["snr_db"] > 10.0
     # the estimate is .npy at exactly the given path, whatever its suffix
     assert not (tmp_path / "xhat.bin.npy").exists()
