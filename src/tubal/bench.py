@@ -183,6 +183,9 @@ class ExperimentResult:
     max_gap is the largest exit relative duality gap of a cell's solves
     (see :mod:`tubal.solver`), NaN when every solve aborted: above the
     solver's tolerance it tells how far a truncated solve stopped short.
+    In the JSON that :func:`emit` writes, non-finite values are written as
+    null: a cell whose solves all aborted, or an exact recovery's
+    infinite SNR.
     """
 
     spec: ExperimentSpec
@@ -426,7 +429,7 @@ def emit(result: ExperimentResult, fmt: str, path) -> None:
             lines.append(f"lambda={_grid_label(lam)},{cells}")
         _write_text(path, "\n".join(lines) + "\n")
     elif fmt == "json":
-        _write_text(path, json.dumps(result.to_dict(), indent=2) + "\n")
+        _write_text(path, _json_text(result.to_dict()))
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
@@ -456,9 +459,25 @@ def emit_campaign(rows: list[RipCampaignRow], fmt: str, path, t: float, n3: int)
             }
             for row in rows
         ]
-        _write_text(path, json.dumps(payload, indent=2) + "\n")
+        _write_text(path, _json_text(payload))
     else:
         raise ValueError(f"unknown format {fmt!r}")
+
+
+def _json_text(payload) -> str:
+    """`payload` as indented, strict JSON text, every non-finite float in
+    its dicts and lists written as null: JSON has no NaN or Infinity."""
+
+    def finite(obj):
+        if isinstance(obj, float):
+            return obj if math.isfinite(obj) else None
+        if isinstance(obj, dict):
+            return {key: finite(value) for key, value in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [finite(value) for value in obj]
+        return obj
+
+    return json.dumps(finite(payload), indent=2, allow_nan=False) + "\n"
 
 
 def _write_text(path, text: str) -> None:

@@ -67,6 +67,9 @@ json  the same per rank, plus rank_delta_hat and every
       build and measure the probes round differently with the number
       of probes per product and with the operand layout.
 
+Every JSON output is strict JSON: non-finite values are written as
+null, such as the snr_db of an exact recovery.
+
 Exit codes: 0 success, 2 invalid spec or input, 3 numerical failure.
 """
 
@@ -84,6 +87,7 @@ from .analysis import RipConditionError, guarantee_constants, ric_threshold
 from .bench import (
     ExperimentSpec,
     SpecValidationError,
+    _json_text,
     _write_text,
     check_guarantee,
     check_rip_grid,
@@ -95,7 +99,7 @@ from .bench import (
     run_experiment,
     run_rip_campaign,
 )
-from .measurement import add_noise, gaussian_map, snr_db
+from .measurement import _as_dims, add_noise, gaussian_map, snr_db
 from .rng import derive_key
 from .solver import NumericalError, SolverConfig, admm_solve
 
@@ -138,7 +142,7 @@ def _save_tensor(path, x: np.ndarray) -> None:
 
 
 def _write_json(payload: dict | list, out: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    text = _json_text(payload)
     if out:
         _write_text(out, text)
         print(f"wrote {out}")
@@ -250,10 +254,7 @@ def _cmd_rip(args) -> None:
     if "dims" in spec and sizes:
         raise SpecValidationError(f"rip spec gives both dims and {sizes}; give dims, or n and n3")
     try:
-        if "dims" in spec:
-            dims = tuple(_as_int(d) for d in spec["dims"])
-        else:
-            dims = (_as_int(spec["n"]), _as_int(spec["n"]), _as_int(spec["n3"]))
+        dims = _as_dims(spec["dims"] if "dims" in spec else (spec["n"], spec["n"], spec["n3"]))
         m = _as_int(spec["m"])
         seed = _as_int(spec.get("seed", 0)) if args.seed is None else args.seed
         rank_list = [_as_int(r) for r in spec["rank_list"]]

@@ -1,7 +1,7 @@
 """ADMM solver for regularized tensor-nuclear-norm recovery.
 
 Solves ``min_x P(x) = ||x||_* + (1/(2*lam)) * ||y - M vec(x)||^2`` by
-variable splitting: an auxiliary tensor carries the data-fit term, the
+variable splitting: an auxiliary variable z carries the data-fit term, the
 nuclear norm is handled by its exact proximal map (singular value
 thresholding of each Fourier slice), and a scalar penalty is adapted by
 residual balancing (Boyd et al. 2011, section 3.4.1) within
@@ -16,37 +16,34 @@ stops when ``P(x) - D(u) <= _GAP_TOL * P(x)``.  Both sides scale by c
 when (y, lam) do, and so do the iterates at a fixed penalty, so the rule
 and the iteration count do not depend on the units of the data.
 
-The dual point costs no pass over M.  The z block solves
-``(M^T M + rho I) z = M^T y + k + rho x``, so after the multiplier
-update ``M^T (y - M z) = -k``: ``u0 = (y - M z) / lam`` has
-``||M^T u0||_2 = ||k||_2 / lam``, one values-only slice SVD of k, and
-``u = s u0`` with s the maximizer of ``D(s u0)`` on
-``[0, lam / ||k||_2]``.  ``M z`` is a by-product of the wide solve below.
-The Woodbury form loses about 1e-10 of z's relative accuracy at
-rho = _RHO0, but with the solve's own ``M z`` the identity held to
-1.4e-10 of ``||k||`` and ``||M^T u||_2`` stayed within 2e-11 of 1 on
-10x10x5 instances with m = 210, so the certificate is accurate far below
-_GAP_TOL.
-
-The data-fit block update solves ``(M^T M + rho I) z = b`` exactly.  The
-Gram matrix of the smaller side of the m x N measurement matrix is
-eigendecomposed once per solve and reused for every penalty value: for a
-wide M (m < N), ``M M^T = Q diag(l) Q^T`` and the inverse acts as
-``(b - M^T u) / rho`` with ``u = Q (l+rho)^-1 Q^T M b``, the Woodbury form
-of the m x m system; for a tall or square M, ``M^T M = Q diag(l) Q^T`` and
-the inverse is ``Q (l+rho)^-1 Q^T b``.  Either way a solve is a few
-matrix-vector products, however often rho changes.  This replaces a thin
-SVD of M, which has the same flop order but runs several times slower
-than the symmetric Gram product and ``eigh``, and which keeps an N x m
-factor of right singular vectors beside M.
+The loop's state lives in the z block's vector form: z, the multiplier
+k and their images ``M z``, ``M k`` are flat vectors, and only the prox
+input ``z - k/rho`` and the multiplier's dual norm go through
+:func:`~tubal.measurement.unvec`.  The z block solves
+``(M^T M + rho I) z = b``, ``b = M^T y + k + rho x``, exactly and
+returns ``(z, M z)`` for every shape of M.  The Gram matrix of the
+smaller side of the m x N measurement matrix is eigendecomposed once per
+solve and reused for every penalty value: for a wide M (m < N),
+``M M^T = Q diag(l) Q^T`` and the inverse acts as ``(b - M^T u) / rho``
+with ``u = Q (l+rho)^-1 Q^T M b``, the Woodbury form of the m x m
+system, and ``M z = u``; for a tall or square M,
+``M^T M = Q diag(l) Q^T``, the inverse is ``Q (l+rho)^-1 Q^T b`` and
+``M z`` takes one more product.
 
 On a wide M the loop reads M twice per iteration: ``M x``, which serves
-both the objective's residual and the z-block's ``M b``, and ``M^T u``
-inside the solve.  ``M b = M M^T y + M k + rho M x`` is assembled from
-m-vectors: ``M M^T y`` is formed once per solve, and ``M k`` is carried
-forward with the multiplier.  That carry needs ``M z``, which the Woodbury
-form gives for free: ``M z = (M b - M M^T u) / rho = u``.  A tall or
-square M forms ``M z`` with one more product.
+both the objective's residual and ``M b = M M^T y + M k + rho M x``, and
+``M^T u`` inside the solve.  ``M M^T y`` is formed once per solve and
+``M k`` is carried forward with the multiplier from the solve's ``M z``.
+
+The dual point costs no pass over M.  After the multiplier update
+``M^T (y - M z) = -k``, so ``u0 = (y - M z) / lam`` has
+``||M^T u0||_2 = ||k||_2 / lam``, one values-only slice SVD of k, and
+``u = s u0`` with s the maximizer of ``D(s u0)`` on
+``[0, lam / ||k||_2]``.  The Woodbury form loses about 1e-10 of z's
+relative accuracy at rho = _RHO0, but with the solve's own ``M z`` the
+identity held to 1.4e-10 of ``||k||`` and ``||M^T u||_2`` stayed within
+2e-11 of 1 on 10x10x5 instances with m = 210, so the certificate is
+accurate far below _GAP_TOL.
 """
 
 from __future__ import annotations
@@ -145,11 +142,9 @@ class AdmmState:
 class SolveResult:
     """Outcome of :func:`admm_solve`.
 
-    residual_history rows are the three entrywise changes
-    (x step, z step, x-z disagreement) per iteration; objective_history
-    tracks the regularized objective P at each x iterate.  dual is the
-    m-vector u of the last iteration, with ``||M^T u||_2 <= 1`` up to
-    roundoff, and gap is the exit relative gap
+    objective_history tracks the regularized objective P at each x
+    iterate.  dual is the m-vector u of the last iteration, with
+    ``||M^T u||_2 <= 1`` up to roundoff, and gap is the exit relative gap
     ``(P(x_hat) - D(u)) / P(x_hat)`` (0 when P(x_hat) = 0): anyone can
     check the certificate from y, lam, x_hat and one product by M^T.
     converged means gap <= _GAP_TOL.
@@ -158,7 +153,6 @@ class SolveResult:
     x_hat: np.ndarray
     iterations: int
     converged: bool
-    residual_history: np.ndarray
     objective_history: np.ndarray
     final_state: AdmmState
     gap: float
@@ -229,10 +223,11 @@ class NormalEquationSolver:
     Eigendecomposes the Gram matrix of the smaller side once: ``M M^T``
     (m x m) when M is wide, ``M^T M`` (N x N) otherwise, so forming it and
     running ``eigh`` costs ``O(min(m, N)^2 max(m, N))`` flops and
-    ``min(m, N)^2`` floats of storage.  A wide M is kept by reference, and
-    each solve multiplies by its transpose once and by the m x m
-    eigenvectors twice; the caller supplies ``M b``, so no N x m factor is
-    stored and no other pass over M is made.  M is used as given, as a
+    ``min(m, N)^2`` floats of storage.  M is kept by reference.  Each
+    solve returns ``(z, M z)``: on a wide M it multiplies by the
+    transpose once and by the m x m eigenvectors twice, with ``M b``
+    from the caller; on a tall or square M it multiplies by the N x N
+    eigenvectors twice and by M once.  M is used as given, as a
     checked :class:`GaussianLinearMap` matrix.  Eigenvalues that roundoff
     pushed below zero are clamped to 0, their exact value when M is
     rank-deficient.
@@ -246,20 +241,22 @@ class NormalEquationSolver:
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition of the Gram matrix failed: {exc}") from exc
         self._evals = np.maximum(evals, 0.0)
-        self._matrix = matrix if self._wide else None
+        self._matrix = matrix
 
-    def solve(self, b: np.ndarray, mb: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray | None]:
-        """Return ``z`` and, for a wide M, ``M z``.
+    def solve(self, b: np.ndarray, mb: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+        """Return ``(z, M z)`` for every shape of M.
 
         `mb` is ``M b``.  A wide M solves the m x m system for
         ``u = (M M^T + rho I)^-1 M b`` and returns ``z = (b - M^T u) / rho``
-        together with ``M z``, which equals ``u``.  A tall or square M
-        uses neither `mb` nor ``M z`` and returns ``(z, None)``.
+        with ``M z = u``, which costs no product.  A tall or square M
+        ignores `mb`, solves in the eigenbasis of ``M^T M`` and forms
+        ``M z`` with one product.
         """
         if rho <= 0:
             raise ValueError("rho must be positive")
         if not self._wide:
-            return self._q @ ((self._q.T @ b) / (self._evals + rho)), None
+            z = self._q @ ((self._q.T @ b) / (self._evals + rho))
+            return z, self._matrix @ z
         # m < N: b/rho minus the row-space correction of the Woodbury identity
         u = self._q @ ((self._q.T @ mb) / (self._evals + rho))
         return (b - self._matrix.T @ u) / rho, u
@@ -288,20 +285,21 @@ def _dual_point(y: np.ndarray, residual: np.ndarray, k_norm: float, lam: float) 
 def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> SolveResult:
     """Run the splitting scheme from zero initialization.
 
-    Per sweep: the x block applies :func:`tsvt` to ``z - k/rho`` with
-    threshold ``lam/rho``; the z block solves the regularized normal
-    equations; the multiplier absorbs ``rho * (x - z)``; the penalty
-    is then rebalanced as described in :class:`SolverConfig`.  Stops
-    when the relative duality gap of the module docstring is at most
-    _GAP_TOL, or at `max_iters` with ``converged=False``.
+    z and the multiplier k are N-vectors.  Per sweep: the x block applies
+    :func:`tsvt` to ``unvec(z - k/rho)`` with threshold ``lam/rho``; the
+    z block returns ``(z, M z)`` from the regularized normal equations;
+    the multiplier absorbs ``rho * (vec(x) - z)``; the penalty is then
+    rebalanced as described in :class:`SolverConfig`.  Stops when the
+    relative duality gap of the module docstring is at most _GAP_TOL, or
+    at `max_iters` with ``converged=False``.
 
     Each sweep computes ``M x`` once, for the objective's residual and
     for the z block's ``M b = M M^T y + M k + rho M x``; ``M M^T y`` is
     formed once per solve and ``M k`` is updated alongside the
     multiplier from ``M z``.  On a wide M a sweep therefore reads M
     twice (``M x`` and the solve's ``M^T u``), and a tall or square M
-    once more for ``M z``.  The gap adds one values-only slice SVD of
-    the multiplier.
+    once more, inside the solve, for ``M z``.  The gap adds one
+    values-only slice SVD of the multiplier.
 
     Fully deterministic given (op, y, config).
 
@@ -320,55 +318,46 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
     mty = op.matrix.T @ y
     mmty = op.matrix @ mty
     mk = np.zeros(op.m)
-    x = np.zeros(dims)
-    z = np.zeros(dims)
-    k_mult = np.zeros(dims)
+    z = np.zeros_like(mty)
+    k_mult = np.zeros_like(mty)
     rho = _RHO0
 
-    steps_hist: list[tuple[float, float, float]] = []
     obj_hist: list[float] = []
-    converged = False
 
     for iteration in range(1, config.max_iters + 1):
         # the final state reports the penalty of its sweep, not the one
         # rebalanced after it
-        x_prev, z_prev, sweep_rho = x, z, rho
+        z_prev, sweep_rho = z, rho
 
-        prox_input = z - k_mult / rho
+        prox_input = unvec(z - k_mult / rho, dims)
         tau = config.lam / rho
         x = tsvt(prox_input, tau)
 
         x_vec = vec(x)
         mx = op.matrix @ x_vec
-        b = mty + vec(k_mult) + rho * x_vec
-        z_vec, mz = ne_solver.solve(b, mmty + mk + rho * mx, rho)
-        if not np.isfinite(z_vec).all():
+        z, mz = ne_solver.solve(mty + k_mult + rho * x_vec, mmty + mk + rho * mx, rho)
+        if not np.isfinite(z).all():
             raise NumericalError(f"non-finite z-block solve at iteration {iteration} (rho={rho:.3e})")
-        if mz is None:
-            mz = op.matrix @ z_vec
-        z = unvec(z_vec, dims)
 
-        k_mult = k_mult + rho * (x - z)
+        k_mult = k_mult + rho * (x_vec - z)
         mk = mk + rho * (mx - mz)
 
-        if not (np.isfinite(x).all() and np.isfinite(k_mult).all()):
+        if not (np.isfinite(x_vec).all() and np.isfinite(k_mult).all()):
             raise NumericalError(
                 f"non-finite iterate at iteration {iteration} (rho={rho:.3e}, lam={config.lam:.3e})"
             )
 
-        x_step = float(np.max(np.abs(x - x_prev)))
         z_step = float(np.max(np.abs(z - z_prev)))
-        consensus = float(np.max(np.abs(x - z)))
+        consensus = float(np.max(np.abs(x_vec - z)))
         residual = y - mx
         objective = tnn(x) + float(residual @ residual) / (2.0 * config.lam)
-        steps_hist.append((x_step, z_step, consensus))
         obj_hist.append(objective)
 
         # M^T (y - M z) = -k, so the dual norm of k bounds the dual point
-        dual, dual_value = _dual_point(y, y - mz, float(_slice_svd(k_mult, compute_uv=False).max()), config.lam)
+        k_norm = float(_slice_svd(unvec(k_mult, dims), compute_uv=False).max())
+        dual, dual_value = _dual_point(y, y - mz, k_norm, config.lam)
         gap = (objective - dual_value) / objective if objective > 0 else 0.0
         if gap <= _GAP_TOL:
-            converged = True
             break
         dual_residual = rho * z_step
         if consensus > _BALANCE_RATIO * dual_residual:
@@ -379,8 +368,7 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
     return SolveResult(
         x_hat=x,
         iterations=iteration,
-        converged=converged,
-        residual_history=np.asarray(steps_hist),
+        converged=gap <= _GAP_TOL,
         objective_history=np.asarray(obj_hist),
         final_state=AdmmState(rho=sweep_rho, last_prox_input=prox_input, last_prox_tau=tau),
         gap=gap,

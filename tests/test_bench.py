@@ -27,6 +27,8 @@ from tubal import (
 )
 from tubal.bench import draw_instance
 
+from conftest import strict_json
+
 
 def test_draw_instance_pins_the_key_scheme():
     # truth, map and noise come from the "data", "map" and "noise" keys
@@ -232,7 +234,7 @@ def test_experiment_workers_match_serial(tmp_path, mini_result):
     assert np.array_equal(parallel.ok_trials, mini_result.ok_trials)
 
 
-def test_experiment_counts_exact_recovery_as_ok(monkeypatch):
+def test_experiment_counts_exact_recovery_as_ok(monkeypatch, tmp_path):
     # an exact recovery scores SNR = +inf; it is a success, not a failure
     monkeypatch.setattr("tubal.bench.snr_db", lambda x, x_hat: math.inf)
     spec = mini_spec(trials=2, lambda_list=(0.5,))
@@ -240,9 +242,15 @@ def test_experiment_counts_exact_recovery_as_ok(monkeypatch):
     assert np.all(result.ok_trials == spec.trials)
     assert np.all(result.aborted_trials == 0)
     assert np.all(result.mean_snr_db == math.inf)
+    # the JSON stays strict: the infinite SNR is written as null
+    path = tmp_path / "grid.json"
+    emit(result, "json", path)
+    for row in strict_json(path.read_text())["cells"]:
+        for cell in row:
+            assert cell["mean_snr_db"] is None and cell["ok_trials"] == spec.trials
 
 
-def test_experiment_reports_no_gap_for_aborted_cells(monkeypatch):
+def test_experiment_reports_no_gap_for_aborted_cells(monkeypatch, tmp_path):
     # a cell whose every solve aborts has no exit gap: NaN, without a warning
     def abort(*args):
         raise tubal.solver.NumericalError("aborted")
@@ -251,6 +259,14 @@ def test_experiment_reports_no_gap_for_aborted_cells(monkeypatch):
     result = run_experiment(mini_spec(trials=2, lambda_list=(0.5,)))
     assert np.all(result.aborted_trials == 2)
     assert np.all(np.isnan(result.max_gap)) and np.all(np.isnan(result.mean_snr_db))
+    # the JSON stays strict: every NaN statistic is written as null
+    path = tmp_path / "grid.json"
+    emit(result, "json", path)
+    for row in strict_json(path.read_text())["cells"]:
+        for cell in row:
+            assert cell["aborted_trials"] == 2
+            for key in ("mean_snr_db", "std_snr_db", "max_gap", "mean_iterations", "mean_seconds"):
+                assert cell[key] is None, key
 
 
 def test_experiment_reports_truncated_solves(tmp_path):

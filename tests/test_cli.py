@@ -11,7 +11,7 @@ from tubal import admm_solve, estimate_ric, run_rip_campaign, tnn, tsvd
 from tubal.cli import main
 from tubal.rng import derive_key
 
-from conftest import rand_tensor
+from conftest import rand_tensor, strict_json
 
 
 def write_spec(tmp_path, name, obj):
@@ -101,6 +101,17 @@ def test_solve_subcommand(tmp_path, monkeypatch):
     # the estimate is .npy at exactly the given path, whatever its suffix
     assert not (tmp_path / "xhat.bin.npy").exists()
     assert np.array_equal(np.load(tmp_path / "xhat.bin"), results[0].x_hat)
+
+
+def test_solve_writes_an_infinite_snr_as_null(tmp_path, monkeypatch):
+    # an exact recovery's SNR is +inf, which strict JSON cannot hold
+    monkeypatch.setattr(tubal.cli, "snr_db", lambda x, x_hat: float("inf"))
+    spec = write_spec(tmp_path, "solve.json", {"n": 6, "n3": 2, "r": 1, "lambda": 0.5, "seed": 5})
+    out = tmp_path / "result.json"
+    assert main(["solve", "--spec", spec, "--out", str(out)]) == 0
+    doc = strict_json(out.read_text())
+    assert doc["snr_db"] is None
+    assert doc["converged"] is True and 0.0 <= doc["gap"] <= 1e-6
 
 
 def test_experiment_subcommand(tmp_path):
@@ -365,15 +376,21 @@ RIP_SPEC = {"m": 30, "n": 4, "n3": 2, "seed": 2, "rank_list": [1], "trials": 10}
 
 @pytest.mark.parametrize(
     "key, value",
-    [("t", 1.0), ("rank_list", [0]), ("rank_list", [5]), ("trials", 0)],
-    ids=["t-at-1", "rank-0", "rank-above-kappa", "trials-0"],
+    [
+        ("t", 1.0), ("rank_list", [0]), ("rank_list", [5]), ("trials", 0),
+        ("dims", [4, 4]), ("dims", [4, 4, 2, 1]), ("dims", [4, 4, 0]),
+    ],
+    ids=["t-at-1", "rank-0", "rank-above-kappa", "trials-0", "dims-2", "dims-4", "dims-0"],
 )
 def test_rip_rejects_bad_grid_before_drawing_the_map(tmp_path, monkeypatch, key, value):
     def forbidden(*args, **kwargs):
         raise AssertionError("the grid should be rejected before the map is drawn")
 
     monkeypatch.setattr(tubal.cli, "gaussian_map", forbidden)
-    path = write_spec(tmp_path, "rip.json", {**RIP_SPEC, key: value})
+    spec = {**RIP_SPEC, key: value}
+    if key == "dims":  # dims takes the place of n and n3
+        del spec["n"], spec["n3"]
+    path = write_spec(tmp_path, "rip.json", spec)
     out = tmp_path / "rip.csv"
     assert main(["rip", "--spec", path, "--out", str(out)]) == 2
     assert not out.exists()

@@ -6,10 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tubal import (
+    GaussianLinearMap,
     NumericalError,
     SolverConfig,
     admm_solve,
     apply,
+    conj_transpose,
     fro_norm,
     gaussian_map,
     generate_lowrank,
@@ -126,7 +128,7 @@ def test_prox_tiny_threshold_accepts_input():
 def z_block(matrix, y, k_mult, x_next, rho):
     """The loop's z update: solve (M^T M + rho I) z = M^T y + vec(k) + rho vec(x).
 
-    Returns z and the solver's M z (None for a tall or square matrix).
+    Returns z and the solver's M z.
     """
     b = matrix.T @ y + vec(k_mult) + rho * vec(x_next)
     z, mz = NormalEquationSolver(matrix).solve(b, matrix @ b, rho)
@@ -182,16 +184,14 @@ def test_normal_equation_solver_matches_dense_solve(m, n, deficient):
         b = matrix.T @ y + vec(k_mult) + rho * vec(x_next)
         ref = np.linalg.solve(matrix.T @ matrix + rho * np.eye(n), b)
         assert np.max(np.abs(vec(z) - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
-        if m < n:
-            # The Woodbury solve's u is M z; the loop carries M k with it.
-            # matrix @ z = (M b - M M^T u) / rho cancels two terms of size
-            # |M b| / rho, so the comparison is relative to that size: at
-            # rho = 1e-4 it resolves only ~1e-10 of |M z|.
-            mz_ref = matrix @ vec(z)
+        # The solve's M z is what the loop carries M k with; it must be M
+        # times the returned z and the dense reference.  On a wide M it is
+        # the Woodbury u: matrix @ z = (M b - M M^T u) / rho cancels two
+        # terms of size |M b| / rho, so the comparison is relative to that
+        # size: at rho = 1e-4 it resolves only ~1e-10 of |M z|.
+        for mz_ref in (matrix @ vec(z), matrix @ ref):
             scale = max(np.linalg.norm(mz_ref), np.linalg.norm(matrix @ b) / rho)
             assert np.linalg.norm(mz - mz_ref) <= 1e-12 * scale
-        else:
-            assert mz is None
 
 
 @pytest.mark.parametrize("shape", [(6, 18), (30, 18)], ids=["wide", "tall"])
@@ -333,12 +333,43 @@ def test_admm_scaling_data_and_lambda_scales_the_answer(dims, m_frac, lam, seed)
         assert fro_norm(res.x_hat - c * base.x_hat) <= 1e-9 * c * fro_norm(base.x_hat)
 
 
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.tuples(st.integers(2, 7), st.integers(2, 7), st.integers(1, 4)),
+    lam=st.sampled_from([0.1, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dims=(4, 7, 3), lam=1e-3, seed=0)
+@example(dims=(7, 4, 2), lam=0.1, seed=1)
+@example(dims=(5, 5, 4), lam=1e-3, seed=2)
+def test_admm_is_equivariant_under_transpose(dims, lam, seed):
+    # TNN(x^T) = TNN(x), so with M' vec(x^T) = M vec(x) the problem for
+    # x^T is the problem for x, and the solve takes the same path; capped
+    # solves (max_iters=500 at lam=1e-3) are compared too
+    n1, n2, n3 = dims
+    n = n1 * n2 * n3
+    m = max(2, n // 2)
+    op = gaussian_map(m, dims, seed)
+    y = apply(op, generate_lowrank(n1, n2, n3, 1, seed)) + 0.01 * np.random.default_rng(seed).standard_normal(m)
+    # column p of M' is the column of M that vec(x^T)[p] comes from
+    perm = vec(conj_transpose(unvec(np.arange(n, dtype=float), dims))).astype(int)
+    op_t = GaussianLinearMap(dims=(n2, n1, n3), matrix=op.matrix[:, perm])
+    probe = rand_tensor(seed % 1000, dims)
+    assert np.allclose(apply(op_t, conj_transpose(probe)), apply(op, probe), rtol=1e-12, atol=1e-12)
+
+    base = admm_solve(op, y, SolverConfig(lam=lam))
+    res = admm_solve(op_t, y, SolverConfig(lam=lam))
+    assert res.iterations == base.iterations
+    assert res.converged == base.converged
+    assert abs(res.gap - base.gap) <= 1e-9
+    assert fro_norm(res.x_hat - conj_transpose(base.x_hat)) <= 1e-10 * fro_norm(base.x_hat)
+
+
 def test_admm_histories_and_objective_decrease():
     x, op, sample = case1_instance(0, sigma=0.01)
     config = SolverConfig(lam=0.1)
     res = admm_solve(op, sample.y, config)
     assert res.converged
-    assert res.residual_history.shape == (res.iterations, 3)
     assert res.objective_history.shape == (res.iterations,)
     start = float(sample.y @ sample.y) / (2 * config.lam)
     assert res.objective_history[0] == pytest.approx(start, rel=1e-12)
@@ -478,10 +509,12 @@ def test_admm_nonfinite_abort():
 
 
 def test_admm_nonfinite_zsolve_is_a_numerical_error(monkeypatch):
-    # the z block is checked before unvec reads it, so a NaN there is a
-    # numerical failure, not a rejected input
+    # the z block is checked before the next prox input is read through
+    # unvec, so a NaN there is a numerical failure, not a rejected input
     op = gaussian_map(8, (2, 2, 2), seed=3)
-    monkeypatch.setattr(NormalEquationSolver, "solve", lambda self, b, mb, rho: (np.full_like(b, np.nan), None))
+    monkeypatch.setattr(
+        NormalEquationSolver, "solve", lambda self, b, mb, rho: (np.full_like(b, np.nan), np.full_like(mb, np.nan))
+    )
     with pytest.raises(NumericalError, match="z-block"):
         admm_solve(op, np.ones(8), SolverConfig(lam=1.0))
 
