@@ -71,6 +71,9 @@ Every JSON output is strict JSON: non-finite values are written as
 null, such as the snr_db of an exact recovery.
 
 Exit codes: 0 success, 2 invalid spec or input, 3 numerical failure.
+Every failure inside a solve, once its spec and data are read, is a
+numerical failure (see tubal.solver), so solve and bounds exit 3 on it;
+experiment marks that cell aborted and goes on.
 """
 
 from __future__ import annotations

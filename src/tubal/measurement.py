@@ -37,7 +37,7 @@ __all__ = [
 
 def vec(x: np.ndarray) -> np.ndarray:
     """Vectorize a tensor in the package storage order."""
-    return as_tensor3(x).ravel(order="F")
+    return _vec(as_tensor3(x))
 
 
 def unvec(v: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
@@ -46,15 +46,30 @@ def unvec(v: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
     n1, n2, n3 = dims
     if v.size != n1 * n2 * n3:
         raise ValueError(f"vector of length {v.size} does not fill dims {dims}")
-    return np.ascontiguousarray(v.reshape((n1, n2, n3), order="F"))
+    return np.ascontiguousarray(_unvec(v, dims))
+
+
+def _vec(x: np.ndarray) -> np.ndarray:
+    """:func:`vec` of a tensor the caller made: no read, a view when the layout allows."""
+    return x.ravel(order="F")
+
+
+def _unvec(v: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
+    """:func:`unvec` of a vector the caller made: no read, and a view, not a copy."""
+    return v.reshape(dims, order="F")
 
 
 def _as_dims(dims) -> tuple[int, int, int]:
-    """Read tensor dimensions (n1, n2, n3) as three integers >= 1."""
-    n1, n2, n3 = (_as_int(d) for d in dims)
-    if min(n1, n2, n3) < 1:
-        raise ValueError(f"dims must be >= 1, got {dims}")
-    return n1, n2, n3
+    """Read tensor dimensions (n1, n2, n3): three integers >= 1, else ``ValueError``."""
+    try:
+        shape = tuple(_as_int(d) for d in dims)
+    except TypeError:  # dims is not iterable
+        shape = ()
+    except ValueError as exc:  # an entry is not an integer
+        raise ValueError(f"dims must be three integers >= 1, got {dims!r}: {exc}") from None
+    if len(shape) != 3 or min(shape) < 1:
+        raise ValueError(f"dims must be three integers >= 1, got {dims!r}")
+    return shape
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,15 @@ the lower bound ``D(u) = <y, u> - (lam/2) ||u||^2 <= min P``, where
 the Fourier slices (Lu et al. 2016, "Tensor robust PCA").  The loop
 stops when ``P(x) - D(u) <= _GAP_TOL * P(x)``.  Both sides scale by c
 when (y, lam) do, and so do the iterates at a fixed penalty, so the rule
-and the iteration count do not depend on the units of the data.
+and the iteration count do not depend on the units of the data.  The
+certificate is computed in units of c, a power of two within a factor 2
+of ``max|y|``, and no vector is squared in data units, so P and D
+neither over- nor underflow at any scale of (y, lam);
+``objective_history`` and the dual point are reported in data units.
 
 The loop's state lives in the z block's vector form: z, the multiplier
-k and their images ``M z``, ``M k`` are flat vectors, and only the prox
-input ``z - k/rho`` and the multiplier's dual norm go through
-:func:`~tubal.measurement.unvec`.  The z block solves
+k and their images ``M z``, ``M k`` are flat vectors, viewed as tensors
+only where :func:`tsvt` and the dual norm need them.  The z block solves
 ``(M^T M + rho I) z = b``, ``b = M^T y + k + rho x``, exactly and
 returns ``(z, M z)`` for every shape of M.  The Gram matrix of the
 smaller side of the m x N measurement matrix is eigendecomposed once per
@@ -36,25 +39,35 @@ both the objective's residual and ``M b = M M^T y + M k + rho M x``, and
 ``M k`` is carried forward with the multiplier from the solve's ``M z``.
 
 The dual point costs no pass over M.  After the multiplier update
-``M^T (y - M z) = -k``, so ``u0 = (y - M z) / lam`` has
-``||M^T u0||_2 = ||k||_2 / lam``, one values-only slice SVD of k, and
-``u = s u0`` with s the maximizer of ``D(s u0)`` on
-``[0, lam / ||k||_2]``.  The Woodbury form loses about 1e-10 of z's
-relative accuracy at rho = _RHO0, but with the solve's own ``M z`` the
-identity held to 1.4e-10 of ``||k||`` and ``||M^T u||_2`` stayed within
-2e-11 of 1 on 10x10x5 instances with m = 210, so the certificate is
-accurate far below _GAP_TOL.
+``M^T (y - M z) = -k``, so ``u = (s / lam) (y - M z)`` has
+``||M^T u||_2 = s ||k||_2 / lam``, one values-only slice SVD of k.  s
+maximizes D(u) on ``[0, lam / ||k||_2]``; its unconstrained maximizer
+``<y, r> / ||r||^2``, with ``r = y - M z``, needs no lam.  The Woodbury
+form loses about 1e-10 of z's relative accuracy at rho = _RHO0, but
+with the solve's own ``M z`` the identity held to 1.4e-10 of ``||k||``
+and ``||M^T u||_2`` stayed within 2e-11 of 1 on 10x10x5 instances with
+m = 210, so the certificate is accurate far below _GAP_TOL.
+
+One failure rule holds for a solve.  ``y`` and the config are read at
+the door, and a bad value raises ``ValueError``.  After that a failure
+is a :class:`NumericalError`: a failed eigendecomposition or
+thresholding SVD, a lam/max|y| that underflows, a threshold lam/rho or
+prox input that left the finite range, or a non-finite x, z or
+multiplier, each checked once per sweep.
+:func:`~tubal.bench.run_experiment` marks such a cell aborted, and
+``tubal`` exits 3.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
 from .algebra import _as_int, _as_real, as_tensor3, fro_norm, tnn, _from_slices, _slice_svd
-from .measurement import GaussianLinearMap, _as_measurements, unvec, vec
+from .measurement import GaussianLinearMap, _as_measurements, _unvec, _vec
 
 __all__ = [
     "AdmmState",
@@ -170,17 +183,24 @@ def tsvt(y_tensor: np.ndarray, tau: float) -> np.ndarray:
     thresholding the singular values of each Fourier slice by `tau` and
     transforming back, with one stacked SVD of the half spectrum.  The
     (1/n3) factors in the tensor norms cancel, so the per-slice
-    threshold is `tau` itself, a finite real >= 0.
+    threshold is `tau` itself, a finite real >= 0.  A result that
+    leaves the finite range, as it can when the input nears the largest
+    float, raises :class:`NumericalError`.
     """
     y_tensor = as_tensor3(y_tensor)
     tau = _as_real(tau, "tau")
     if tau < 0:
         raise ValueError("threshold tau must be >= 0")
-    try:
-        u, s, vt = _slice_svd(y_tensor)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"slice SVD failed during thresholding: {exc}") from exc
-    return _from_slices(u, np.maximum(s - tau, 0.0), vt, y_tensor.shape[2])
+    # an overflow shows in the result, and is reported once, below
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            u, s, vt = _slice_svd(y_tensor)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"slice SVD failed during thresholding: {exc}") from exc
+        x = _from_slices(u, np.maximum(s - tau, 0.0), vt, y_tensor.shape[2])
+    if not np.isfinite(x).all():
+        raise NumericalError("thresholding left the finite range")
+    return x
 
 
 def prox_optimality_check(y_tensor: np.ndarray, tau: float, x_out: np.ndarray) -> float:
@@ -266,32 +286,40 @@ class NormalEquationSolver:
 # main loop
 
 
-def _dual_point(y: np.ndarray, residual: np.ndarray, k_norm: float, lam: float) -> tuple[np.ndarray, float]:
-    """The dual point ``u = s u0`` with ``u0 = residual / lam``, and ``D(u)``.
+def _check_finite(iteration: int, rho: float, *named) -> None:
+    """Raise :class:`NumericalError` naming the first (name, value) pair with a non-finite entry."""
+    for name, value in named:
+        if not np.isfinite(value).all():
+            raise NumericalError(f"non-finite {name} at iteration {iteration} (rho={rho:.3e})")
 
-    `residual` is ``y - M z`` and `k_norm` is ``||M^T u0||_2 * lam``, the
-    dual norm of the multiplier.  s maximizes ``D(s u0) = s <y, u0> -
-    (lam/2) s^2 ||u0||^2`` on ``[0, lam / k_norm]``, which keeps u feasible;
-    the interval has no upper end when k_norm is 0.
+
+def _dual_point(y: np.ndarray, residual: np.ndarray, k_norm: float, lam: float) -> tuple[np.ndarray, float]:
+    """The dual point ``u = (s / lam) residual``, and ``D(u)``.
+
+    `residual` is ``y - M z`` and `k_norm` is the dual norm of the
+    multiplier, so ``||M^T u||_2 = s k_norm / lam``.  y, residual, k_norm
+    and lam share one unit, in which D is returned; u has none.  s
+    maximizes ``D = (s / lam) (<y, r> - s ||r||^2 / 2)`` on
+    ``[0, lam / k_norm]``, which keeps u feasible; the interval has no
+    upper end when k_norm is 0.
     """
-    u0 = residual / lam
-    yu, uu = float(y @ u0), float(u0 @ u0)
-    s = max(yu / (lam * uu), 0.0) if uu > 0 else 0.0
+    yr, rr = float(y @ residual), float(residual @ residual)
+    s = max(yr / rr, 0.0) if rr > 0 else 0.0
     if k_norm > 0:
         s = min(s, lam / k_norm)
-    return s * u0, s * yu - 0.5 * lam * s * s * uu
+    return (s / lam) * residual, (s / lam) * (yr - 0.5 * s * rr)
 
 
 def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> SolveResult:
     """Run the splitting scheme from zero initialization.
 
     z and the multiplier k are N-vectors.  Per sweep: the x block applies
-    :func:`tsvt` to ``unvec(z - k/rho)`` with threshold ``lam/rho``; the
-    z block returns ``(z, M z)`` from the regularized normal equations;
-    the multiplier absorbs ``rho * (vec(x) - z)``; the penalty is then
-    rebalanced as described in :class:`SolverConfig`.  Stops when the
-    relative duality gap of the module docstring is at most _GAP_TOL, or
-    at `max_iters` with ``converged=False``.
+    :func:`tsvt` to ``z - k/rho``, viewed as a tensor, with threshold
+    ``lam/rho``; the z block returns ``(z, M z)`` from the regularized
+    normal equations; the multiplier absorbs ``rho * (vec(x) - z)``; the
+    penalty is then rebalanced as described in :class:`SolverConfig`.
+    Stops when the relative duality gap of the module docstring is at
+    most _GAP_TOL, or at `max_iters` with ``converged=False``.
 
     Each sweep computes ``M x`` once, for the objective's residual and
     for the z block's ``M b = M M^T y + M k + rho M x``; ``M M^T y`` is
@@ -309,10 +337,17 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
         If `y` is not a real, finite vector of length m; this is checked
         before the measurement matrix is factored.
     NumericalError
-        If an iterate acquires non-finite entries.
+        For any failure after `y` and `config` are read, as the module
+        docstring lists.
     """
     y = _as_measurements(op, y)
     dims = op.dims
+    # the certificate's unit c, a power of two with c <= max|y| < 2c:
+    # dividing by it is exact, and P / c and D / c stay near 1 at any scale
+    c = math.ldexp(0.5, math.frexp(float(np.max(np.abs(y))))[1])
+    y_c, lam_c = y / c, config.lam / c
+    if lam_c == 0.0:
+        raise NumericalError(f"lam={config.lam:.3e} underflows in units of max|y| ~ {c:.3e}")
 
     ne_solver = NormalEquationSolver(op.matrix)
     mty = op.matrix.T @ y
@@ -329,33 +364,27 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
         # rebalanced after it
         z_prev, sweep_rho = z, rho
 
-        prox_input = unvec(z - k_mult / rho, dims)
+        prox_input = _unvec(z - k_mult / rho, dims)
         tau = config.lam / rho
+        _check_finite(iteration, rho, ("threshold lam/rho", tau), ("prox input", prox_input))
         x = tsvt(prox_input, tau)
 
-        x_vec = vec(x)
+        x_vec = _vec(x)
         mx = op.matrix @ x_vec
         z, mz = ne_solver.solve(mty + k_mult + rho * x_vec, mmty + mk + rho * mx, rho)
-        if not np.isfinite(z).all():
-            raise NumericalError(f"non-finite z-block solve at iteration {iteration} (rho={rho:.3e})")
-
         k_mult = k_mult + rho * (x_vec - z)
         mk = mk + rho * (mx - mz)
-
-        if not (np.isfinite(x_vec).all() and np.isfinite(k_mult).all()):
-            raise NumericalError(
-                f"non-finite iterate at iteration {iteration} (rho={rho:.3e}, lam={config.lam:.3e})"
-            )
+        _check_finite(iteration, rho, ("x", x_vec), ("z-block solve", z), ("multiplier", k_mult))
 
         z_step = float(np.max(np.abs(z - z_prev)))
         consensus = float(np.max(np.abs(x_vec - z)))
-        residual = y - mx
-        objective = tnn(x) + float(residual @ residual) / (2.0 * config.lam)
-        obj_hist.append(objective)
+        residual = (y - mx) / c
+        objective = tnn(x) / c + float(residual @ residual) / (2.0 * lam_c)
+        obj_hist.append(c * objective)
 
         # M^T (y - M z) = -k, so the dual norm of k bounds the dual point
-        k_norm = float(_slice_svd(unvec(k_mult, dims), compute_uv=False).max())
-        dual, dual_value = _dual_point(y, y - mz, k_norm, config.lam)
+        k_norm = float(_slice_svd(_unvec(k_mult, dims), compute_uv=False).max())
+        dual, dual_value = _dual_point(y_c, (y - mz) / c, k_norm / c, lam_c)
         gap = (objective - dual_value) / objective if objective > 0 else 0.0
         if gap <= _GAP_TOL:
             break

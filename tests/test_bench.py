@@ -269,6 +269,14 @@ def test_experiment_reports_no_gap_for_aborted_cells(monkeypatch, tmp_path):
                 assert cell[key] is None, key
 
 
+def test_experiment_aborts_only_the_cell_that_fails_numerically():
+    # lam = 1e305 puts the first threshold lam / rho past the float range:
+    # that cell aborts, and the lam = 0.1 cell on the same instance is solved
+    result = run_experiment(mini_spec(trials=1, lambda_list=(0.1, 1e305)))
+    assert result.aborted_trials.tolist() == [[0, 0], [1, 1]]
+    assert np.isfinite(result.mean_snr_db[0]).all() and np.isnan(result.mean_snr_db[1]).all()
+
+
 def test_experiment_reports_truncated_solves(tmp_path):
     # at sigma=0.01 the lambda=1 solve converges (144 iterations) and the
     # lambda=1e-4 solve stops at max_iters=500, its duality gap far above

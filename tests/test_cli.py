@@ -396,6 +396,15 @@ def test_rip_rejects_bad_grid_before_drawing_the_map(tmp_path, monkeypatch, key,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dims", [[4, 4], 5, "abc"], ids=["two", "int", "str"])
+def test_rip_says_what_dims_must_be(tmp_path, capsys, dims):
+    spec = {**RIP_SPEC, "dims": dims}
+    del spec["n"], spec["n3"]
+    path = write_spec(tmp_path, "rip.json", spec)
+    assert main(["rip", "--spec", path, "--out", str(tmp_path / "rip.csv")]) == 2
+    assert "dims must be three integers >= 1" in capsys.readouterr().err
+
+
 @pytest.fixture
 def no_work(monkeypatch):
     """Fail the test if a solve or a t-RIP probe runs."""

@@ -94,6 +94,12 @@ def test_gaussian_map_validation():
         GaussianLinearMap(dims=(2, 2, 2), matrix=np.zeros((3, 7)))
 
 
+@pytest.mark.parametrize("dims", [(4, 4), (4, 4, 2, 1), 5, "abc", (4, 4, 0)], ids=["two", "four", "int", "str", "zero"])
+def test_gaussian_map_says_what_dims_must_be(dims):
+    with pytest.raises(ValueError, match="dims must be three integers >= 1"):
+        gaussian_map(30, dims, seed=1)
+
+
 def test_gaussian_map_moments():
     # 1000 x 1000 = 1e6 draws at variance 1/m
     op = gaussian_map(1000, (10, 10, 10), seed=42)

@@ -66,6 +66,12 @@ def test_tsvt_does_not_raise_rank():
     assert tubal_rank(tsvt(x, 0.4)) <= tubal_rank(x)
 
 
+def test_tsvt_overflow_is_a_numerical_error():
+    # a finite input whose slice spectrum passes the largest float
+    with pytest.raises(NumericalError, match="finite range"):
+        tsvt(np.full((3, 3, 4), 3e307), 0.1)
+
+
 def test_tsvt_rejects_negative_tau():
     with pytest.raises(ValueError):
         tsvt(np.zeros((2, 2, 2)), -1.0)
@@ -319,7 +325,10 @@ def test_zblock_identity_holds_during_a_solve(monkeypatch, lam):
 @example(dims=(4, 4, 3), m_frac=0.5, lam=0.1, seed=0)
 def test_admm_scaling_data_and_lambda_scales_the_answer(dims, m_frac, lam, seed):
     # (y, lam) -> (c y, c lam) scales P, D and every iterate by c at the
-    # same penalty, so the stopping rule fires at the same sweep
+    # same penalty, so the stopping rule fires at the same sweep; the
+    # certificate is computed in units near max|y|, so this holds up to
+    # the ends of the float range, and x_hat / c is compared since c x_hat
+    # itself overflows at c = 1e160
     n = int(np.prod(dims))
     m = max(2, int(m_frac * n))
     op = gaussian_map(m, dims, seed)
@@ -327,10 +336,10 @@ def test_admm_scaling_data_and_lambda_scales_the_answer(dims, m_frac, lam, seed)
     y = y + 0.01 * np.random.default_rng(seed).standard_normal(m)
     base = admm_solve(op, y, SolverConfig(lam=lam))
     assert base.converged
-    for c in (1e-3, 1e3):
+    for c in (1e-300, 1e-160, 1e-3, 1e3, 1e160, 1e300):
         res = admm_solve(op, c * y, SolverConfig(lam=c * lam))
-        assert res.iterations == base.iterations
-        assert fro_norm(res.x_hat - c * base.x_hat) <= 1e-9 * c * fro_norm(base.x_hat)
+        assert res.iterations == base.iterations and res.converged
+        assert fro_norm(res.x_hat / c - base.x_hat) <= 1e-9 * fro_norm(base.x_hat)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -509,14 +518,49 @@ def test_admm_nonfinite_abort():
 
 
 def test_admm_nonfinite_zsolve_is_a_numerical_error(monkeypatch):
-    # the z block is checked before the next prox input is read through
-    # unvec, so a NaN there is a numerical failure, not a rejected input
+    # the z block is checked before the next prox input reaches tsvt's
+    # read, so a NaN there is a numerical failure, not a rejected input
     op = gaussian_map(8, (2, 2, 2), seed=3)
     monkeypatch.setattr(
         NormalEquationSolver, "solve", lambda self, b, mb, rho: (np.full_like(b, np.nan), np.full_like(mb, np.nan))
     )
     with pytest.raises(NumericalError, match="z-block"):
         admm_solve(op, np.ones(8), SolverConfig(lam=1.0))
+
+
+def test_admm_nonfinite_prox_step_is_a_numerical_error(monkeypatch):
+    # x is checked before the objective's tnn reads it
+    op = gaussian_map(8, (2, 2, 2), seed=3)
+    monkeypatch.setattr(solver, "tsvt", lambda v, tau: np.full(v.shape, np.nan))
+    with pytest.raises(NumericalError, match="non-finite x at iteration 1"):
+        admm_solve(op, np.ones(8), SolverConfig(lam=1.0))
+
+
+def test_admm_overflowing_prox_input_is_a_numerical_error(monkeypatch):
+    # z = 1.7e308 and k = rho (x - z) = -1.7e304 pass the first sweep's
+    # check, but z - k/rho overflows in the second; numpy warns of the
+    # overflow, and the solver reports it
+    op = gaussian_map(8, (2, 2, 2), seed=3)
+    monkeypatch.setattr(
+        NormalEquationSolver, "solve", lambda self, b, mb, rho: (np.full_like(b, 1.7e308), np.zeros_like(mb))
+    )
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="prox input at iteration 2"):
+        admm_solve(op, np.ones(8), SolverConfig(lam=1.0))
+
+
+def test_admm_overflow_near_the_float_range_is_a_numerical_error():
+    # y = 1e307 passes the door; the thresholding of a later sweep overflows
+    op = gaussian_map(30, (3, 3, 4), seed=1)
+    with pytest.raises(NumericalError, match="finite range"):
+        admm_solve(op, np.full(30, 1e307), SolverConfig(lam=0.1))
+
+
+def test_admm_lam_that_underflows_against_the_data_is_a_numerical_error():
+    # lam / max|y| = 1e-330 is below the float range, so the certificate
+    # cannot be computed
+    op = gaussian_map(8, (2, 2, 2), seed=3)
+    with pytest.raises(NumericalError, match="underflows"):
+        admm_solve(op, np.full(8, 1e300), SolverConfig(lam=1e-30))
 
 
 def test_admm_rejects_bad_measurement_length():
