@@ -183,9 +183,9 @@ class ExperimentResult:
     max_gap is the largest exit relative duality gap of a cell's solves
     (see :mod:`tubal.solver`), NaN when every solve aborted: above the
     solver's tolerance it tells how far a truncated solve stopped short.
-    In the JSON that :func:`emit` writes, non-finite values are written as
-    null: a cell whose solves all aborted, or an exact recovery's
-    infinite SNR.
+    In the JSON that :func:`emit` writes, a cell's keys are these array
+    fields, in this order, and non-finite values are written as null: a
+    cell whose solves all aborted, or an exact recovery's infinite SNR.
     """
 
     spec: ExperimentSpec
@@ -201,23 +201,12 @@ class ExperimentResult:
     version: str = ""
 
     def to_dict(self) -> dict:
-        cells = []
-        for li in range(len(self.spec.lambda_list)):
-            row = []
-            for si in range(len(self.spec.sigma_list)):
-                row.append(
-                    {
-                        "mean_snr_db": float(self.mean_snr_db[li, si]),
-                        "std_snr_db": float(self.std_snr_db[li, si]),
-                        "ok_trials": int(self.ok_trials[li, si]),
-                        "aborted_trials": int(self.aborted_trials[li, si]),
-                        "truncated_trials": int(self.truncated_trials[li, si]),
-                        "max_gap": float(self.max_gap[li, si]),
-                        "mean_iterations": float(self.mean_iterations[li, si]),
-                        "mean_seconds": float(self.mean_seconds[li, si]),
-                    }
-                )
-            cells.append(row)
+        arrays = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        arrays = [(name, values) for name, values in arrays if isinstance(values, np.ndarray)]
+        cells = [
+            [{name: values[li, si].item() for name, values in arrays} for si in range(len(self.spec.sigma_list))]
+            for li in range(len(self.spec.lambda_list))
+        ]
         return {
             "spec": self.spec.to_dict(),
             "sample_count": self.spec.sample_count,
@@ -228,39 +217,28 @@ class ExperimentResult:
         }
 
 
-def _trial_worker(spec: ExperimentSpec, trial: int):
+def _trial_worker(spec: ExperimentSpec, trial: int) -> np.ndarray:
     """Run one trial: all grid cells against a shared instance.
 
-    Returns (snr, iterations, seconds, aborted, truncated, gap) arrays
-    of shape (len(lambda_list), len(sigma_list)).
+    Returns a (len(lambda_list), len(sigma_list), 5) array holding each
+    cell's SNR, iterations, seconds, converged and gap, all NaN where the
+    solve aborted.
     """
-    nl, ns = len(spec.lambda_list), len(spec.sigma_list)
-    snr = np.full((nl, ns), np.nan)
-    gap = np.full((nl, ns), np.nan)
-    iters = np.full((nl, ns), np.nan)
-    secs = np.full((nl, ns), np.nan)
-    aborted = np.zeros((nl, ns), dtype=bool)
-    truncated = np.zeros((nl, ns), dtype=bool)
-
+    out = np.full((len(spec.lambda_list), len(spec.sigma_list), 5), np.nan)
     x, op, y_clean, noise_seed = draw_instance(
         spec.n, spec.n3, spec.rank, spec.sample_count, spec.base_seed, spec.case_name, trial
     )
     for si, sigma in enumerate(spec.sigma_list):
         sample = add_noise(y_clean, sigma, noise_seed)
         for li, lam in enumerate(spec.lambda_list):
-            config = SolverConfig(lam=lam)
             start = time.perf_counter()
             try:
-                result = admm_solve(op, sample.y, config)
+                result = admm_solve(op, sample.y, SolverConfig(lam=lam))
             except NumericalError:
-                aborted[li, si] = True
                 continue
-            secs[li, si] = time.perf_counter() - start
-            iters[li, si] = result.iterations
-            snr[li, si] = snr_db(x, result.x_hat)
-            truncated[li, si] = not result.converged
-            gap[li, si] = result.gap
-    return snr, iters, secs, aborted, truncated, gap
+            seconds = time.perf_counter() - start
+            out[li, si] = snr_db(x, result.x_hat), result.iterations, seconds, result.converged, result.gap
+    return out
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
@@ -285,7 +263,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
             outs = list(pool.map(_trial_worker, [spec] * nt, range(nt)))
     else:
         outs = [_trial_worker(spec, trial) for trial in range(nt)]
-    snr, iters, secs, aborted, truncated, gap = (np.stack(parts) for parts in zip(*outs))
+    snr, iters, secs, converged, gap = np.moveaxis(np.stack(outs), -1, 0)
 
     # a cell with +inf SNRs (exact recoveries) or with every trial aborted
     # has no finite mean or spread: it reads inf or NaN, without a warning
@@ -295,17 +273,17 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
         std_snr = np.nanstd(snr, axis=0)
         mean_iters = np.nanmean(iters, axis=0)
         mean_secs = np.nanmean(secs, axis=0)
-    n_aborted = aborted.sum(axis=0)
+    n_aborted = np.isnan(iters).sum(axis=0)
     return ExperimentResult(
         spec=spec,
-        mean_snr_db=np.asarray(mean_snr),
-        std_snr_db=np.asarray(std_snr),
+        mean_snr_db=mean_snr,
+        std_snr_db=std_snr,
         ok_trials=nt - n_aborted,
         aborted_trials=n_aborted,
-        truncated_trials=truncated.sum(axis=0),
+        truncated_trials=(converged == 0).sum(axis=0),
         max_gap=np.fmax.reduce(gap, axis=0),  # NaN only where every trial aborted
-        mean_iterations=np.asarray(mean_iters),
-        mean_seconds=np.asarray(mean_secs),
+        mean_iterations=mean_iters,
+        mean_seconds=mean_secs,
         created_at=datetime.now(timezone.utc).isoformat(),
         version=_package_version(),
     )

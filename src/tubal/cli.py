@@ -42,6 +42,7 @@ dims, m, rank, lambda, sigma, seed, snr_db, relative_error, iterations,
 converged, final_objective, gap and realized_noise_norm.  gap is the
 solver's exit relative duality gap (P - D) / P, a bound on how far
 final_objective is above the minimum; converged means gap <= 1e-6.
+final_objective is null when P exceeds the float range.
 
 Bounds output
 -------------
@@ -125,6 +126,12 @@ def _load_spec(path) -> dict:
     return obj
 
 
+def _spec_error(what: str, exc: Exception) -> SpecValidationError:
+    """A spec reader's failure as an invalid-input error; a KeyError is a missing key."""
+    reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+    return SpecValidationError(f"invalid {what} spec: {reason}")
+
+
 def _load_tensor(path) -> np.ndarray:
     """Read a real, finite 3-axis array from a .npy file; anything else is a ValueError naming `path`."""
     try:
@@ -202,7 +209,7 @@ def _build_instance(spec: dict, seed_override: int | None):
         t_grid = [_as_real(t, "t") for t in spec.get("t_grid", DEFAULT_T_GRID)]
         rip_trials = _as_int(spec.get("rip_trials", 50))
     except (KeyError, TypeError, ValueError) as exc:
-        raise SpecValidationError(f"invalid instance spec: {exc}") from exc
+        raise _spec_error("instance", exc) from exc
     if not t_grid or min(t_grid) <= 1:
         raise SpecValidationError(f"t_grid must be a non-empty list of values > 1, got {t_grid}")
     if rip_trials < 1:
@@ -264,7 +271,7 @@ def _cmd_rip(args) -> None:
         trials = _as_int(spec.get("trials", 100))
         t = _as_real(spec.get("t", 2.0), "t")
     except (KeyError, TypeError, ValueError) as exc:
-        raise SpecValidationError(f"invalid rip spec: {exc}") from exc
+        raise _spec_error("rip", exc) from exc
     check_rip_grid(dims, rank_list, trials)
     ric_threshold(t, dims[2])  # rejects t <= 1 before the draw
     op = gaussian_map(m, dims, derive_key(seed, "rip-campaign", "map"))
@@ -287,7 +294,7 @@ def _cmd_bounds(args) -> None:
                 spec["delta"], spec["t"], spec["r"], spec["n3"], lam, spec.get("epsilon", lam / 2.0)
             )
         except KeyError as exc:
-            raise SpecValidationError(f"invalid bounds spec: {exc}") from exc
+            raise _spec_error("bounds", exc) from exc
         _write_json(payload, args.out)
         return
 

@@ -12,13 +12,16 @@ Vandenberghe 2004, section 5) every u with ``||M^T u||_2 <= 1`` gives
 the lower bound ``D(u) = <y, u> - (lam/2) ||u||^2 <= min P``, where
 ``||.||_2``, the dual norm of the TNN, is the largest singular value over
 the Fourier slices (Lu et al. 2016, "Tensor robust PCA").  The loop
-stops when ``P(x) - D(u) <= _GAP_TOL * P(x)``.  Both sides scale by c
-when (y, lam) do, and so do the iterates at a fixed penalty, so the rule
-and the iteration count do not depend on the units of the data.  The
-certificate is computed in units of c, a power of two within a factor 2
-of ``max|y|``, and no vector is squared in data units, so P and D
-neither over- nor underflow at any scale of (y, lam);
-``objective_history`` and the dual point are reported in data units.
+stops when ``P(x) - D(u) <= _GAP_TOL * P(x)``.
+
+The solve runs in one unit, c, the power of two with
+``c <= max|y| < 2c``.  y and lam are divided by c at the door, every
+iterate, P, D and the gap are computed in units of c, and x_hat,
+``objective_history`` and the final prox step are multiplied by c at the
+exit; the dual point has no unit.  Both steps are exact, so scaling
+(y, lam) by a power of two scales the answer bitwise, and by any other
+factor changes only roundoff: the rule and the iteration count do not
+depend on the units of the data (Boyd et al. 2011, section 3.4.1).
 
 The loop's state lives in the z block's vector form: z, the multiplier
 k and their images ``M z``, ``M k`` are flat vectors, viewed as tensors
@@ -51,9 +54,11 @@ m = 210, so the certificate is accurate far below _GAP_TOL.
 One failure rule holds for a solve.  ``y`` and the config are read at
 the door, and a bad value raises ``ValueError``.  After that a failure
 is a :class:`NumericalError`: a failed eigendecomposition or
-thresholding SVD, a lam/max|y| that underflows, a threshold lam/rho or
-prox input that left the finite range, or a non-finite x, z or
-multiplier, each checked once per sweep.
+thresholding SVD, a lam/c that underflows, a threshold lam/rho or prox
+input that left the finite range, or a non-finite x, z or multiplier,
+each checked once per sweep; and at the exit, an x_hat or final prox
+step that leaves the float range in data units.  An objective above the
+float range reads inf, without a warning.
 :func:`~tubal.bench.run_experiment` marks such a cell aborted, and
 ``tubal`` exits 3.
 """
@@ -156,8 +161,9 @@ class SolveResult:
     """Outcome of :func:`admm_solve`.
 
     objective_history tracks the regularized objective P at each x
-    iterate.  dual is the m-vector u of the last iteration, with
-    ``||M^T u||_2 <= 1`` up to roundoff, and gap is the exit relative gap
+    iterate; an entry above the float range reads inf.  dual is the
+    m-vector u of the last iteration, with ``||M^T u||_2 <= 1`` up to
+    roundoff, and gap is the exit relative gap
     ``(P(x_hat) - D(u)) / P(x_hat)`` (0 when P(x_hat) = 0): anyone can
     check the certificate from y, lam, x_hat and one product by M^T.
     converged means gap <= _GAP_TOL.
@@ -342,11 +348,11 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
     """
     y = _as_measurements(op, y)
     dims = op.dims
-    # the certificate's unit c, a power of two with c <= max|y| < 2c:
-    # dividing by it is exact, and P / c and D / c stay near 1 at any scale
+    # the solve's unit c, a power of two with c <= max|y| < 2c: dividing by
+    # it and multiplying back are exact, and the loop's values stay near 1
     c = math.ldexp(0.5, math.frexp(float(np.max(np.abs(y))))[1])
-    y_c, lam_c = y / c, config.lam / c
-    if lam_c == 0.0:
+    y, lam = y / c, config.lam / c
+    if lam == 0.0:
         raise NumericalError(f"lam={config.lam:.3e} underflows in units of max|y| ~ {c:.3e}")
 
     ne_solver = NormalEquationSolver(op.matrix)
@@ -365,7 +371,7 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
         z_prev, sweep_rho = z, rho
 
         prox_input = _unvec(z - k_mult / rho, dims)
-        tau = config.lam / rho
+        tau = lam / rho
         _check_finite(iteration, rho, ("threshold lam/rho", tau), ("prox input", prox_input))
         x = tsvt(prox_input, tau)
 
@@ -378,13 +384,13 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
 
         z_step = float(np.max(np.abs(z - z_prev)))
         consensus = float(np.max(np.abs(x_vec - z)))
-        residual = (y - mx) / c
-        objective = tnn(x) / c + float(residual @ residual) / (2.0 * lam_c)
-        obj_hist.append(c * objective)
+        residual = y - mx
+        objective = tnn(x) + float(residual @ residual) / (2.0 * lam)
+        obj_hist.append(objective)
 
         # M^T (y - M z) = -k, so the dual norm of k bounds the dual point
         k_norm = float(_slice_svd(_unvec(k_mult, dims), compute_uv=False).max())
-        dual, dual_value = _dual_point(y_c, (y - mz) / c, k_norm / c, lam_c)
+        dual, dual_value = _dual_point(y, y - mz, k_norm, lam)
         gap = (objective - dual_value) / objective if objective > 0 else 0.0
         if gap <= _GAP_TOL:
             break
@@ -394,11 +400,16 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
         elif dual_residual > _BALANCE_RATIO * consensus:
             rho = max(rho / _VARTHETA, _RHO0)
 
+    # back to data units; P itself may exceed the float range, and reads inf
+    with np.errstate(over="ignore"):
+        x, prox_input, obj_hist = c * x, c * prox_input, c * np.asarray(obj_hist)
+    tau = c * tau
+    _check_finite(iteration, sweep_rho, ("x_hat", x), ("prox input", prox_input), ("threshold lam/rho", tau))
     return SolveResult(
         x_hat=x,
         iterations=iteration,
         converged=gap <= _GAP_TOL,
-        objective_history=np.asarray(obj_hist),
+        objective_history=obj_hist,
         final_state=AdmmState(rho=sweep_rho, last_prox_input=prox_input, last_prox_tau=tau),
         gap=gap,
         dual=dual,

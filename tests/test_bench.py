@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,6 +271,17 @@ def test_experiment_reports_no_gap_for_aborted_cells(monkeypatch, tmp_path):
             assert cell["aborted_trials"] == 2
             for key in ("mean_snr_db", "std_snr_db", "max_gap", "mean_iterations", "mean_seconds"):
                 assert cell[key] is None, key
+
+
+def test_import_loads_neither_the_process_pool_nor_scipy():
+    # a sweep's set-up pays for `import tubal`, and run_experiment imports
+    # the process pool only when it runs more than one worker
+    src = str(Path(tubal.bench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, tubal; print(sorted({m.split('.')[0] for m in sys.modules} & {'concurrent', 'scipy'}))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_experiment_aborts_only_the_cell_that_fails_numerically():

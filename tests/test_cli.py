@@ -310,6 +310,21 @@ def test_instance_spec_malformed_key_exit_2(tmp_path, command, key, value):
 
 
 @pytest.mark.parametrize(
+    "command, spec, key",
+    [
+        ("solve", SOLVE_SPEC, "lambda"),
+        ("rip", {"m": 30, "n": 4, "n3": 2, "rank_list": [1]}, "m"),
+        ("bounds", {"delta": 0.1, "t": 2.0, "r": 1, "n3": 5, "lambda": 0.1}, "t"),
+    ],
+    ids=["solve", "rip", "constants"],
+)
+def test_missing_spec_key_is_named_exit_2(tmp_path, capsys, command, spec, key):
+    path = write_spec(tmp_path, "spec.json", {k: v for k, v in spec.items() if k != key})
+    assert main([command, "--spec", path, "--out", str(tmp_path / "out.txt")]) == 2
+    assert f"missing key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command, spec",
     [
         ("solve", SOLVE_SPEC),

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -309,10 +310,21 @@ def test_zblock_identity_holds_during_a_solve(monkeypatch, lam):
     monkeypatch.setattr(solver, "tsvt", recording_tsvt)
     admm_solve(op, sample.y, SolverConfig(lam=lam, max_iters=300))
     assert len(prox) > 100
+    # the loop runs in units of c, the power of two with c <= max|y| < 2c
+    c = math.ldexp(0.5, math.frexp(np.max(np.abs(sample.y)))[1])
+    y, lam = sample.y / c, lam / c
     for (z, mz), (v, tau) in zip(solves, prox[1:]):
         k_mult = (lam / tau) * (z - vec(v))
-        identity = op.matrix.T @ (sample.y - mz) + k_mult
+        identity = op.matrix.T @ (y - mz) + k_mult
         assert np.linalg.norm(identity) <= 1e-9 * np.linalg.norm(k_mult)
+
+
+def scaling_instance(dims, m_frac, seed):
+    n = int(np.prod(dims))
+    m = max(2, int(m_frac * n))
+    op = gaussian_map(m, dims, seed)
+    y = apply(op, generate_lowrank(dims[0], dims[1], dims[2], 1, seed))
+    return op, y + 0.01 * np.random.default_rng(seed).standard_normal(m)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -326,20 +338,43 @@ def test_zblock_identity_holds_during_a_solve(monkeypatch, lam):
 def test_admm_scaling_data_and_lambda_scales_the_answer(dims, m_frac, lam, seed):
     # (y, lam) -> (c y, c lam) scales P, D and every iterate by c at the
     # same penalty, so the stopping rule fires at the same sweep; the
-    # certificate is computed in units near max|y|, so this holds up to
-    # the ends of the float range, and x_hat / c is compared since c x_hat
-    # itself overflows at c = 1e160
-    n = int(np.prod(dims))
-    m = max(2, int(m_frac * n))
-    op = gaussian_map(m, dims, seed)
-    y = apply(op, generate_lowrank(dims[0], dims[1], dims[2], 1, seed))
-    y = y + 0.01 * np.random.default_rng(seed).standard_normal(m)
+    # solve runs in units near max|y|, so this holds up to the ends of the
+    # float range, and x_hat / c is compared since c x_hat itself
+    # overflows at c = 1e160
+    op, y = scaling_instance(dims, m_frac, seed)
     base = admm_solve(op, y, SolverConfig(lam=lam))
     assert base.converged
     for c in (1e-300, 1e-160, 1e-3, 1e3, 1e160, 1e300):
         res = admm_solve(op, c * y, SolverConfig(lam=c * lam))
         assert res.iterations == base.iterations and res.converged
         assert fro_norm(res.x_hat / c - base.x_hat) <= 1e-9 * fro_norm(base.x_hat)
+    # a power of two changes only the solve's unit, which is exact
+    for c in (2.0**-1000, 2.0**1000):
+        res = admm_solve(op, c * y, SolverConfig(lam=c * lam))
+        assert res.iterations == base.iterations and res.gap == base.gap
+        assert np.array_equal(res.x_hat / c, base.x_hat)
+
+
+def test_admm_at_the_top_of_the_float_range_solves_the_base_problem():
+    # P(0) = |y|^2 / (2 lam) exceeds the float range and reads inf, without
+    # a warning; the iterates, in units of max|y|, do not
+    op, y = scaling_instance((4, 4, 3), 0.5, 0)
+    base = admm_solve(op, y, SolverConfig(lam=0.1))
+    c = 1e307 / np.max(np.abs(y))
+    res = admm_solve(op, c * y, SolverConfig(lam=c * 0.1))
+    assert res.converged and res.iterations == base.iterations
+    assert fro_norm(res.x_hat / c - base.x_hat) <= 1e-9 * fro_norm(base.x_hat)
+    assert res.objective_history[0] == np.inf
+
+
+@pytest.mark.parametrize("lam", [1e-8, 1e-5, 1e-3])
+def test_admm_certificate_near_the_top_of_the_float_range(lam):
+    # capped solves of y ~ 1e307: the gap is the unit-scale one, not NaN
+    op = gaussian_map(30, (3, 3, 4), 0)
+    y = np.random.default_rng(0).standard_normal(30) / 3
+    base = admm_solve(op, y, SolverConfig(lam=lam, max_iters=200))
+    res = admm_solve(op, 1e307 * y, SolverConfig(lam=1e307 * lam, max_iters=200))
+    assert np.isfinite(res.gap) and res.gap == pytest.approx(base.gap, rel=1e-3)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -548,11 +583,21 @@ def test_admm_overflowing_prox_input_is_a_numerical_error(monkeypatch):
         admm_solve(op, np.ones(8), SolverConfig(lam=1.0))
 
 
-def test_admm_overflow_near_the_float_range_is_a_numerical_error():
-    # y = 1e307 passes the door; the thresholding of a later sweep overflows
+def test_admm_near_the_float_range_is_the_solve_in_units_of_max_y():
+    # y = 1e307 is solved as y / c with lam / c, c = 2^1019, and every
+    # output is multiplied back by c exactly; P reads inf
     op = gaussian_map(30, (3, 3, 4), seed=1)
-    with pytest.raises(NumericalError, match="finite range"):
-        admm_solve(op, np.full(30, 1e307), SolverConfig(lam=0.1))
+    y, lam = np.full(30, 1e307), 0.1
+    c = math.ldexp(0.5, math.frexp(1e307)[1])
+    res = admm_solve(op, y, SolverConfig(lam=lam))
+    unit = admm_solve(op, y / c, SolverConfig(lam=lam / c))
+    assert res.iterations == unit.iterations and res.converged == unit.converged
+    assert res.gap == unit.gap and np.array_equal(res.dual, unit.dual)
+    assert np.array_equal(res.x_hat, c * unit.x_hat)
+    assert np.array_equal(res.final_state.last_prox_input, c * unit.final_state.last_prox_input)
+    assert res.final_state.last_prox_tau == c * unit.final_state.last_prox_tau
+    with np.errstate(over="ignore"):
+        assert np.array_equal(res.objective_history, c * unit.objective_history)
 
 
 def test_admm_lam_that_underflows_against_the_data_is_a_numerical_error():
