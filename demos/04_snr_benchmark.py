@@ -15,7 +15,7 @@ import tubal as tb
 
 here = pathlib.Path(__file__).resolve().parent
 spec = tb.case1_spec(trials=5, base_seed=99)
-print(f"case '{spec.case_name}': n={spec.n}, n3={spec.n3}, rank {spec.rank}, "
+print(f"case '{spec.case_name}': n={spec.n}, n3={spec.n3}, rank {spec.r}, "
       f"m={spec.sample_count}, {spec.trials} trials per cell")
 print("running the sweep...")
 result = tb.run_experiment(spec, workers=2)

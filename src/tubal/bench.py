@@ -98,19 +98,19 @@ def measurement_count(sample_factor: float, r: int, n: int, n3: int) -> int:
 class ExperimentSpec:
     """Description of one benchmark case.
 
-    `r` may be an absolute rank (>= 1) or a fraction of n (in (0, 1)),
-    rounded to the nearest integer with a floor of 1.  The measurement
-    count is :func:`measurement_count` of the rank.  Sigma values must be
-    >= 0, lambda values > 0.  The fields are read when the spec is
-    built: n, n3, trials and base_seed as ints by ``algebra._as_int``;
-    r, sample_factor and the grids as floats and tuples of floats by
-    ``algebra._as_real``.  Any violation raises SpecValidationError.
+    `r` is the tubal rank of every trial's ground truth, 1 <= r <= n.
+    The measurement count is :func:`measurement_count` of r.  Sigma
+    values must be >= 0, lambda values > 0.  The fields are read when
+    the spec is built: n, n3, r, trials and base_seed as ints by
+    ``algebra._as_int``; sample_factor and the grids as floats and
+    tuples of floats by ``algebra._as_real``.  Any violation raises
+    SpecValidationError.
     """
 
     case_name: str
     n: int
     n3: int
-    r: float
+    r: int
     sample_factor: float
     sigma_list: tuple[float, ...]
     lambda_list: tuple[float, ...]
@@ -125,7 +125,7 @@ class ExperimentSpec:
             return tuple(_as_real(v) for v in values)
 
         for name, read in (
-            ("n", _as_int), ("n3", _as_int), ("r", _as_real), ("sample_factor", _as_real),
+            ("n", _as_int), ("n3", _as_int), ("r", _as_int), ("sample_factor", _as_real),
             ("sigma_list", real_grid), ("lambda_list", real_grid), ("trials", _as_int), ("base_seed", _as_int),
         ):
             try:
@@ -134,10 +134,8 @@ class ExperimentSpec:
                 raise SpecValidationError(f"{name}: {exc}") from None
         if self.n < 1 or self.n3 < 1:
             raise SpecValidationError("n and n3 must be >= 1")
-        if self.r <= 0:
-            raise SpecValidationError("r must be positive")
-        if self.rank > self.n:
-            raise SpecValidationError(f"rank {self.rank} exceeds n={self.n}")
+        if not 1 <= self.r <= self.n:
+            raise SpecValidationError(f"r must lie in [1, n={self.n}], got {self.r}")
         if self.sample_factor <= 0:
             raise SpecValidationError("sample_factor must be positive")
         if self.trials < 1:
@@ -150,16 +148,8 @@ class ExperimentSpec:
             raise SpecValidationError("lambda values must be positive")
 
     @property
-    def rank(self) -> int:
-        if 0 < self.r < 1:
-            return max(1, round(self.r * self.n))
-        if self.r != int(self.r):
-            raise SpecValidationError(f"absolute rank must be an integer, got {self.r}")
-        return int(self.r)
-
-    @property
     def sample_count(self) -> int:
-        return measurement_count(self.sample_factor, self.rank, self.n, self.n3)
+        return measurement_count(self.sample_factor, self.r, self.n, self.n3)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentSpec":
@@ -210,7 +200,6 @@ class ExperimentResult:
         return {
             "spec": self.spec.to_dict(),
             "sample_count": self.spec.sample_count,
-            "rank": self.spec.rank,
             "cells": cells,
             "created_at": self.created_at,
             "version": self.version,
@@ -226,7 +215,7 @@ def _trial_worker(spec: ExperimentSpec, trial: int) -> np.ndarray:
     """
     out = np.full((len(spec.lambda_list), len(spec.sigma_list), 5), np.nan)
     x, op, y_clean, noise_seed = draw_instance(
-        spec.n, spec.n3, spec.rank, spec.sample_count, spec.base_seed, spec.case_name, trial
+        spec.n, spec.n3, spec.r, spec.sample_count, spec.base_seed, spec.case_name, trial
     )
     for si, sigma in enumerate(spec.sigma_list):
         sample = add_noise(y_clean, sigma, noise_seed)
@@ -470,7 +459,7 @@ def case1_spec(trials: int = 50, base_seed: int = 2024) -> ExperimentSpec:
         case_name="case1",
         n=10,
         n3=5,
-        r=0.1,
+        r=1,
         sample_factor=2.0,
         sigma_list=(0.01, 0.03, 0.05, 0.07, 0.1),
         lambda_list=(10.0, 1.0, 0.1, 0.01, 0.001, 0.0001),

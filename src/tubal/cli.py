@@ -10,15 +10,19 @@ bounds      recovery-guarantee constants / end-to-end verification
 
 Spec keys
 ---------
-solve, bounds  n, n3, r, lambda; optional sigma (0), max_iters (500),
-               seed (0), m or sample_factor (2), not both; solve also
-               reads save_estimate, bounds also reads t_grid
-               (1.5 ... 50) and rip_trials (50)
+A run's numbers are set by its spec file alone: --out and --format
+choose where and how they are written, experiment's --workers how many
+processes compute them, and no option overrides a key of the spec.  r,
+and each entry of rip's rank_list, is an integer tubal rank.
+
+solve, bounds  n, n3, r, lambda; optional sigma (0), max_iters (the
+               solver's default), seed (0), m or sample_factor (2), not
+               both; solve also reads save_estimate, bounds also reads
+               t_grid (1.5 ... 50) and rip_trials (50)
 bounds         with a delta key, constants only: delta, t, r, n3,
-               lambda; optional epsilon (lambda / 2).  Constants mode
-               draws nothing, so it reads no --seed
-experiment     case_name, n, n3, r, sample_factor, sigma_list,
-               lambda_list; optional trials (50), base_seed (0)
+               lambda; optional epsilon (lambda / 2)
+experiment     case_name, n, n3, r (1 <= r <= n), sample_factor,
+               sigma_list, lambda_list; optional trials (50), base_seed (0)
 rip            m, rank_list, and dims, or n and n3, not both; optional
                seed (0), trials (100), t (2)
 
@@ -33,8 +37,8 @@ the estimate as .npy at exactly the given path, whatever its suffix.
 A spec is checked whole before any solve or probe.  A key the command
 does not read, two keys that set the same thing (m and sample_factor;
 dims and n or n3), a fractional or non-finite number, an empty grid, a
-t at or below 1, a save_estimate that is not a non-empty path and a
---seed given with a constants-mode spec are all errors.
+t at or below 1 and a save_estimate that is not a non-empty path are
+all errors.
 
 Solve output
 ------------
@@ -49,11 +53,11 @@ Bounds output
 constants mode  delta, t, r, n3, lambda, epsilon, threshold, eta1, eta2,
                 c1..c4 and c1_matched..c4_matched (the coefficients for
                 epsilon = lambda / 2; see analysis.guarantee_constants)
-end-to-end      note, snr_db, epsilon_realized, lambda, reports and
-                tightest_satisfied.  Each report starts with t,
-                probe_rank, delta (the sampled lower estimate at that
-                rank), threshold and condition_met; a met one goes on
-                with the other constants-mode keys and tail_tnn, lhs_meas,
+end-to-end      snr_db, epsilon_realized, lambda and reports, one per
+                t of t_grid.  Each report starts with t, probe_rank,
+                delta (the sampled lower estimate at that rank),
+                threshold and condition_met; a met one goes on with the
+                other constants-mode keys and tail_tnn, lhs_meas,
                 rhs_meas, lhs_fro, rhs_fro and satisfied.
 
 Rip output
@@ -184,7 +188,7 @@ def _cmd_tsvd(args) -> None:
         _write_json(summary, None)
 
 
-def _build_instance(spec: dict, seed_override: int | None):
+def _build_instance(spec: dict):
     """Parse every key of a `solve` or `bounds` instance spec, then build it.
 
     Returns (x, op, sample, config, seed, r, t_grid, rip_trials).  Every
@@ -200,8 +204,9 @@ def _build_instance(spec: dict, seed_override: int | None):
         n3 = _as_int(spec["n3"])
         r = _as_int(spec["r"])
         sigma = _as_real(spec.get("sigma", 0.0), "sigma")
-        config = SolverConfig(lam=_as_real(spec["lambda"], "lambda"), max_iters=spec.get("max_iters", 500))
-        seed = _as_int(spec.get("seed", 0)) if seed_override is None else seed_override
+        lam = _as_real(spec["lambda"], "lambda")
+        config = SolverConfig(lam=lam, max_iters=spec.get("max_iters", SolverConfig.max_iters))
+        seed = _as_int(spec.get("seed", 0))
         if "m" in spec:
             m = _as_int(spec["m"])
         else:
@@ -224,7 +229,7 @@ def _build_instance(spec: dict, seed_override: int | None):
 def _cmd_solve(args) -> None:
     spec = _load_spec(args.spec)
     check_spec_keys(spec, _SOLVE_KEYS, "solve")
-    x, op, sample, config, seed, *_ = _build_instance(spec, args.seed)
+    x, op, sample, config, seed, *_ = _build_instance(spec)
     result = admm_solve(op, sample.y, config)
     if "save_estimate" in spec:
         _save_tensor(spec["save_estimate"], result.x_hat)
@@ -247,10 +252,7 @@ def _cmd_solve(args) -> None:
 
 
 def _cmd_experiment(args) -> None:
-    spec_dict = _load_spec(args.spec)
-    if args.seed is not None:
-        spec_dict["base_seed"] = args.seed
-    spec = ExperimentSpec.from_dict(spec_dict)
+    spec = ExperimentSpec.from_dict(_load_spec(args.spec))
     result = run_experiment(spec, workers=args.workers)
     out = args.out or f"{spec.case_name}.{args.format}"
     emit(result, args.format, out)
@@ -266,7 +268,7 @@ def _cmd_rip(args) -> None:
     try:
         dims = _as_dims(spec["dims"] if "dims" in spec else (spec["n"], spec["n"], spec["n3"]))
         m = _as_int(spec["m"])
-        seed = _as_int(spec.get("seed", 0)) if args.seed is None else args.seed
+        seed = _as_int(spec.get("seed", 0))
         rank_list = [_as_int(r) for r in spec["rank_list"]]
         trials = _as_int(spec.get("trials", 100))
         t = _as_real(spec.get("t", 2.0), "t")
@@ -285,8 +287,6 @@ def _cmd_bounds(args) -> None:
     spec = _load_spec(args.spec)
     if "delta" in spec:
         check_spec_keys(spec, _CONSTANTS_KEYS, "bounds constants")
-        if args.seed is not None:
-            raise SpecValidationError("--seed has no use with a constants-mode spec (one with a delta key)")
         try:
             # guarantee_constants reads every value by the package's rules
             lam = _as_real(spec["lambda"], "lambda")
@@ -300,25 +300,17 @@ def _cmd_bounds(args) -> None:
 
     # End-to-end mode: build, solve, estimate distortion, sweep t.
     check_spec_keys(spec, _BOUNDS_KEYS, "bounds")
-    x, op, sample, config, seed, r, t_grid, rip_trials = _build_instance(spec, args.seed)
+    x, op, sample, config, seed, r, t_grid, rip_trials = _build_instance(spec)
     result = admm_solve(op, sample.y, config)
     epsilon = float(np.linalg.norm(sample.noise))
     reports = check_guarantee(
         x, result.x_hat, op, sample.y, r, t_grid, config.lam, epsilon, rip_trials, derive_key(seed, "bounds")
     )
-
-    satisfied = [e for e in reports if e.get("condition_met") and all(e["satisfied"])]
-    # "tightest" = smallest Frobenius-bound slack; a tool convention, not
-    # part of the guarantee itself.
-    tightest = min(satisfied, key=lambda e: e["rhs_fro"] - e["lhs_fro"], default=None)
     payload = {
-        "note": "t swept over a grid; 'tightest_satisfied' picks the smallest "
-        "Frobenius-bound slack among satisfied entries (tool convention)",
         "snr_db": snr_db(x, result.x_hat),
         "epsilon_realized": epsilon,
         "lambda": config.lam,
         "reports": reports,
-        "tightest_satisfied": tightest,
     }
     _write_json(payload, args.out)
 
@@ -344,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name)
         p.add_argument("--spec", required=True, help="path to a JSON spec")
-        p.add_argument("--seed", type=int, default=None, help="override the spec seed")
         p.add_argument("--out", default=None, help="output path")
         if needs_format:
             p.add_argument("--format", choices=("csv", "json"), default="csv")

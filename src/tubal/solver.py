@@ -51,14 +51,24 @@ with the solve's own ``M z`` the identity held to 1.4e-10 of ``||k||``
 and ``||M^T u||_2`` stayed within 2e-11 of 1 on 10x10x5 instances with
 m = 210, so the certificate is accurate far below _GAP_TOL.
 
+The same identity certifies x = 0 before any sweep: at z = 0 the
+multiplier is ``-M^T y``, so the gap of x = 0 against
+``u = (s / lam) y`` costs one values-only slice SVD of ``M^T y``, which
+the loop needs anyway.  When that gap is at most _GAP_TOL, as it is for
+every ``lam >= ||M^T y||_2``, the solve returns x_hat = 0 after 1
+iteration and factors nothing: the first sweep from the zero start would
+threshold the zero tensor and give x = 0 again.  Its final state is
+that sweep's: rho = _RHO0, a zero prox input and the threshold
+``lam / _RHO0``, which reads inf above the float range.
+
 One failure rule holds for a solve.  ``y`` and the config are read at
 the door, and a bad value raises ``ValueError``.  After that a failure
 is a :class:`NumericalError`: a failed eigendecomposition or
-thresholding SVD, a lam/c that underflows, a threshold lam/rho or prox
-input that left the finite range, or a non-finite x, z or multiplier,
-each checked once per sweep; and at the exit, an x_hat or final prox
-step that leaves the float range in data units.  An objective above the
-float range reads inf, without a warning.
+thresholding SVD, a lam/c that leaves the float range, a threshold
+lam/rho or prox input that left the finite range, or a non-finite x, z
+or multiplier, each checked once per sweep; and at the exit, an x_hat or
+final prox step that leaves the float range in data units.  An objective
+above the float range reads inf, without a warning.
 :func:`~tubal.bench.run_experiment` marks such a cell aborted, and
 ``tubal`` exits 3.
 """
@@ -316,14 +326,26 @@ def _dual_point(y: np.ndarray, residual: np.ndarray, k_norm: float, lam: float) 
     return (s / lam) * residual, (s / lam) * (yr - 0.5 * s * rr)
 
 
+def _certify(y, residual, k_mult, dims, objective: float, lam: float) -> tuple[np.ndarray, float]:
+    """The dual point of the multiplier `k_mult`, and the relative gap ``(P - D) / P`` of `objective`.
+
+    `residual` is ``y - M z`` for the z whose multiplier is `k_mult`;
+    the gap is 0 when P is 0.  All values share one unit."""
+    k_norm = float(_slice_svd(_unvec(k_mult, dims), compute_uv=False).max())
+    dual, dual_value = _dual_point(y, residual, k_norm, lam)
+    return dual, (objective - dual_value) / objective if objective > 0 else 0.0
+
+
 def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> SolveResult:
     """Run the splitting scheme from zero initialization.
 
-    z and the multiplier k are N-vectors.  Per sweep: the x block applies
-    :func:`tsvt` to ``z - k/rho``, viewed as a tensor, with threshold
-    ``lam/rho``; the z block returns ``(z, M z)`` from the regularized
-    normal equations; the multiplier absorbs ``rho * (vec(x) - z)``; the
-    penalty is then rebalanced as described in :class:`SolverConfig`.
+    x = 0 is tried first, by the start certificate of the module
+    docstring.  z and the multiplier k are N-vectors.  Per sweep: the x
+    block applies :func:`tsvt` to ``z - k/rho``, viewed as a tensor, with
+    threshold ``lam/rho``; the z block returns ``(z, M z)`` from the
+    regularized normal equations; the multiplier absorbs
+    ``rho * (vec(x) - z)``; the penalty is then rebalanced as described in
+    :class:`SolverConfig`.
     Stops when the relative duality gap of the module docstring is at
     most _GAP_TOL, or at `max_iters` with ``converged=False``.
 
@@ -352,11 +374,28 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
     # it and multiplying back are exact, and the loop's values stay near 1
     c = math.ldexp(0.5, math.frexp(float(np.max(np.abs(y))))[1])
     y, lam = y / c, config.lam / c
-    if lam == 0.0:
-        raise NumericalError(f"lam={config.lam:.3e} underflows in units of max|y| ~ {c:.3e}")
+    if not 0.0 < lam < math.inf:
+        flow = "underflows" if lam == 0.0 else "overflows"
+        raise NumericalError(f"lam={config.lam:.3e} {flow} in units of max|y| ~ {c:.3e}")
+
+    mty = op.matrix.T @ y
+    # the start certificate: z = 0 has the multiplier -M^T y, whose dual
+    # norm is that of M^T y
+    objective = float(y @ y) / (2.0 * lam)
+    dual, gap = _certify(y, y, mty, dims, objective, lam)
+    if gap <= _GAP_TOL:
+        zero = np.zeros(dims)
+        return SolveResult(
+            x_hat=zero,
+            iterations=1,
+            converged=True,
+            objective_history=np.array([c * objective]),
+            final_state=AdmmState(rho=_RHO0, last_prox_input=zero, last_prox_tau=config.lam / _RHO0),
+            gap=gap,
+            dual=dual,
+        )
 
     ne_solver = NormalEquationSolver(op.matrix)
-    mty = op.matrix.T @ y
     mmty = op.matrix @ mty
     mk = np.zeros(op.m)
     z = np.zeros_like(mty)
@@ -389,9 +428,7 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
         obj_hist.append(objective)
 
         # M^T (y - M z) = -k, so the dual norm of k bounds the dual point
-        k_norm = float(_slice_svd(_unvec(k_mult, dims), compute_uv=False).max())
-        dual, dual_value = _dual_point(y, y - mz, k_norm, lam)
-        gap = (objective - dual_value) / objective if objective > 0 else 0.0
+        dual, gap = _certify(y, y - mz, k_mult, dims, objective, lam)
         if gap <= _GAP_TOL:
             break
         dual_residual = rho * z_step

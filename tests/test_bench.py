@@ -92,23 +92,31 @@ def test_generate_lowrank_validation():
 
 
 def test_spec_fractional_rank_and_samples():
+    # r is a tubal rank, never a fraction of n: 0.1 is no rank
+    with pytest.raises(SpecValidationError, match="r: expected an integer"):
+        ExperimentSpec(
+            case_name="case1", n=10, n3=5, r=0.1, sample_factor=2.0, sigma_list=(0.01,), lambda_list=(0.1,)
+        )
     spec = ExperimentSpec(
-        case_name="case1",
-        n=10,
-        n3=5,
-        r=0.1,
-        sample_factor=2.0,
-        sigma_list=(0.01,),
-        lambda_list=(0.1,),
+        case_name="case1", n=10, n3=5, r=1, sample_factor=2.0, sigma_list=(0.01,), lambda_list=(0.1,)
     )
-    assert spec.rank == 1
     assert spec.sample_count == 210
 
 
 def test_spec_absolute_rank():
-    assert mini_spec(r=2).rank == 2
+    spec = mini_spec(r=2.0)
+    assert spec.r == 2 and type(spec.r) is int
+    assert spec.sample_count == 104  # 2.0 * 2 * (2 * 6 + 1) * 2
+    assert not hasattr(spec, "rank")
+
+
+@pytest.mark.parametrize("r", [0.1, 1.5, 0, 7], ids=["fraction", "one-and-a-half", "zero", "n-plus-1"])
+def test_spec_rank_is_an_integer_from_1_to_n(r):
+    # mini_spec has n = 6
+    with pytest.raises(SpecValidationError, match="r: expected an integer|r must lie in"):
+        mini_spec(r=r)
     with pytest.raises(SpecValidationError):
-        mini_spec(r=2.5).rank
+        ExperimentSpec.from_dict({**mini_spec().to_dict(), "r": r})
 
 
 def test_spec_validation():
@@ -141,7 +149,7 @@ def test_spec_validation():
         ("trails", 1, "'trails'"),
         ("n", 6.7, "expected an integer"),
         ("trials", math.inf, "expected an integer"),
-        ("r", "1", "expected a finite number"),
+        ("r", "1", "expected an integer"),
         ("base_seed", True, "expected an integer"),
         ("case_name", "", "case_name"),
         ("case_name", ["a"], "case_name"),
@@ -160,8 +168,8 @@ def test_spec_from_dict_rejects_bad_keys(key, value, match):
         ("n3", True, "n3: expected an integer"),
         ("trials", 1.5, "trials: expected an integer"),
         ("base_seed", 1.5, "base_seed: expected an integer"),
-        ("r", math.inf, "r: expected a finite number"),
-        ("r", True, "r: expected a finite number"),
+        ("r", math.inf, "r: expected an integer"),
+        ("r", True, "r: expected an integer"),
         ("sample_factor", "2", "sample_factor: expected a finite number"),
         ("sigma_list", (True,), "sigma_list: expected a finite number"),
         ("lambda_list", 0.5, "lambda_list: "),
@@ -175,10 +183,10 @@ def test_spec_checks_its_fields_when_built(key, value, match):
 
 
 def test_spec_stores_fields_by_type():
-    spec = ExperimentSpec("c", 10.0, np.int64(5), 1, 2, [0.01], (np.float32(0.5),), trials=2.0, base_seed=7.0)
-    assert spec == ExperimentSpec("c", 10, 5, 1.0, 2.0, (0.01,), (0.5,), trials=2, base_seed=7)
-    assert [type(getattr(spec, k)) for k in ("n", "n3", "trials", "base_seed", "r", "sample_factor")] == (
-        [int] * 4 + [float] * 2
+    spec = ExperimentSpec("c", 10.0, np.int64(5), 1.0, 2, [0.01], (np.float32(0.5),), trials=2.0, base_seed=7.0)
+    assert spec == ExperimentSpec("c", 10, 5, 1, 2.0, (0.01,), (0.5,), trials=2, base_seed=7)
+    assert [type(getattr(spec, k)) for k in ("n", "n3", "r", "trials", "base_seed", "sample_factor")] == (
+        [int] * 5 + [float]
     )
     assert type(spec.sigma_list) is tuple and type(spec.lambda_list[0]) is float
 
@@ -285,11 +293,15 @@ def test_import_loads_neither_the_process_pool_nor_scipy():
 
 
 def test_experiment_aborts_only_the_cell_that_fails_numerically():
-    # lam = 1e305 puts the first threshold lam / rho past the float range:
-    # that cell aborts, and the lam = 0.1 cell on the same instance is solved
-    result = run_experiment(mini_spec(trials=1, lambda_list=(0.1, 1e305)))
-    assert result.aborted_trials.tolist() == [[0, 0], [1, 1]]
-    assert np.isfinite(result.mean_snr_db[0]).all() and np.isnan(result.mean_snr_db[1]).all()
+    # base seed 0 gives max|y| = 4.9 at both sigmas, so the solve's unit is
+    # c = 4 and lam / c underflows at lam = 5e-324: that cell aborts, and the
+    # other cells on the same instance are solved.  lam = 1e305 is far above
+    # ||M^T y||_2, so x = 0 is certified before any sweep and scores 0 dB
+    result = run_experiment(mini_spec(trials=1, base_seed=0, lambda_list=(0.1, 1e305, 5e-324)))
+    assert result.aborted_trials.tolist() == [[0, 0], [0, 0], [1, 1]]
+    assert np.isfinite(result.mean_snr_db[0]).all() and np.isnan(result.mean_snr_db[2]).all()
+    assert result.mean_snr_db[1].tolist() == [0.0, 0.0]
+    assert result.mean_iterations[1].tolist() == [1.0, 1.0]
 
 
 def test_experiment_reports_truncated_solves(tmp_path):
@@ -325,6 +337,7 @@ def test_emit_json_round_trip(tmp_path, mini_result):
     path = tmp_path / "grid.json"
     emit(mini_result, "json", path)
     doc = json.loads(path.read_text())
+    assert list(doc) == ["spec", "sample_count", "cells", "created_at", "version"]
     assert doc["spec"]["case_name"] == "mini"
     assert doc["sample_count"] == mini_spec().sample_count
     assert len(doc["cells"]) == 2

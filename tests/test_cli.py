@@ -282,8 +282,8 @@ def test_bounds_end_to_end_mode(tmp_path):
     out = str(tmp_path / "report.json")
     assert main(["bounds", "--spec", spec, "--out", out]) == 0
     doc = json.loads((tmp_path / "report.json").read_text())
-    assert "reports" in doc and len(doc["reports"]) == 2
-    assert "tightest_satisfied" in doc
+    assert list(doc) == ["snr_db", "epsilon_realized", "lambda", "reports"]
+    assert len(doc["reports"]) == 2
     for entry in doc["reports"]:
         if entry.get("condition_met"):
             assert entry["satisfied"] == [True, True]
@@ -376,7 +376,7 @@ def test_bounds_delta_hat_nondecreasing_in_probe_rank(bounds_runs):
 
 
 def test_bounds_delta_hat_is_the_campaign_row(bounds_runs):
-    _, op, *_ = tubal.cli._build_instance(E2E_SPEC, None)
+    _, op, *_ = tubal.cli._build_instance(E2E_SPEC)
     rows = run_rip_campaign(op, [2, 3, 5, 8, 10], E2E_SPEC["rip_trials"], derive_key(7, "bounds"))
     delta_hats = {row.r: row.delta_hat for row in rows}
     for entry in json.loads(bounds_runs[0])["reports"]:
@@ -474,11 +474,12 @@ def test_spec_unknown_key_exit_2(tmp_path, capsys, no_work, command, spec, key):
         ("bounds", CONSTANTS_SPEC, "r", 1.5),
         ("bounds", CONSTANTS_SPEC, "lambda", True),
         ("experiment", EXPERIMENT_SPEC, "n", 6.7),
+        ("experiment", EXPERIMENT_SPEC, "r", 0.1),
     ],
     ids=["rip-m-inf", "rip-rank-fraction", "solve-sample_factor-inf", "solve-n-fraction",
          "solve-lambda-string", "bounds-t-inf", "bounds-t-at-1", "bounds-t_grid-empty",
          "bounds-rip_trials-0", "bounds-constants-r-fraction", "bounds-constants-lambda-bool",
-         "experiment-n-fraction"],
+         "experiment-n-fraction", "experiment-r-fraction"],
 )
 def test_spec_malformed_number_exit_2_before_work(tmp_path, no_work, command, spec, key, value):
     path = tmp_path / "spec.json"
@@ -519,19 +520,18 @@ RIP_WITHOUT_N = {k: v for k, v in RIP_SPEC.items() if k != "n"}
 
 
 @pytest.mark.parametrize(
-    "command, spec, args, names",
+    "command, spec, names",
     [
-        ("solve", {**SOLVE_SPEC, "m": 30, "sample_factor": 9}, [], ("m", "sample_factor")),
-        ("bounds", {**INSTANCE_SPEC, "m": 30, "sample_factor": 9}, [], ("m", "sample_factor")),
-        ("rip", {**RIP_SPEC, "dims": [4, 4, 2], "n": 9, "n3": 7}, [], ("dims", "n", "n3")),
-        ("rip", {"dims": [4, 4, 2], **RIP_WITHOUT_N}, [], ("dims", "n3")),
-        ("bounds", CONSTANTS_SPEC, ["--seed", "4"], ("--seed", "delta")),
+        ("solve", {**SOLVE_SPEC, "m": 30, "sample_factor": 9}, ("m", "sample_factor")),
+        ("bounds", {**INSTANCE_SPEC, "m": 30, "sample_factor": 9}, ("m", "sample_factor")),
+        ("rip", {**RIP_SPEC, "dims": [4, 4, 2], "n": 9, "n3": 7}, ("dims", "n", "n3")),
+        ("rip", {"dims": [4, 4, 2], **RIP_WITHOUT_N}, ("dims", "n3")),
     ],
     ids=["solve-m-and-sample_factor", "bounds-m-and-sample_factor", "rip-dims-and-n-n3",
-         "rip-dims-and-n3", "bounds-constants-seed"],
+         "rip-dims-and-n3"],
 )
 def test_input_the_command_would_ignore_exit_2_before_any_draw(tmp_path, capsys, no_work, monkeypatch,
-                                                               command, spec, args, names):
+                                                               command, spec, names):
     def forbidden(*args, **kwargs):
         raise AssertionError("the spec should be rejected before any draw")
 
@@ -540,10 +540,32 @@ def test_input_the_command_would_ignore_exit_2_before_any_draw(tmp_path, capsys,
     monkeypatch.setattr(tubal.bench, "generate_lowrank", forbidden)
     path = write_spec(tmp_path, "spec.json", spec)
     out = tmp_path / "out.txt"
-    assert main([command, "--spec", path, "--out", str(out), *args]) == 2
+    assert main([command, "--spec", path, "--out", str(out)]) == 2
     assert not out.exists()
     err = capsys.readouterr().err
     assert all(name in err for name in names)
+
+
+@pytest.mark.parametrize(
+    "command, spec",
+    [
+        ("solve", SOLVE_SPEC),
+        ("bounds", INSTANCE_SPEC),
+        ("bounds", CONSTANTS_SPEC),
+        ("experiment", EXPERIMENT_SPEC),
+        ("rip", RIP_SPEC),
+    ],
+    ids=["solve", "bounds", "bounds-constants", "experiment", "rip"],
+)
+def test_no_command_takes_a_seed_option(tmp_path, capsys, no_work, command, spec):
+    # a run's output is set by its spec file alone: a seed is a key of the spec
+    path = write_spec(tmp_path, "spec.json", spec)
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--spec", path, "--out", str(out), "--seed", "3"])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_bounds_constants_mode_matches_each_met_entry(tmp_path, capsys, bounds_runs):

@@ -367,6 +367,49 @@ def test_admm_at_the_top_of_the_float_range_solves_the_base_problem():
     assert res.objective_history[0] == np.inf
 
 
+def refuse_to_factor(matrix):
+    raise AssertionError("the solve should not factor the measurement matrix")
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.tuples(st.integers(2, 4), st.integers(2, 4), st.integers(1, 3)),
+    m_frac=st.floats(0.3, 1.5),
+    log_a=st.floats(0.0, 300.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dims=(4, 4, 3), m_frac=0.5, log_a=0.0, seed=0)
+@example(dims=(3, 3, 2), m_frac=1.5, log_a=300.0, seed=1)
+def test_admm_certifies_zero_before_any_sweep(dims, m_frac, log_a, seed):
+    # at lam >= ||M^T y||_2 the zero start is optimal: z = 0 has the
+    # multiplier -M^T y, so its gap is certified before M is factored
+    op, y = scaling_instance(dims, m_frac, seed)
+    lam = 10.0**log_a * dual_norm(unvec(op.matrix.T @ y, dims))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "NormalEquationSolver", refuse_to_factor)
+        res = admm_solve(op, y, SolverConfig(lam=lam))
+    assert res.iterations == 1 and res.converged
+    assert np.all(res.x_hat == 0.0)
+    assert res.gap <= 1e-6
+    assert dual_norm(unvec(op.matrix.T @ res.dual, dims)) <= 1.0 + 1e-12
+    assert res.objective_history.tolist() == pytest.approx([float(y @ y) / (2.0 * lam)], rel=1e-12)
+    state = res.final_state
+    assert state.rho == solver._RHO0 and np.all(state.last_prox_input == 0.0)
+    assert state.last_prox_tau == pytest.approx(lam / solver._RHO0, rel=1e-15)
+    # below ||M^T y||_2, x = 0 is not optimal: the loop runs and moves off it
+    res = admm_solve(op, y, SolverConfig(lam=0.5 * lam / 10.0**log_a))
+    assert res.iterations > 1 and np.any(res.x_hat != 0.0)
+
+
+def test_admm_lam_that_overflows_against_the_data_is_a_numerical_error(monkeypatch):
+    # lam / max|y| = 1e310 is above the float range: read as inf, it would
+    # certify x = 0 with a zero gap, so the solve stops at the door
+    monkeypatch.setattr(solver, "NormalEquationSolver", refuse_to_factor)
+    op = gaussian_map(8, (2, 2, 2), seed=3)
+    with pytest.raises(NumericalError, match="overflows"):
+        admm_solve(op, np.full(8, 1e-300), SolverConfig(lam=1e10))
+
+
 @pytest.mark.parametrize("lam", [1e-8, 1e-5, 1e-3])
 def test_admm_certificate_near_the_top_of_the_float_range(lam):
     # capped solves of y ~ 1e307: the gap is the unit-scale one, not NaN
