@@ -90,21 +90,23 @@ def draw_instance(n: int, n3: int, r: int, m: int, *key):
 
 def measurement_count(sample_factor: float, r: int, n: int, n3: int) -> int:
     """Measurement count ``round(sample_factor * r * (2n + 1) * n3)`` for a
-    rank-r tensor of size n x n x n3."""
-    return round(sample_factor * r * (2 * n + 1) * n3)
+    rank-r tensor of size n x n x n3; a count below 1 raises ``ValueError``."""
+    m = round(sample_factor * r * (2 * n + 1) * n3)
+    if m < 1:
+        raise ValueError(f"sample_factor {sample_factor} gives {m} measurements of a rank-{r} {n}x{n}x{n3} tensor")
+    return m
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Description of one benchmark case.
 
-    `r` is the tubal rank of every trial's ground truth, 1 <= r <= n.
-    The measurement count is :func:`measurement_count` of r.  Sigma
-    values must be >= 0, lambda values > 0.  The fields are read when
-    the spec is built: n, n3, r, trials and base_seed as ints by
-    ``algebra._as_int``; sample_factor and the grids as floats and
-    tuples of floats by ``algebra._as_real``.  Any violation raises
-    SpecValidationError.
+    `r` is the tubal rank of every trial's ground truth, 1 <= r <= n, and
+    :func:`measurement_count` of r is at least 1.  Sigma values must be
+    >= 0, lambda values > 0.  The fields are read when the spec is built:
+    n, n3, r, trials and base_seed as ints by ``algebra._as_int``;
+    sample_factor and the grids as floats and tuples of floats by
+    ``algebra._as_real``.  Any violation raises SpecValidationError.
     """
 
     case_name: str
@@ -136,8 +138,10 @@ class ExperimentSpec:
             raise SpecValidationError("n and n3 must be >= 1")
         if not 1 <= self.r <= self.n:
             raise SpecValidationError(f"r must lie in [1, n={self.n}], got {self.r}")
-        if self.sample_factor <= 0:
-            raise SpecValidationError("sample_factor must be positive")
+        try:
+            measurement_count(self.sample_factor, self.r, self.n, self.n3)
+        except ValueError as exc:
+            raise SpecValidationError(str(exc)) from None
         if self.trials < 1:
             raise SpecValidationError("trials must be >= 1")
         if not self.sigma_list or not self.lambda_list:
@@ -169,7 +173,7 @@ class ExperimentResult:
 
     truncated_trials counts the solves of a cell that stopped at
     ``max_iters`` without meeting the stopping rule; their SNR is still
-    scored and averaged into mean_snr_db, and they count in ok_trials.
+    scored and averaged into mean_snr_db.
     max_gap is the largest exit relative duality gap of a cell's solves
     (see :mod:`tubal.solver`), NaN when every solve aborted: above the
     solver's tolerance it tells how far a truncated solve stopped short.
@@ -181,7 +185,6 @@ class ExperimentResult:
     spec: ExperimentSpec
     mean_snr_db: np.ndarray
     std_snr_db: np.ndarray
-    ok_trials: np.ndarray
     aborted_trials: np.ndarray
     truncated_trials: np.ndarray
     max_gap: np.ndarray
@@ -267,7 +270,6 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
         spec=spec,
         mean_snr_db=mean_snr,
         std_snr_db=std_snr,
-        ok_trials=nt - n_aborted,
         aborted_trials=n_aborted,
         truncated_trials=(converged == 0).sum(axis=0),
         max_gap=np.fmax.reduce(gap, axis=0),  # NaN only where every trial aborted

@@ -16,15 +16,15 @@ processes compute them, and no option overrides a key of the spec.  r,
 and each entry of rip's rank_list, is an integer tubal rank.
 
 solve, bounds  n, n3, r, lambda; optional sigma (0), max_iters (the
-               solver's default), seed (0), m or sample_factor (2), not
-               both; solve also reads save_estimate, bounds also reads
-               t_grid (1.5 ... 50) and rip_trials (50)
+               solver's default), seed (0), sample_factor (2); solve
+               also reads save_estimate, bounds also reads t_grid
+               (1.5 ... 50) and rip_trials (50)
 bounds         with a delta key, constants only: delta, t, r, n3,
                lambda; optional epsilon (lambda / 2)
 experiment     case_name, n, n3, r (1 <= r <= n), sample_factor,
                sigma_list, lambda_list; optional trials (50), base_seed (0)
-rip            m, rank_list, and dims, or n and n3, not both; optional
-               seed (0), trials (100), t (2)
+rip            n, n3, m, rank_list; optional seed (0), trials (100),
+               t (2); the map measures n x n x n3 tensors
 
 Files
 -----
@@ -34,11 +34,12 @@ file are rejected.  tsvd --out P writes the factors to P_u.npy, P_s.npy
 and P_v.npy and the summary to P.json.  solve's save_estimate writes
 the estimate as .npy at exactly the given path, whatever its suffix.
 
-A spec is checked whole before any solve or probe.  A key the command
-does not read, two keys that set the same thing (m and sample_factor;
-dims and n or n3), a fractional or non-finite number, an empty grid, a
-t at or below 1 and a save_estimate that is not a non-empty path are
-all errors.
+A spec is checked whole before any draw, solve or probe.  A key the
+command does not read, a fractional or non-finite number, a negative
+sigma, an empty grid, a t at or below 1, a save_estimate that is not a
+non-empty path and a sample_factor that gives no measurement are all
+errors: an instance, like an experiment's trial, has
+bench.measurement_count(sample_factor, r, n, n3) measurements.
 
 Solve output
 ------------
@@ -107,16 +108,16 @@ from .bench import (
     run_experiment,
     run_rip_campaign,
 )
-from .measurement import _as_dims, add_noise, gaussian_map, snr_db
+from .measurement import _as_sigma, add_noise, gaussian_map, snr_db
 from .rng import derive_key
 from .solver import NumericalError, SolverConfig, admm_solve
 
 DEFAULT_T_GRID = (1.5, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 50.0)
-_INSTANCE_KEYS = ("n", "n3", "r", "sigma", "lambda", "max_iters", "seed", "m", "sample_factor")
+_INSTANCE_KEYS = ("n", "n3", "r", "sigma", "lambda", "max_iters", "seed", "sample_factor")
 _SOLVE_KEYS = _INSTANCE_KEYS + ("save_estimate",)
 _BOUNDS_KEYS = _INSTANCE_KEYS + ("t_grid", "rip_trials")
 _CONSTANTS_KEYS = ("delta", "t", "r", "n3", "lambda", "epsilon")
-_RIP_KEYS = ("dims", "n", "n3", "m", "seed", "rank_list", "trials", "t")
+_RIP_KEYS = ("n", "n3", "m", "seed", "rank_list", "trials", "t")
 
 
 def _load_spec(path) -> dict:
@@ -192,25 +193,19 @@ def _build_instance(spec: dict):
     """Parse every key of a `solve` or `bounds` instance spec, then build it.
 
     Returns (x, op, sample, config, seed, r, t_grid, rip_trials).  Every
-    key, `save_estimate` included, is checked before any work, and a
-    malformed one, or both m and sample_factor, raises
-    SpecValidationError.  The caller rejects the keys its command does
-    not read first.
+    key, `save_estimate` included, is checked before any draw, and a
+    malformed one raises SpecValidationError.  The caller rejects the
+    keys its command does not read first.
     """
-    if "m" in spec and "sample_factor" in spec:
-        raise SpecValidationError("instance spec gives both m and sample_factor; give one of them")
     try:
         n = _as_int(spec["n"])
         n3 = _as_int(spec["n3"])
         r = _as_int(spec["r"])
-        sigma = _as_real(spec.get("sigma", 0.0), "sigma")
+        sigma = _as_sigma(spec.get("sigma", 0.0))
         lam = _as_real(spec["lambda"], "lambda")
         config = SolverConfig(lam=lam, max_iters=spec.get("max_iters", SolverConfig.max_iters))
         seed = _as_int(spec.get("seed", 0))
-        if "m" in spec:
-            m = _as_int(spec["m"])
-        else:
-            m = measurement_count(_as_real(spec.get("sample_factor", 2.0), "sample_factor"), r, n, n3)
+        m = measurement_count(_as_real(spec.get("sample_factor", 2.0), "sample_factor"), r, n, n3)
         t_grid = [_as_real(t, "t") for t in spec.get("t_grid", DEFAULT_T_GRID)]
         rip_trials = _as_int(spec.get("rip_trials", 50))
     except (KeyError, TypeError, ValueError) as exc:
@@ -262,11 +257,9 @@ def _cmd_experiment(args) -> None:
 def _cmd_rip(args) -> None:
     spec = _load_spec(args.spec)
     check_spec_keys(spec, _RIP_KEYS, "rip")
-    sizes = " and ".join(key for key in ("n", "n3") if key in spec)
-    if "dims" in spec and sizes:
-        raise SpecValidationError(f"rip spec gives both dims and {sizes}; give dims, or n and n3")
     try:
-        dims = _as_dims(spec["dims"] if "dims" in spec else (spec["n"], spec["n"], spec["n3"]))
+        n = _as_int(spec["n"])
+        dims = (n, n, _as_int(spec["n3"]))
         m = _as_int(spec["m"])
         seed = _as_int(spec.get("seed", 0))
         rank_list = [_as_int(r) for r in spec["rank_list"]]

@@ -139,6 +139,11 @@ def test_spec_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(SpecValidationError):
             mini_spec(sample_factor=bad)
+    # mini_spec has r (2n + 1) n3 = 26, and 0.01 of it rounds to 0: the spec
+    # rejects it when built, not trial 0 when it draws its map
+    for bad in (0.01, 0.0, -2.0):
+        with pytest.raises(SpecValidationError, match="gives .* measurements"):
+            mini_spec(sample_factor=bad)
     with pytest.raises(SpecValidationError):
         ExperimentSpec.from_dict({"case_name": "x"})
 
@@ -214,7 +219,6 @@ def mini_result():
 
 def test_experiment_shapes_and_sanity(mini_result):
     assert mini_result.mean_snr_db.shape == (2, 2)
-    assert np.all(mini_result.ok_trials == 3)
     assert np.all(mini_result.aborted_trials == 0)
     assert np.all(np.isfinite(mini_result.mean_snr_db))
     # noiseless column with the smaller lambda recovers better
@@ -243,7 +247,7 @@ def test_case1_sweep_matches_pinned_values():
 def test_experiment_workers_match_serial(tmp_path, mini_result):
     parallel = run_experiment(mini_spec(), workers=2)
     assert np.array_equal(parallel.mean_snr_db, mini_result.mean_snr_db)
-    assert np.array_equal(parallel.ok_trials, mini_result.ok_trials)
+    assert np.array_equal(parallel.aborted_trials, mini_result.aborted_trials)
 
 
 def test_experiment_counts_exact_recovery_as_ok(monkeypatch, tmp_path):
@@ -251,7 +255,6 @@ def test_experiment_counts_exact_recovery_as_ok(monkeypatch, tmp_path):
     monkeypatch.setattr("tubal.bench.snr_db", lambda x, x_hat: math.inf)
     spec = mini_spec(trials=2, lambda_list=(0.5,))
     result = run_experiment(spec)
-    assert np.all(result.ok_trials == spec.trials)
     assert np.all(result.aborted_trials == 0)
     assert np.all(result.mean_snr_db == math.inf)
     # the JSON stays strict: the infinite SNR is written as null
@@ -259,7 +262,7 @@ def test_experiment_counts_exact_recovery_as_ok(monkeypatch, tmp_path):
     emit(result, "json", path)
     for row in strict_json(path.read_text())["cells"]:
         for cell in row:
-            assert cell["mean_snr_db"] is None and cell["ok_trials"] == spec.trials
+            assert cell["mean_snr_db"] is None and cell["aborted_trials"] == 0
 
 
 def test_experiment_reports_no_gap_for_aborted_cells(monkeypatch, tmp_path):
@@ -312,7 +315,7 @@ def test_experiment_reports_truncated_solves(tmp_path):
     result = run_experiment(spec)
     assert result.truncated_trials.tolist() == [[0], [1]]
     assert result.mean_iterations.tolist() == [[144.0], [500.0]]
-    assert result.ok_trials.tolist() == [[1], [1]]
+    assert result.aborted_trials.tolist() == [[0], [0]]
     path = tmp_path / "grid.json"
     emit(result, "json", path)
     cells = json.loads(path.read_text())["cells"]

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tubal.bench
 import tubal.cli
@@ -393,31 +395,19 @@ RIP_SPEC = {"m": 30, "n": 4, "n3": 2, "seed": 2, "rank_list": [1], "trials": 10}
     "key, value",
     [
         ("t", 1.0), ("rank_list", [0]), ("rank_list", [5]), ("trials", 0),
-        ("dims", [4, 4]), ("dims", [4, 4, 2, 1]), ("dims", [4, 4, 0]),
+        ("n", 0), ("n3", 0), ("n", 4.5),
     ],
-    ids=["t-at-1", "rank-0", "rank-above-kappa", "trials-0", "dims-2", "dims-4", "dims-0"],
+    ids=["t-at-1", "rank-0", "rank-above-kappa", "trials-0", "n-0", "n3-0", "n-fraction"],
 )
 def test_rip_rejects_bad_grid_before_drawing_the_map(tmp_path, monkeypatch, key, value):
     def forbidden(*args, **kwargs):
         raise AssertionError("the grid should be rejected before the map is drawn")
 
     monkeypatch.setattr(tubal.cli, "gaussian_map", forbidden)
-    spec = {**RIP_SPEC, key: value}
-    if key == "dims":  # dims takes the place of n and n3
-        del spec["n"], spec["n3"]
-    path = write_spec(tmp_path, "rip.json", spec)
+    path = write_spec(tmp_path, "rip.json", {**RIP_SPEC, key: value})
     out = tmp_path / "rip.csv"
     assert main(["rip", "--spec", path, "--out", str(out)]) == 2
     assert not out.exists()
-
-
-@pytest.mark.parametrize("dims", [[4, 4], 5, "abc"], ids=["two", "int", "str"])
-def test_rip_says_what_dims_must_be(tmp_path, capsys, dims):
-    spec = {**RIP_SPEC, "dims": dims}
-    del spec["n"], spec["n3"]
-    path = write_spec(tmp_path, "rip.json", spec)
-    assert main(["rip", "--spec", path, "--out", str(tmp_path / "rip.csv")]) == 2
-    assert "dims must be three integers >= 1" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -516,19 +506,18 @@ def test_instance_command_rejects_keys_it_does_not_read(tmp_path, capsys, no_wor
     assert repr(key) in capsys.readouterr().err
 
 
-RIP_WITHOUT_N = {k: v for k, v in RIP_SPEC.items() if k != "n"}
-
-
 @pytest.mark.parametrize(
     "command, spec, names",
     [
-        ("solve", {**SOLVE_SPEC, "m": 30, "sample_factor": 9}, ("m", "sample_factor")),
-        ("bounds", {**INSTANCE_SPEC, "m": 30, "sample_factor": 9}, ("m", "sample_factor")),
-        ("rip", {**RIP_SPEC, "dims": [4, 4, 2], "n": 9, "n3": 7}, ("dims", "n", "n3")),
-        ("rip", {"dims": [4, 4, 2], **RIP_WITHOUT_N}, ("dims", "n3")),
+        # an instance is sized by sample_factor alone, a rip map by n and n3 alone
+        ("solve", {**SOLVE_SPEC, "m": 30}, ("unknown", "'m'")),
+        ("bounds", {**INSTANCE_SPEC, "m": 30}, ("unknown", "'m'")),
+        ("rip", {**RIP_SPEC, "dims": [4, 4, 2]}, ("unknown", "'dims'")),
+        # 0.01 * 1 * 13 * 2 rounds to no measurement at all
+        ("solve", {**SOLVE_SPEC, "sample_factor": 0.01}, ("sample_factor", "0 measurements")),
+        ("solve", {**SOLVE_SPEC, "sigma": -0.5}, ("sigma must be >= 0",)),
     ],
-    ids=["solve-m-and-sample_factor", "bounds-m-and-sample_factor", "rip-dims-and-n-n3",
-         "rip-dims-and-n3"],
+    ids=["solve-m", "bounds-m", "rip-dims", "solve-no-measurement", "solve-sigma-negative"],
 )
 def test_input_the_command_would_ignore_exit_2_before_any_draw(tmp_path, capsys, no_work, monkeypatch,
                                                                command, spec, names):
@@ -544,6 +533,16 @@ def test_input_the_command_would_ignore_exit_2_before_any_draw(tmp_path, capsys,
     assert not out.exists()
     err = capsys.readouterr().err
     assert all(name in err for name in names)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 60), n3=st.integers(1, 20), data=st.data())
+def test_sample_factor_reaches_every_measurement_count(n, n3, data):
+    # an instance spec sets m only through sample_factor: the factor
+    # m / (r (2n + 1) n3) gives back every count m >= 1
+    r = data.draw(st.integers(1, n))
+    m = data.draw(st.integers(1, 4 * r * (2 * n + 1) * n3))
+    assert tubal.bench.measurement_count(m / (r * (2 * n + 1) * n3), r, n, n3) == m
 
 
 @pytest.mark.parametrize(
