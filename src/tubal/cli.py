@@ -201,6 +201,10 @@ def _build_instance(spec: dict):
         n = _as_int(spec["n"])
         n3 = _as_int(spec["n3"])
         r = _as_int(spec["r"])
+        if n < 1 or n3 < 1:
+            raise ValueError(f"n and n3 must be >= 1, got n={n}, n3={n3}")
+        if not 1 <= r <= n:
+            raise ValueError(f"r must lie in [1, n={n}], got {r}")
         sigma = _as_sigma(spec.get("sigma", 0.0))
         lam = _as_real(spec["lambda"], "lambda")
         config = SolverConfig(lam=lam, max_iters=spec.get("max_iters", SolverConfig.max_iters))

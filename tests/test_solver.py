@@ -107,6 +107,46 @@ def test_tsvt_is_the_prox_and_shrinks_the_spectrum(n1, n2, n3, seed, tau_frac):
     assert tnn(x) == pytest.approx(np.maximum(svals - tau, 0.0).sum() / n3, rel=1e-10, abs=1e-12)
 
 
+# dims up to 8x8x6, v at scales 10^+-30, and tau from 1e-12 of the largest
+# slice singular value of v to past it, where x = 0
+bound_cases = dict(
+    dims=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 6)),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-30.0, 30.0),
+    log_tau_frac=st.floats(-12.0, math.log10(1.6)),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(**bound_cases)
+@example(dims=(8, 8, 6), seed=0, log_scale=30.0, log_tau_frac=-12.0)
+@example(dims=(8, 8, 6), seed=1, log_scale=-30.0, log_tau_frac=-1.0)
+@example(dims=(1, 8, 1), seed=2, log_scale=0.0, log_tau_frac=math.log10(1.6))
+def test_free_tnn_of_the_prox_is_its_tnn_within_the_slack(dims, seed, log_scale, log_tau_frac):
+    # tsvt keeps each slice singular value above tau, shrunk by tau, so
+    # tau TNN(x) = <x, v - x>; the solver takes a sweep's TNN from this
+    # identity whenever that sweep cannot stop
+    v = 10.0**log_scale * rand_tensor(seed, dims)
+    tau = 10.0**log_tau_frac * dual_norm(v)
+    x = tsvt(v, tau)
+    tnn_free, slack = solver._free_tnn(vec(x), vec(v), tau)
+    assert abs(tnn_free - tnn(x)) <= slack
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(**bound_cases, aligned=st.booleans(), log_k_scale=st.floats(-30.0, 30.0))
+@example(dims=(8, 8, 6), seed=0, log_scale=0.0, log_tau_frac=-1.0, aligned=True, log_k_scale=0.0)
+@example(dims=(8, 8, 6), seed=1, log_scale=30.0, log_tau_frac=-3.0, aligned=False, log_k_scale=-30.0)
+def test_dual_norm_times_tnn_bounds_the_inner_product(dims, seed, log_scale, log_tau_frac, aligned, log_k_scale):
+    # Hoelder for the TNN and its dual norm, |<k, x>| <= ||k||_2 TNN(x), on
+    # which the solver's free lower bound on ||k||_2 rests.  k = v - x is
+    # tau times a subgradient of the TNN at x, where equality holds
+    v = 10.0**log_scale * rand_tensor(seed, dims)
+    x = tsvt(v, 10.0**log_tau_frac * dual_norm(v))
+    k = v - x if aligned else 10.0**log_k_scale * rand_tensor(seed + 1, dims)
+    assert abs(float(vec(k) @ vec(x))) <= dual_norm(k) * tnn(x) * (1 + 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # prox oracle
 
@@ -542,6 +582,9 @@ def reference_admm(op, y, config):
 @example(dims=(4, 4, 3), shape="wide", m_frac=0.5, lam=0.1, max_iters=2000, seed=0)
 @example(dims=(3, 4, 2), shape="deficient", m_frac=0.7, lam=0.01, max_iters=2000, seed=1)
 @example(dims=(3, 3, 2), shape="tall", m_frac=0.5, lam=0.1, max_iters=2000, seed=2)
+# taking the exact gap only where a free upper bound on it is within 100x
+# the tolerance stops 114 sweeps late here
+@example(dims=(2, 2, 1), shape="wide", m_frac=0.5, lam=1e-3, max_iters=2000, seed=0)
 def test_admm_matches_loop_that_forms_every_product(dims, shape, m_frac, lam, max_iters, seed):
     # The solver carries M k and takes M z from the wide solve; drift in the
     # carried product would show as a different objective or iterate.
@@ -576,6 +619,24 @@ def test_admm_matches_loop_that_forms_every_product(dims, shape, m_frac, lam, ma
     # 2e-9 on these examples)
     assert np.all(gaps >= -1e-12) and res.gap >= -1e-12
     assert abs(res.gap - gaps[-1]) <= 0.1 * solver._GAP_TOL
+
+
+@pytest.mark.parametrize("max_iters", [500, 5], ids=["converged", "capped"])
+def test_admm_takes_the_exact_tnn_in_the_last_sweep_only(monkeypatch, max_iters):
+    # a free lower bound on the gap shows that every earlier sweep cannot
+    # stop, so only the last sweep, the stop or the cap, runs tnn(x)
+    x, op, sample = case1_instance(0, sigma=0.01)
+    calls, real_tnn = [], solver.tnn
+
+    def counting_tnn(t):
+        calls.append(t)
+        return real_tnn(t)
+
+    monkeypatch.setattr(solver, "tnn", counting_tnn)
+    res = admm_solve(op, sample.y, SolverConfig(lam=0.1, max_iters=max_iters))
+    assert res.converged == (max_iters == 500)
+    assert res.iterations > 5 if res.converged else res.iterations == 5
+    assert len(calls) == 1
 
 
 def test_admm_rejects_nonfinite_measurements():
