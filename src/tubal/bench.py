@@ -90,7 +90,13 @@ def draw_instance(n: int, n3: int, r: int, m: int, *key):
 
 def measurement_count(sample_factor: float, r: int, n: int, n3: int) -> int:
     """Measurement count ``round(sample_factor * r * (2n + 1) * n3)`` for a
-    rank-r tensor of size n x n x n3; a count below 1 raises ``ValueError``."""
+    rank-r tensor of size n x n x n3.  n, n3 >= 1, 1 <= r <= n and a count
+    of at least 1 are checked, in that order; a violation raises
+    ``ValueError``."""
+    if n < 1 or n3 < 1:
+        raise ValueError(f"n and n3 must be >= 1, got n={n}, n3={n3}")
+    if not 1 <= r <= n:
+        raise ValueError(f"r must lie in [1, n={n}], got {r}")
     m = round(sample_factor * r * (2 * n + 1) * n3)
     if m < 1:
         raise ValueError(f"sample_factor {sample_factor} gives {m} measurements of a rank-{r} {n}x{n}x{n3} tensor")
@@ -101,9 +107,10 @@ def measurement_count(sample_factor: float, r: int, n: int, n3: int) -> int:
 class ExperimentSpec:
     """Description of one benchmark case.
 
-    `r` is the tubal rank of every trial's ground truth, 1 <= r <= n, and
-    :func:`measurement_count` of r is at least 1.  Sigma values must be
-    >= 0, lambda values > 0.  The fields are read when the spec is built:
+    `r` is the tubal rank of every trial's ground truth, and
+    :func:`measurement_count` checks the size (n, n3 >= 1, 1 <= r <= n
+    and at least one measurement).  Sigma values must be >= 0, lambda
+    values > 0.  The fields are read when the spec is built:
     n, n3, r, trials and base_seed as ints by ``algebra._as_int``;
     sample_factor and the grids as floats and tuples of floats by
     ``algebra._as_real``.  Any violation raises SpecValidationError.
@@ -134,10 +141,6 @@ class ExperimentSpec:
                 object.__setattr__(self, name, read(getattr(self, name)))
             except (TypeError, ValueError) as exc:
                 raise SpecValidationError(f"{name}: {exc}") from None
-        if self.n < 1 or self.n3 < 1:
-            raise SpecValidationError("n and n3 must be >= 1")
-        if not 1 <= self.r <= self.n:
-            raise SpecValidationError(f"r must lie in [1, n={self.n}], got {self.r}")
         try:
             measurement_count(self.sample_factor, self.r, self.n, self.n3)
         except ValueError as exc:

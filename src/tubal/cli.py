@@ -36,10 +36,11 @@ the estimate as .npy at exactly the given path, whatever its suffix.
 
 A spec is checked whole before any draw, solve or probe.  A key the
 command does not read, a fractional or non-finite number, a negative
-sigma, an empty grid, a t at or below 1, a save_estimate that is not a
-non-empty path and a sample_factor that gives no measurement are all
-errors: an instance, like an experiment's trial, has
-bench.measurement_count(sample_factor, r, n, n3) measurements.
+sigma, an empty grid, a t at or below 1 and a save_estimate that is not
+a non-empty path are all errors, and so is a size that
+bench.measurement_count(sample_factor, r, n, n3) rejects: n or n3 below
+1, r outside [1, n], or a sample_factor that gives no measurement.  An
+instance, like an experiment's trial, has that many measurements.
 
 Solve output
 ------------
@@ -201,10 +202,6 @@ def _build_instance(spec: dict):
         n = _as_int(spec["n"])
         n3 = _as_int(spec["n3"])
         r = _as_int(spec["r"])
-        if n < 1 or n3 < 1:
-            raise ValueError(f"n and n3 must be >= 1, got n={n}, n3={n3}")
-        if not 1 <= r <= n:
-            raise ValueError(f"r must lie in [1, n={n}], got {r}")
         sigma = _as_sigma(spec.get("sigma", 0.0))
         lam = _as_real(spec["lambda"], "lambda")
         config = SolverConfig(lam=lam, max_iters=spec.get("max_iters", SolverConfig.max_iters))

@@ -41,15 +41,19 @@ both the objective's residual and ``M b = M M^T y + M k + rho M x``, and
 ``M^T u`` inside the solve.  ``M M^T y`` is formed once per solve and
 ``M k`` is carried forward with the multiplier from the solve's ``M z``.
 
-The dual point costs no pass over M.  After the multiplier update
-``M^T (y - M z) = -k``, so ``u = (s / lam) (y - M z)`` has
-``||M^T u||_2 = s ||k||_2 / lam``, one values-only slice SVD of k.  s
-maximizes D(u) on ``[0, lam / ||k||_2]``; its unconstrained maximizer
-``<y, r> / ||r||^2``, with ``r = y - M z``, needs no lam.  The Woodbury
-form loses about 1e-10 of z's relative accuracy at rho = _RHO0, but
-with the solve's own ``M z`` the identity held to 1.4e-10 of ``||k||``
-and ``||M^T u||_2`` stayed within 2e-11 of 1 on 10x10x5 instances with
-m = 210, so the certificate is accurate far below _GAP_TOL.
+The gap costs no pass over M.  After the multiplier update
+``M^T (y - M z) = -k``, so with ``r = y - M z`` the point
+``u = (s / lam) r`` has ``||M^T u||_2 = s ||k||_2 / lam``, one
+values-only slice SVD of k.  s maximizes D(u) on ``[0, lam / ||k||_2]``;
+its unconstrained maximizer ``<y, r> / ||r||^2`` needs no lam.  So the
+gap is one scalar function, ``_gap``, of P, ``<y, r>``, ``||r||^2``, the
+dual norm and lam, and a sweep forms ``<y, r>`` and ``||r||^2`` once; u
+itself is built once, at the exit, from the s and r of the last sweep,
+which always takes the exact gap.  The Woodbury form loses about 1e-10
+of z's relative accuracy at rho = _RHO0, but with the solve's own
+``M z`` the identity held to 1.4e-10 of ``||k||`` and ``||M^T u||_2``
+stayed within 2e-11 of 1 on 10x10x5 instances with m = 210, so the
+certificate is accurate far below _GAP_TOL.
 
 Most sweeps take neither the TNN nor the dual norm by SVD, because a
 lower bound on the gap that costs no SVD shows they cannot stop.  The x
@@ -60,7 +64,7 @@ free TNN is within ``slack = _TNN_SLACK ||x|| ||v|| / tau`` of
 ``|<k, x>| <= ||k||_2 TNN(x)``, so ``k_lo = |<k, x>| / (TNN_free +
 slack)`` is at most ``||k||_2``.  With ``P_lo = fit + TNN_free - slack``
 <= P, and D taken at the norm k_lo, which loosens the cap on s and so
-bounds D from above, ``(P_lo - D) / P_lo`` is at most the gap.  When that
+bounds D from above, ``_gap`` of P_lo is at most the gap.  When that
 bound exceeds _GAP_TOL by _SKIP_MARGIN the sweep cannot stop and skips
 both SVDs.  Otherwise ``||k||_2`` is taken by SVD; when the bound with it
 still clears the tolerance the sweep skips ``tnn(x)``, and only then do
@@ -73,15 +77,18 @@ loop's.  A sweep that cannot stop records ``fit + TNN_free`` as its
 objective, P to within the slack.  On 150 case1 cells ``tnn`` ran once
 per solve and the dual norm's SVD in 23% of the sweeps.
 
-The same identity certifies x = 0 before any sweep: at z = 0 the
-multiplier is ``-M^T y``, so the gap of x = 0 against
-``u = (s / lam) y`` costs one values-only slice SVD of ``M^T y``, which
-the loop needs anyway.  When that gap is at most _GAP_TOL, as it is for
-every ``lam >= ||M^T y||_2``, the solve returns x_hat = 0 after 1
-iteration and factors nothing: the first sweep from the zero start would
-threshold the zero tensor and give x = 0 again.  Its final state is
-that sweep's: rho = _RHO0, a zero prox input and the threshold
-``lam / _RHO0``, which reads inf above the float range.
+The same function certifies x = 0 before any sweep: at z = 0 the
+residual is y and the multiplier ``-M^T y``, so the gap of x = 0 costs
+one values-only slice SVD of ``M^T y``, which the loop needs anyway.
+The start sets the exit state of a first sweep whose prox step is the
+no-op ``tsvt(0, 0) = 0``: x_hat = 0 after 1 iteration, rho = _RHO0, a
+zero prox input and the threshold 0, so the state replays x_hat at any
+lam.  When the start gap is at most _GAP_TOL, as it is for every
+``lam >= ||M^T y||_2``, the solve skips the factorization and the loop;
+a start gap that reads NaN, from a P(0) above the float range, runs
+them.  The start certificate, the stop and the cap leave by one exit,
+which converts to data units, checks finiteness and builds the one
+:class:`SolveResult`.
 
 One failure rule holds for a solve.  ``y`` and the config are read at
 the door, and a bad value raises ``ValueError``.  After that a failure
@@ -188,7 +195,10 @@ class AdmmState:
 
     rho is the penalty that sweep used.  last_prox_input / last_prox_tau
     record the argument and threshold of its nuclear-norm proximal step,
-    so optimality of the final x-block can be audited after the fact.
+    so optimality of the final x-block can be audited after the fact and
+    ``tsvt(last_prox_input, last_prox_tau)`` replays x_hat.  A solve that
+    the start certificate ends records the no-op step ``tsvt(0, 0) = 0`` at
+    rho = _RHO0 (module docstring).
     """
 
     rho: float
@@ -206,8 +216,8 @@ class SolveResult:
     the gap showed could not stop records its TNN as
     ``<x, v - x> / tau``, the identity of the module docstring, so its
     entry is P to within ``_TNN_SLACK ||x|| ||v|| / tau``.  dual is the
-    m-vector u of the last iteration, with ``||M^T u||_2 <= 1`` up to
-    roundoff, and gap is the exit relative gap
+    m-vector u of the sweep that set `gap`, the last one, with
+    ``||M^T u||_2 <= 1`` up to roundoff, and gap is the exit relative gap
     ``(P(x_hat) - D(u)) / P(x_hat)`` (0 when P(x_hat) = 0): anyone can
     check the certificate from y, lam, x_hat and one product by M^T.
     converged means gap <= _GAP_TOL.
@@ -343,41 +353,26 @@ def _check_finite(iteration: int, rho: float, *named) -> None:
             raise NumericalError(f"non-finite {name} at iteration {iteration} (rho={rho:.3e})")
 
 
-def _dual_point(y: np.ndarray, residual: np.ndarray, k_norm: float, lam: float) -> tuple[np.ndarray, float]:
-    """The dual point ``u = (s / lam) residual``, and ``D(u)``.
+def _gap(objective: float, yr: float, rr: float, k_norm: float, lam: float) -> tuple[float, float]:
+    """The relative gap ``(P - D(u)) / P`` of P = `objective`, and the scale s of ``u = (s / lam) r``.
 
-    `residual` is ``y - M z`` and `k_norm` is the dual norm of the
-    multiplier, so ``||M^T u||_2 = s k_norm / lam``.  y, residual, k_norm
-    and lam share one unit, in which D is returned; u has none.  s
-    maximizes ``D = (s / lam) (<y, r> - s ||r||^2 / 2)`` on
+    r is ``y - M z``, `yr` is ``<y, r>``, `rr` is ``||r||^2`` and `k_norm`
+    is the dual norm of z's multiplier, so ``||M^T u||_2 = s k_norm / lam``.
+    s maximizes ``D(u) = (s / lam) (<y, r> - s ||r||^2 / 2)`` on
     ``[0, lam / k_norm]``, which keeps u feasible; the interval has no
-    upper end when k_norm is 0.
+    upper end when k_norm is 0.  The gap is 0 when P is 0, and NaN when
+    P reads inf.  All values share one unit.
     """
-    yr, rr = float(y @ residual), float(residual @ residual)
-    s, value = _dual_value(yr, rr, k_norm, lam)
-    return (s / lam) * residual, value
-
-
-def _dual_value(yr: float, rr: float, k_norm: float, lam: float) -> tuple[float, float]:
-    """The scale s of :func:`_dual_point` and ``D(u)``, from ``<y, r>`` and ``||r||^2``."""
     s = max(yr / rr, 0.0) if rr > 0 else 0.0
     if k_norm > 0:
         s = min(s, lam / k_norm)
-    return s, (s / lam) * (yr - 0.5 * s * rr)
+    dual_value = (s / lam) * (yr - 0.5 * s * rr)
+    return (objective - dual_value) / objective if objective > 0 else 0.0, s
 
 
 def _dual_norm(k_mult: np.ndarray, dims) -> float:
     """The TNN's dual norm of the N-vector `k_mult`: one values-only slice SVD."""
     return float(_slice_svd(_unvec(k_mult, dims), compute_uv=False).max())
-
-
-def _certify(y, residual, k_norm: float, objective: float, lam: float) -> tuple[np.ndarray, float]:
-    """The dual point of a multiplier of dual norm `k_norm`, and the relative gap ``(P - D) / P`` of `objective`.
-
-    `residual` is ``y - M z`` for the z whose multiplier has norm
-    `k_norm`; the gap is 0 when P is 0.  All values share one unit."""
-    dual, dual_value = _dual_point(y, residual, k_norm, lam)
-    return dual, (objective - dual_value) / objective if objective > 0 else 0.0
 
 
 def _free_tnn(x_vec: np.ndarray, v: np.ndarray, tau: float) -> tuple[float, float]:
@@ -393,28 +388,30 @@ def _cannot_stop(p_lo: float, yr: float, rr: float, k_lo: float, lam: float) -> 
     """Whether every P >= `p_lo` and dual norm >= `k_lo` give a gap above _GAP_TOL.
 
     A smaller dual norm loosens the cap on s, so ``D`` at `k_lo` bounds
-    the dual value from above and ``(p_lo - D) / p_lo`` bounds the gap
-    from below.  The bound must clear _GAP_TOL by _SKIP_MARGIN, which
-    covers this scalar arithmetic's roundoff; a non-finite or
-    non-positive input gives False."""
+    the dual value from above and :func:`_gap` of `p_lo` at `k_lo` bounds
+    the gap from below.  The bound must clear _GAP_TOL by _SKIP_MARGIN,
+    which covers this scalar arithmetic's roundoff; a non-finite or
+    non-positive input, or a D that reads inf, gives False."""
     if not (0.0 < p_lo < math.inf and math.isfinite(k_lo)):
         return False
-    d_hi = _dual_value(yr, rr, k_lo, lam)[1]
-    return math.isfinite(d_hi) and (p_lo - d_hi) / p_lo > _GAP_TOL + _SKIP_MARGIN
+    return _gap(p_lo, yr, rr, k_lo, lam)[0] > _GAP_TOL + _SKIP_MARGIN
 
 
 def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> SolveResult:
     """Run the splitting scheme from zero initialization.
 
     x = 0 is tried first, by the start certificate of the module
-    docstring.  z and the multiplier k are N-vectors.  Per sweep: the x
+    docstring, which on success skips the loop.  z and the multiplier k
+    are N-vectors.  Per sweep: the x
     block applies :func:`tsvt` to ``z - k/rho``, viewed as a tensor, with
     threshold ``lam/rho``; the z block returns ``(z, M z)`` from the
     regularized normal equations; the multiplier absorbs
     ``rho * (vec(x) - z)``; the penalty is then rebalanced as described in
     :class:`SolverConfig`.
     Stops when the relative duality gap of the module docstring is at
-    most _GAP_TOL, or at `max_iters` with ``converged=False``.
+    most _GAP_TOL, or at `max_iters` with ``converged=False``.  The start
+    certificate, the stop and the cap share one exit, which builds the
+    dual point from the last sweep's exact gap and returns to data units.
 
     Each sweep computes ``M x`` once, for the objective's residual and
     for the z block's ``M b = M M^T y + M k + rho M x``; ``M M^T y`` is
@@ -450,85 +447,80 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
         raise NumericalError(f"lam={config.lam:.3e} {flow} in units of max|y| ~ {c:.3e}")
 
     mty = op.matrix.T @ y
-    # the start certificate: z = 0 has the multiplier -M^T y, whose dual
-    # norm is that of M^T y
-    objective = float(y @ y) / (2.0 * lam)
-    dual, gap = _certify(y, y, _dual_norm(mty, dims), objective, lam)
-    if gap <= _GAP_TOL:
-        zero = np.zeros(dims)
-        return SolveResult(
-            x_hat=zero,
-            iterations=1,
-            converged=True,
-            objective_history=np.array([c * objective]),
-            final_state=AdmmState(rho=_RHO0, last_prox_input=zero, last_prox_tau=config.lam / _RHO0),
-            gap=gap,
-            dual=dual,
-        )
+    # the start certificate, in the exit state of the no-op first sweep
+    # x = tsvt(0, 0) = 0: z = 0 has the residual y and the multiplier
+    # -M^T y, whose dual norm is that of M^T y
+    x = prox_input = np.zeros(dims)
+    iteration, sweep_rho, tau, z_residual = 1, _RHO0, 0.0, y
+    yy = float(y @ y)
+    obj_hist = [yy / (2.0 * lam)]
+    gap, s = _gap(obj_hist[0], yy, yy, _dual_norm(mty, dims), lam)
 
-    ne_solver = NormalEquationSolver(op.matrix)
-    mmty = op.matrix @ mty
-    mk = np.zeros(op.m)
-    z = np.zeros_like(mty)
-    k_mult = np.zeros_like(mty)
-    rho = _RHO0
+    # a NaN gap, from a P(0) that reads inf, runs the loop
+    if not gap <= _GAP_TOL:
+        ne_solver = NormalEquationSolver(op.matrix)
+        mmty = op.matrix @ mty
+        mk = np.zeros(op.m)
+        z = np.zeros_like(mty)
+        k_mult = np.zeros_like(mty)
+        rho = _RHO0
+        obj_hist = []
 
-    obj_hist: list[float] = []
+        for iteration in range(1, config.max_iters + 1):
+            # the final state reports the penalty of its sweep, not the one
+            # rebalanced after it
+            z_prev, sweep_rho = z, rho
 
-    for iteration in range(1, config.max_iters + 1):
-        # the final state reports the penalty of its sweep, not the one
-        # rebalanced after it
-        z_prev, sweep_rho = z, rho
+            v = z - k_mult / rho
+            prox_input = _unvec(v, dims)
+            tau = lam / rho
+            _check_finite(iteration, rho, ("threshold lam/rho", tau), ("prox input", prox_input))
+            x = tsvt(prox_input, tau)
 
-        v = z - k_mult / rho
-        prox_input = _unvec(v, dims)
-        tau = lam / rho
-        _check_finite(iteration, rho, ("threshold lam/rho", tau), ("prox input", prox_input))
-        x = tsvt(prox_input, tau)
+            x_vec = _vec(x)
+            mx = op.matrix @ x_vec
+            z, mz = ne_solver.solve(mty + k_mult + rho * x_vec, mmty + mk + rho * mx, rho)
+            k_mult = k_mult + rho * (x_vec - z)
+            mk = mk + rho * (mx - mz)
+            _check_finite(iteration, rho, ("x", x_vec), ("z-block solve", z), ("multiplier", k_mult))
 
-        x_vec = _vec(x)
-        mx = op.matrix @ x_vec
-        z, mz = ne_solver.solve(mty + k_mult + rho * x_vec, mmty + mk + rho * mx, rho)
-        k_mult = k_mult + rho * (x_vec - z)
-        mk = mk + rho * (mx - mz)
-        _check_finite(iteration, rho, ("x", x_vec), ("z-block solve", z), ("multiplier", k_mult))
-
-        z_step = float(np.max(np.abs(z - z_prev)))
-        consensus = float(np.max(np.abs(x_vec - z)))
-        residual, z_residual = y - mx, y - mz
-        fit = float(residual @ residual) / (2.0 * lam)
-
-        # the free TNN and a free lower bound on the dual norm bound the
-        # gap from below; a sweep they show cannot stop skips the exact
-        # TNN and dual norm (module docstring), and the last sweep is exact
-        may_stop, k_norm = True, None
-        if iteration < config.max_iters and tau > 0.0:
-            tnn_free, slack = _free_tnn(x_vec, v, tau)
-            tnn_hi, p_lo = tnn_free + slack, fit + tnn_free - slack
-            k_lo = abs(float(k_mult @ x_vec)) / tnn_hi if tnn_hi > 0.0 else 0.0
+            z_step = float(np.max(np.abs(z - z_prev)))
+            consensus = float(np.max(np.abs(x_vec - z)))
+            residual, z_residual = y - mx, y - mz
+            fit = float(residual @ residual) / (2.0 * lam)
             yr, rr = float(y @ z_residual), float(z_residual @ z_residual)
-            may_stop = not _cannot_stop(p_lo, yr, rr, k_lo, lam)
-            if may_stop:
-                k_norm = _dual_norm(k_mult, dims)
-                may_stop = not _cannot_stop(p_lo, yr, rr, k_norm, lam)
-        if may_stop:
-            objective = tnn(x) + fit
-            if k_norm is None:
-                k_norm = _dual_norm(k_mult, dims)
-            # M^T (y - M z) = -k, so the dual norm of k bounds the dual point
-            dual, gap = _certify(y, z_residual, k_norm, objective, lam)
-        else:
-            objective = fit + tnn_free
-        obj_hist.append(objective)
-        if may_stop and gap <= _GAP_TOL:
-            break
-        dual_residual = rho * z_step
-        if consensus > _BALANCE_RATIO * dual_residual:
-            rho = min(_VARTHETA * rho, _RHO_MAX)
-        elif dual_residual > _BALANCE_RATIO * consensus:
-            rho = max(rho / _VARTHETA, _RHO0)
 
-    # back to data units; P itself may exceed the float range, and reads inf
+            # the free TNN and a free lower bound on the dual norm bound the
+            # gap from below; a sweep they show cannot stop skips the exact
+            # TNN and dual norm (module docstring), and the last sweep is exact
+            may_stop, k_norm = True, None
+            if iteration < config.max_iters and tau > 0.0:
+                tnn_free, slack = _free_tnn(x_vec, v, tau)
+                tnn_hi, p_lo = tnn_free + slack, fit + tnn_free - slack
+                k_lo = abs(float(k_mult @ x_vec)) / tnn_hi if tnn_hi > 0.0 else 0.0
+                may_stop = not _cannot_stop(p_lo, yr, rr, k_lo, lam)
+                if may_stop:
+                    k_norm = _dual_norm(k_mult, dims)
+                    may_stop = not _cannot_stop(p_lo, yr, rr, k_norm, lam)
+            if may_stop:
+                obj_hist.append(tnn(x) + fit)
+                if k_norm is None:
+                    k_norm = _dual_norm(k_mult, dims)
+                # M^T (y - M z) = -k, so the dual norm of k bounds the dual point
+                gap, s = _gap(obj_hist[-1], yr, rr, k_norm, lam)
+                if gap <= _GAP_TOL:
+                    break
+            else:
+                obj_hist.append(fit + tnn_free)
+            dual_residual = rho * z_step
+            if consensus > _BALANCE_RATIO * dual_residual:
+                rho = min(_VARTHETA * rho, _RHO_MAX)
+            elif dual_residual > _BALANCE_RATIO * consensus:
+                rho = max(rho / _VARTHETA, _RHO0)
+
+    # the one exit: the last sweep took the exact gap, and its s and
+    # residual give the dual point; back to data units, where P itself may
+    # exceed the float range and read inf
     with np.errstate(over="ignore"):
         x, prox_input, obj_hist = c * x, c * prox_input, c * np.asarray(obj_hist)
     tau = c * tau
@@ -540,5 +532,5 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
         objective_history=obj_hist,
         final_state=AdmmState(rho=sweep_rho, last_prox_input=prox_input, last_prox_tau=tau),
         gap=gap,
-        dual=dual,
+        dual=(s / lam) * z_residual,
     )

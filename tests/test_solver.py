@@ -300,29 +300,38 @@ def test_admm_zero_operator_leaves_the_dual_scale_unbounded():
 
 
 def test_dual_point_maximizes_on_the_feasible_interval():
-    y = np.array([3.0, 4.0])
+    y, lam, objective = np.array([3.0, 4.0]), 2.0, 12.5
+
+    def gap(residual, k_norm):
+        return solver._gap(objective, float(y @ residual), float(residual @ residual), k_norm, lam)
+
     # <y, u0> > 0 with no bound: s maximizes D, here s = 1 and u = residual / lam
-    u, value = solver._dual_point(y, y, 0.0, 2.0)
-    assert np.allclose(u, y / 2.0) and value == pytest.approx(25.0 / 4.0)
+    value, s = gap(y, 0.0)
+    assert s == 1.0 and value == pytest.approx((objective - 25.0 / 4.0) / objective)
     # a bound of lam / k_norm = 0.25 caps s
-    u, value = solver._dual_point(y, y, 8.0, 2.0)
-    assert np.allclose(u, 0.25 * y / 2.0) and value == pytest.approx(0.25 * 12.5 - 0.25**2 * 6.25)
+    value, s = gap(y, 8.0)
+    assert s == 0.25 and value == pytest.approx((objective - (0.25 * 12.5 - 0.25**2 * 6.25)) / objective)
     # a residual against y gives s = 0: u = 0 and D = 0
-    u, value = solver._dual_point(y, -y, 1.0, 2.0)
-    assert np.all(u == 0.0) and value == 0.0
+    value, s = gap(-y, 1.0)
+    assert s == 0.0 and value == 1.0
 
 
-@pytest.mark.parametrize("shape", ["wide", "square", "tall"])
-def test_admm_certificate_checks_from_dual_alone(shape):
+@pytest.mark.parametrize("case", ["wide", "square", "tall", "start-certified", "capped"])
+def test_admm_certificate_checks_from_dual_alone(case):
     # the reported dual point is feasible and its gap is the reported one,
-    # checked from y, lam, x_hat and one product by M^T
+    # checked from y, lam, x_hat and one product by M^T, at each of the
+    # solve's ends: a stop, the start certificate and the cap
     dims = (4, 4, 3)
-    m = {"wide": 30, "square": 48, "tall": 96}[shape]
+    m = {"square": 48, "tall": 96}.get(case, 30)
     op = gaussian_map(m, dims, seed=11)
     y = apply(op, generate_lowrank(4, 4, 3, 1, seed=11)) + 0.01 * np.random.default_rng(11).standard_normal(m)
-    lam = 0.1
-    res = admm_solve(op, y, SolverConfig(lam=lam))
-    assert res.converged and 0.0 <= res.gap <= solver._GAP_TOL
+    lam = 2.0 * dual_norm(unvec(op.matrix.T @ y, dims)) if case == "start-certified" else 0.1
+    res = admm_solve(op, y, SolverConfig(lam=lam, max_iters=3 if case == "capped" else 500))
+    if case == "capped":
+        assert res.iterations == 3
+    else:
+        assert res.converged and 0.0 <= res.gap <= solver._GAP_TOL
+    assert (res.iterations == 1) == (case == "start-certified")
     assert dual_norm(unvec(op.matrix.T @ res.dual, dims)) <= 1.0 + 1e-12
     residual = y - apply(op, res.x_hat)
     primal = tnn(res.x_hat) + float(residual @ residual) / (2.0 * lam)
@@ -435,10 +444,29 @@ def test_admm_certifies_zero_before_any_sweep(dims, m_frac, log_a, seed):
     assert res.objective_history.tolist() == pytest.approx([float(y @ y) / (2.0 * lam)], rel=1e-12)
     state = res.final_state
     assert state.rho == solver._RHO0 and np.all(state.last_prox_input == 0.0)
-    assert state.last_prox_tau == pytest.approx(lam / solver._RHO0, rel=1e-15)
+    assert state.last_prox_tau == 0.0
     # below ||M^T y||_2, x = 0 is not optimal: the loop runs and moves off it
     res = admm_solve(op, y, SolverConfig(lam=0.5 * lam / 10.0**log_a))
     assert res.iterations > 1 and np.any(res.x_hat != 0.0)
+
+
+def test_admm_start_certified_state_replays_at_any_lambda():
+    # the start certificate exits in the state of the no-op sweep
+    # x = tsvt(0, 0) = 0, so the state stays finite and replays where
+    # lam / _RHO0 overflows; case1 trial 0 at sigma = 0.01
+    from tubal import add_noise, case1_spec
+    from tubal.bench import draw_instance
+
+    spec = case1_spec(trials=1)
+    x, op, y_clean, noise_seed = draw_instance(
+        spec.n, spec.n3, spec.r, spec.sample_count, spec.base_seed, spec.case_name, 0
+    )
+    res = admm_solve(op, add_noise(y_clean, 0.01, noise_seed).y, SolverConfig(lam=1e305))
+    assert res.iterations == 1 and res.converged
+    state = res.final_state
+    assert math.isfinite(state.rho) and math.isfinite(state.last_prox_tau)
+    assert np.isfinite(state.last_prox_input).all()
+    assert tsvt(state.last_prox_input, state.last_prox_tau).tobytes() == res.x_hat.tobytes()
 
 
 def test_admm_lam_that_overflows_against_the_data_is_a_numerical_error(monkeypatch):
