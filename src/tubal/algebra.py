@@ -89,27 +89,42 @@ def _as_array(x, ndim: int, name: str = "tensor") -> np.ndarray:
     return arr
 
 
-def _as_int(value) -> int:
-    """Read an integer count or seed.  A float is taken only when it is
-    integral, so 6.7 is rejected rather than truncated; so are inf, bools
-    and strings, each with ``ValueError``."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"expected an integer, got {value!r}")
+def _bounded(number, name: str, least, above=None):
+    """Return `number` when it is >= `least` and > `above` (None: no bound);
+    else raise ``ValueError`` naming `name`, when given, and the number."""
+    if least is not None and not number >= least:
+        bound = f">= {least:g}"
+    elif above is not None and not number > above:
+        bound = f"> {above:g}"
+    else:
+        return number
+    raise ValueError(f"{name} must be {bound}, got {number}" if name else f"expected a number {bound}, got {number}")
 
 
-def _as_real(value, name: str = "") -> float:
-    """Read a finite real number as a float.  Bools, strings, NaN and
-    +-inf raise ``ValueError``; `name`, when given, is named in the message."""
+def _as_int(value, name: str = "", least: int | None = None) -> int:
+    """Read an integer count or seed, at least `least` when that is given.
+    A float is taken only when it is integral, so 6.7 is rejected rather
+    than truncated; so are inf, bools, strings and a count below `least`,
+    each with ``ValueError``.  `name`, when given, is named in the message."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if integral or isinstance(value, float) and value.is_integer():
+        return _bounded(int(value), name, least)
+    where = f" for {name}" if name else ""
+    raise ValueError(f"expected an integer{where}, got {value!r}")
+
+
+def _as_real(value, name: str = "", least: float | None = None, above: float | None = None) -> float:
+    """Read a finite real number as a float, >= `least` and > `above` when
+    those are given (so -0.0 passes ``least=0.0``).  Bools, strings, NaN,
+    +-inf and a value out of bounds raise ``ValueError``; `name`, when
+    given, is named in the message."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             real = float(value)
         except OverflowError:  # an int or a fraction beyond the float range
             real = math.inf
         if math.isfinite(real):
-            return real
+            return _bounded(real, name, least, above)
     where = f" for {name}" if name else ""
     raise ValueError(f"expected a finite number{where}, got {value!r}")
 
@@ -211,9 +226,7 @@ def conj_transpose(x: np.ndarray) -> np.ndarray:
 
 def identity_tensor(n: int, n3: int) -> np.ndarray:
     """Identity for the t-product: eye(n) in slice 1, zeros elsewhere."""
-    n, n3 = _as_int(n), _as_int(n3)
-    if n < 1 or n3 < 1:
-        raise ValueError("identity_tensor dimensions must be >= 1")
+    n, n3 = _as_int(n, "n", least=1), _as_int(n3, "n3", least=1)
     out = np.zeros((n, n, n3))
     out[:, :, 0] = np.eye(n)
     return out

@@ -51,14 +51,10 @@ def ric_threshold(t: float, n3: int) -> float:
     Equals ``sqrt((t-1) / (n3^2 + t - 1))``: strictly increasing in the
     oversampling factor t, strictly decreasing in n3, and reducing to
     the matrix-recovery threshold ``sqrt((t-1)/t)`` at n3 = 1.  A t that
-    is not a finite real above 1, or a non-integral n3, raises
-    ``ValueError``.
+    is not a finite real above 1, or an n3 that is not an integer >= 1,
+    raises ``ValueError``.
     """
-    t, n3 = _as_real(t, "t"), _as_int(n3)
-    if t <= 1:
-        raise ValueError(f"oversampling factor t must exceed 1, got {t}")
-    if n3 < 1:
-        raise ValueError("n3 must be >= 1")
+    t, n3 = _as_real(t, "t", above=1.0), _as_int(n3, "n3", least=1)
     return math.sqrt((t - 1.0) / (n3 * n3 + t - 1.0))
 
 
@@ -97,14 +93,8 @@ def guarantee_constants(delta: float, t: float, r: int, n3: int, lam: float, eps
     :func:`verify_bounds` record.
     """
     delta, t = _as_real(delta, "delta"), _as_real(t, "t")
-    lam, epsilon = _as_real(lam, "lam"), _as_real(epsilon, "epsilon")
-    r, n3 = _as_int(r), _as_int(n3)
-    if r < 1:
-        raise ValueError("rank r must be >= 1")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
+    lam, epsilon = _as_real(lam, "lam", above=0.0), _as_real(epsilon, "epsilon", least=0.0)
+    r, n3 = _as_int(r, "r", least=1), _as_int(n3)
     thr = ric_threshold(t, n3)
     if not 0.0 <= delta < thr:
         raise RipConditionError(
@@ -203,15 +193,14 @@ def estimate_ric(op: GaussianLinearMap, r: int, trials: int, seed: int) -> RipEs
     ``x / fro_norm(x)`` of 3-d products, and the samples match
     per-probe measurements to roundoff.
 
-    A non-integral `r`, `trials` or `seed` raises ``ValueError``.
+    A non-integral `r`, `trials` or `seed`, or ``trials < 1``, raises
+    ``ValueError``.
     """
-    r, trials, seed = _as_int(r), _as_int(trials), _as_int(seed)
+    r, trials, seed = _as_int(r), _as_int(trials, "trials", least=1), _as_int(seed)
     n1, n2, n3 = op.dims
     kappa = min(n1, n2)
     if not 1 <= r <= kappa:
         raise ValueError(f"probe rank {r} outside [1, {kappa}]")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     samples = np.empty(trials)
     rows = _equal_split(trials, _PROBE_BLOCK)
     size = _equal_split(rows, _BUILD_BLOCK)

@@ -109,10 +109,10 @@ class ExperimentSpec:
 
     `r` is the tubal rank of every trial's ground truth, and
     :func:`measurement_count` checks the size (n, n3 >= 1, 1 <= r <= n
-    and at least one measurement).  Sigma values must be >= 0, lambda
-    values > 0.  The fields are read when the spec is built:
-    n, n3, r, trials and base_seed as ints by ``algebra._as_int``;
-    sample_factor and the grids as floats and tuples of floats by
+    and at least one measurement).  The fields are read when the spec is
+    built: n, n3, r, trials (>= 1) and base_seed as ints by
+    ``algebra._as_int``; sample_factor and the grids, sigma values >= 0
+    and lambda values > 0, as floats and tuples of floats by
     ``algebra._as_real``.  Any violation raises SpecValidationError.
     """
 
@@ -130,12 +130,13 @@ class ExperimentSpec:
         if not (isinstance(self.case_name, str) and self.case_name):
             raise SpecValidationError(f"case_name must be a non-empty string, got {self.case_name!r}")
 
-        def real_grid(values) -> tuple[float, ...]:
-            return tuple(_as_real(v) for v in values)
+        def grid(**bounds):
+            return lambda values: tuple(_as_real(v, **bounds) for v in values)
 
         for name, read in (
             ("n", _as_int), ("n3", _as_int), ("r", _as_int), ("sample_factor", _as_real),
-            ("sigma_list", real_grid), ("lambda_list", real_grid), ("trials", _as_int), ("base_seed", _as_int),
+            ("sigma_list", grid(least=0.0)), ("lambda_list", grid(above=0.0)),
+            ("trials", lambda v: _as_int(v, least=1)), ("base_seed", _as_int),
         ):
             try:
                 object.__setattr__(self, name, read(getattr(self, name)))
@@ -145,14 +146,8 @@ class ExperimentSpec:
             measurement_count(self.sample_factor, self.r, self.n, self.n3)
         except ValueError as exc:
             raise SpecValidationError(str(exc)) from None
-        if self.trials < 1:
-            raise SpecValidationError("trials must be >= 1")
         if not self.sigma_list or not self.lambda_list:
             raise SpecValidationError("sigma_list and lambda_list must be non-empty")
-        if min(self.sigma_list) < 0:
-            raise SpecValidationError("sigma values must be >= 0")
-        if min(self.lambda_list) <= 0:
-            raise SpecValidationError("lambda values must be positive")
 
     @property
     def sample_count(self) -> int:
@@ -245,9 +240,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     abort marks its cell for that trial and the sweep continues.
     `workers` must be an integer >= 1 (``ValueError`` otherwise).
     """
-    workers = _as_int(workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = _as_int(workers, "workers", least=1)
     nt = spec.trials
     if workers > 1:
         # Imported here: the process pool costs every `import tubal` time
@@ -317,8 +310,7 @@ def check_rip_grid(dims, rank_list, trials: int) -> list[int]:
         raise ValueError("rank_list must not be empty")
     if ranks[0] < 1 or ranks[-1] > min(n1, n2):
         raise ValueError(f"probe ranks {ranks} must lie in [1, {min(n1, n2)}]")
-    if _as_int(trials) < 1:
-        raise ValueError("trials must be >= 1")
+    _as_int(trials, "trials", least=1)
     return ranks
 
 
@@ -362,7 +354,12 @@ def check_guarantee(
     :func:`verify_bounds` record.  delta is the campaign's sampled lower
     estimate of the isometry constant, so a met condition is no
     certificate.
+
+    An r that is not an integer >= 1, a lam <= 0, an epsilon < 0 or a
+    t <= 1 raises ``ValueError`` before any probe.
     """
+    r = _as_int(r, "r", least=1)
+    lam, epsilon = _as_real(lam, "lam", above=0.0), _as_real(epsilon, "epsilon", least=0.0)
     thresholds = [ric_threshold(t, op.dims[2]) for t in t_grid]  # rejects t <= 1 before probing
     probe_ranks = [min(math.ceil(t * r), *op.dims[:2]) for t in t_grid]
     delta_hats = {row.r: row.delta_hat for row in run_rip_campaign(op, probe_ranks, trials, seed)}

@@ -93,7 +93,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import _as_int, _as_real, as_tensor3, fro_norm, tnn, tsvd, tubal_rank
-from .analysis import RipConditionError, guarantee_constants, ric_threshold
+from .analysis import RipConditionError, guarantee_constants
 from .bench import (
     ExperimentSpec,
     SpecValidationError,
@@ -109,7 +109,7 @@ from .bench import (
     run_experiment,
     run_rip_campaign,
 )
-from .measurement import _as_sigma, add_noise, gaussian_map, snr_db
+from .measurement import add_noise, gaussian_map, snr_db
 from .rng import derive_key
 from .solver import NumericalError, SolverConfig, admm_solve
 
@@ -202,19 +202,17 @@ def _build_instance(spec: dict):
         n = _as_int(spec["n"])
         n3 = _as_int(spec["n3"])
         r = _as_int(spec["r"])
-        sigma = _as_sigma(spec.get("sigma", 0.0))
+        sigma = _as_real(spec.get("sigma", 0.0), "sigma", least=0.0)
         lam = _as_real(spec["lambda"], "lambda")
         config = SolverConfig(lam=lam, max_iters=spec.get("max_iters", SolverConfig.max_iters))
         seed = _as_int(spec.get("seed", 0))
         m = measurement_count(_as_real(spec.get("sample_factor", 2.0), "sample_factor"), r, n, n3)
-        t_grid = [_as_real(t, "t") for t in spec.get("t_grid", DEFAULT_T_GRID)]
-        rip_trials = _as_int(spec.get("rip_trials", 50))
+        t_grid = [_as_real(t, "t", above=1.0) for t in spec.get("t_grid", DEFAULT_T_GRID)]
+        rip_trials = _as_int(spec.get("rip_trials", 50), "rip_trials", least=1)
     except (KeyError, TypeError, ValueError) as exc:
         raise _spec_error("instance", exc) from exc
-    if not t_grid or min(t_grid) <= 1:
-        raise SpecValidationError(f"t_grid must be a non-empty list of values > 1, got {t_grid}")
-    if rip_trials < 1:
-        raise SpecValidationError(f"rip_trials must be >= 1, got {rip_trials}")
+    if not t_grid:
+        raise SpecValidationError("t_grid must be a non-empty list of values > 1")
     if "save_estimate" in spec and not (isinstance(spec["save_estimate"], str) and spec["save_estimate"]):
         raise SpecValidationError(f"save_estimate must be a non-empty path, got {spec['save_estimate']!r}")
     x, op, y_clean, noise_seed = draw_instance(n, n3, r, m, seed, "instance")
@@ -259,17 +257,16 @@ def _cmd_rip(args) -> None:
     spec = _load_spec(args.spec)
     check_spec_keys(spec, _RIP_KEYS, "rip")
     try:
-        n = _as_int(spec["n"])
-        dims = (n, n, _as_int(spec["n3"]))
+        n = _as_int(spec["n"], "n", least=1)
+        dims = (n, n, _as_int(spec["n3"], "n3", least=1))
         m = _as_int(spec["m"])
         seed = _as_int(spec.get("seed", 0))
         rank_list = [_as_int(r) for r in spec["rank_list"]]
         trials = _as_int(spec.get("trials", 100))
-        t = _as_real(spec.get("t", 2.0), "t")
+        t = _as_real(spec.get("t", 2.0), "t", above=1.0)
     except (KeyError, TypeError, ValueError) as exc:
         raise _spec_error("rip", exc) from exc
     check_rip_grid(dims, rank_list, trials)
-    ric_threshold(t, dims[2])  # rejects t <= 1 before the draw
     op = gaussian_map(m, dims, derive_key(seed, "rip-campaign", "map"))
     rows = run_rip_campaign(op, rank_list, trials, seed)
     out = args.out or f"rip.{args.format}"

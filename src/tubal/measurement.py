@@ -106,9 +106,7 @@ def gaussian_map(m: int, dims: tuple[int, int, int], seed: int) -> GaussianLinea
     always reproduce the same matrix; the map does not keep the seed.  A
     non-integral `m`, dimension or `seed` raises ``ValueError``.
     """
-    m = _as_int(m)
-    if m < 1:
-        raise ValueError(f"measurement count must be >= 1, got {m}")
+    m = _as_int(m, "measurement count", least=1)
     dims = _as_dims(dims)
     matrix = rng.stream(_as_int(seed), "map").standard_normal((m, math.prod(dims)))
     matrix /= math.sqrt(m)
@@ -147,14 +145,6 @@ def adjoint_apply(op: GaussianLinearMap, v: np.ndarray) -> np.ndarray:
     return unvec(op.matrix.T @ _as_measurements(op, v), op.dims)
 
 
-def _as_sigma(sigma) -> float:
-    """Read a noise level: a finite real >= 0, else ``ValueError``."""
-    sigma = _as_real(sigma, "sigma")
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    return sigma
-
-
 @dataclass(frozen=True)
 class NoisySample:
     """Measurement vector with additive Gaussian noise.
@@ -168,7 +158,7 @@ class NoisySample:
     noise: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", _as_sigma(self.sigma))
+        object.__setattr__(self, "sigma", _as_real(self.sigma, "sigma", least=0.0))
         if self.y.shape != self.noise.shape:
             raise ValueError("noise and measurement lengths differ")
 
@@ -181,7 +171,7 @@ def add_noise(y: np.ndarray, sigma: float, noise_seed: int) -> NoisySample:
     `noise_seed` raises ``ValueError``, whatever sigma is.
     """
     y = _as_array(y, 1, "measurements")
-    sigma = _as_sigma(sigma)
+    sigma = _as_real(sigma, "sigma", least=0.0)
     noise_seed = _as_int(noise_seed)
     if sigma == 0.0:
         return NoisySample(y=y.copy(), sigma=0.0, noise=np.zeros_like(y))

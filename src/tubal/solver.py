@@ -92,12 +92,14 @@ which converts to data units, checks finiteness and builds the one
 
 One failure rule holds for a solve.  ``y`` and the config are read at
 the door, and a bad value raises ``ValueError``.  After that a failure
-is a :class:`NumericalError`: a failed eigendecomposition or
-thresholding SVD, a lam/c that leaves the float range, a threshold
-lam/rho or prox input that left the finite range, or a non-finite x, z
-or multiplier, each checked once per sweep; and at the exit, an x_hat or
-final prox step that leaves the float range in data units.  An objective
-above the float range reads inf, without a warning.
+is a :class:`NumericalError`: a lam/c that leaves the float range; an
+``M^T y`` that leaves it, checked before the start certificate's SVD; a
+Gram product that leaves it, which fails the eigendecomposition; a
+failed eigendecomposition or thresholding SVD; a threshold lam/rho or
+prox input that left the finite range, or a non-finite x, z or
+multiplier, each checked once per sweep; and at the exit, an x_hat or
+final prox step that leaves the float range in data units.  An
+objective above the float range reads inf, without a warning.
 :func:`~tubal.bench.run_experiment` marks such a cell aborted, and
 ``tubal`` exits 3.
 """
@@ -181,12 +183,8 @@ class SolverConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", _as_real(self.lam, "lam"))
-        if self.lam <= 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        object.__setattr__(self, "max_iters", _as_int(self.max_iters))
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        object.__setattr__(self, "lam", _as_real(self.lam, "lam", above=0.0))
+        object.__setattr__(self, "max_iters", _as_int(self.max_iters, "max_iters", least=1))
 
 
 @dataclass
@@ -248,9 +246,7 @@ def tsvt(y_tensor: np.ndarray, tau: float) -> np.ndarray:
     float, raises :class:`NumericalError`.
     """
     y_tensor = as_tensor3(y_tensor)
-    tau = _as_real(tau, "tau")
-    if tau < 0:
-        raise ValueError("threshold tau must be >= 0")
+    tau = _as_real(tau, "tau", least=0.0)
     # an overflow shows in the result, and is reported once, below
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -315,7 +311,9 @@ class NormalEquationSolver:
 
     def __init__(self, matrix: np.ndarray):
         self._wide = matrix.shape[0] < matrix.shape[1]
-        gram = matrix @ matrix.T if self._wide else matrix.T @ matrix
+        # an overflow makes eigh fail, which is reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = matrix @ matrix.T if self._wide else matrix.T @ matrix
         try:
             evals, self._q = np.linalg.eigh(gram)
         except np.linalg.LinAlgError as exc:
@@ -446,12 +444,15 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
         flow = "underflows" if lam == 0.0 else "overflows"
         raise NumericalError(f"lam={config.lam:.3e} {flow} in units of max|y| ~ {c:.3e}")
 
-    mty = op.matrix.T @ y
+    # an overflow shows in M^T y, and is reported once, below
+    with np.errstate(over="ignore", invalid="ignore"):
+        mty = op.matrix.T @ y
     # the start certificate, in the exit state of the no-op first sweep
     # x = tsvt(0, 0) = 0: z = 0 has the residual y and the multiplier
     # -M^T y, whose dual norm is that of M^T y
     x = prox_input = np.zeros(dims)
     iteration, sweep_rho, tau, z_residual = 1, _RHO0, 0.0, y
+    _check_finite(iteration, sweep_rho, ("M^T y", mty))
     yy = float(y @ y)
     obj_hist = [yy / (2.0 * lam)]
     gap, s = _gap(obj_hist[0], yy, yy, _dual_norm(mty, dims), lam)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from tubal import (
     tubal_rank,
     unfold,
 )
-from tubal.algebra import _fix_phases
+from tubal.algebra import _as_int, _as_real, _fix_phases
 
 from conftest import rand_tensor
 
@@ -284,6 +286,32 @@ def test_identity_tensor_properties():
     eyef = naive_dft_mode3(eye)
     for k in range(4):
         assert np.allclose(eyef[:, :, k], np.eye(3), atol=1e-12)
+
+
+def test_readers_check_their_bounds():
+    # least is inclusive, above is strict, and -0.0 is not below 0.0
+    assert _as_int(1, "trials", least=1) == 1
+    assert _as_int(1.0, "trials", least=1) == 1 and type(_as_int(1.0, "trials", least=1)) is int
+    assert _as_real(0.0, "sigma", least=0.0) == 0.0
+    assert math.copysign(1.0, _as_real(-0.0, "sigma", least=0.0)) == -1.0
+    assert _as_real(np.nextafter(1.0, 2.0), "t", above=1.0) > 1.0
+    for read, message in (
+        (lambda: _as_int(0, "trials", least=1), "trials must be >= 1, got 0"),
+        (lambda: _as_int(-3.0, "trials", least=1), "trials must be >= 1, got -3"),
+        (lambda: _as_int(0, least=1), "expected a number >= 1, got 0"),
+        (lambda: _as_real(-1e-300, "sigma", least=0.0), "sigma must be >= 0, got -1e-300"),
+        (lambda: _as_real(1.0, "t", above=1.0), "t must be > 1, got 1.0"),
+        (lambda: _as_real(-0.0, "lam", above=0.0), "lam must be > 0, got -0.0"),
+        (lambda: _as_real(-2, above=0.0), "expected a number > 0, got -2.0"),
+        # the type checks come first, in the words other tests match
+        (lambda: _as_int(1.5, "trials", least=1), "expected an integer for trials, got 1.5"),
+        (lambda: _as_int(True, least=1), "expected an integer, got True"),
+        (lambda: _as_real(math.nan, "lam", above=0.0), "expected a finite number for lam, got nan"),
+        (lambda: _as_real("1", least=0.0), "expected a finite number, got '1'"),
+    ):
+        with pytest.raises(ValueError) as info:
+            read()
+        assert str(info.value) == message
 
 
 def test_identity_tensor_reads_its_sizes_as_counts():

@@ -566,12 +566,18 @@ def test_recorded_seeds_are_checked_ints(seed):
         add_noise(np.ones(3), 0.0, 2.7)
 
 
-@pytest.mark.parametrize("t_grid", [[2.0, 1.0], []], ids=["t-at-1", "empty"])
-def test_check_guarantee_validates_grid_before_probing(monkeypatch, t_grid):
+@pytest.mark.parametrize(
+    "bad",
+    [dict(t_grid=[2.0, 1.0]), dict(t_grid=[]), dict(r=1.5), dict(r=0), dict(lam=0.0), dict(lam=-1.0),
+     dict(epsilon=-5.0)],
+    ids=["t-at-1", "empty", "r-fraction", "r-zero", "lam-zero", "lam-negative", "epsilon-negative"],
+)
+def test_check_guarantee_validates_grid_before_probing(monkeypatch, bad):
     calls = []
     monkeypatch.setattr(tubal.bench, "estimate_ric", lambda *args: calls.append(args))
     op = gaussian_map(10, (3, 3, 2), seed=1)
     x = generate_lowrank(3, 3, 2, 1, seed=2)
+    args = {**dict(r=1, t_grid=[2.0], lam=0.1, epsilon=0.0), **bad}
     with pytest.raises(ValueError):
-        check_guarantee(x, x, op, tubal.apply(op, x), 1, t_grid, 0.1, 0.0, trials=5, seed=0)
+        check_guarantee(x, x, op, tubal.apply(op, x), **args, trials=5, seed=0)
     assert calls == []

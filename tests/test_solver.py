@@ -684,6 +684,15 @@ def test_admm_nonfinite_abort():
             admm_solve(op, y, SolverConfig(lam=1.0))
 
 
+def test_admm_map_whose_products_overflow_is_a_numerical_error():
+    # finite maps whose M^T y (entries 1e308) or Gram product (1e160)
+    # overflows: the failure is a NumericalError, with no warning first
+    for entry, match in ((1e308, "M\\^T y"), (1e160, "Gram")):
+        op = GaussianLinearMap((2, 2, 2), np.full((3, 8), entry))
+        with pytest.raises(NumericalError, match=match):
+            admm_solve(op, np.ones(3), SolverConfig(lam=1.0))
+
+
 def test_admm_nonfinite_zsolve_is_a_numerical_error(monkeypatch):
     # the z block is checked before the next prox input reaches tsvt's
     # read, so a NaN there is a numerical failure, not a rejected input
