@@ -239,9 +239,31 @@ def test_case1_sweep_matches_pinned_values():
     # beyond roundoff shows up here
     spec = dataclasses.replace(case1_spec(trials=1), sigma_list=(0.01, 0.1), lambda_list=(1.0, 0.01))
     result = run_experiment(spec)
-    expected_snr = [[22.579318190920713, 19.697957891736156], [39.78403311020688, 21.41365310909499]]
+    expected_snr = [[22.579318190920713, 19.697957891736156], [39.7840617697632, 21.413652508274144]]
     assert np.allclose(result.mean_snr_db, expected_snr, rtol=0.0, atol=1e-6)
-    assert np.array_equal(result.mean_iterations, [[144, 156], [206, 297]])
+    assert np.array_equal(result.mean_iterations, [[144, 156], [219, 238]])
+
+
+@pytest.fixture(scope="module")
+def case1_trial0():
+    spec = case1_spec(trials=1)
+    return spec, run_experiment(spec)
+
+
+def test_case1_trial0_converges_in_every_cell(case1_trial0):
+    # every cell of the paper's table stops on its duality gap under the
+    # default cap, the lambda = 1e-3 and 1e-4 rows included
+    spec, result = case1_trial0
+    assert np.all(result.truncated_trials == 0) and np.all(result.aborted_trials == 0)
+    assert np.all(result.max_gap <= tubal.solver._GAP_TOL)
+
+
+def test_case1_smallest_lambda_row_matches_the_next(case1_trial0):
+    # lambda = 1e-4 and 1e-3 are both far below the noise level, so their
+    # minimizers score alike; a solve stopped short of its minimizer would not
+    spec, result = case1_trial0
+    snr = dict(zip(spec.lambda_list, result.mean_snr_db))
+    assert np.all(np.abs(snr[1e-4] - snr[1e-3]) <= 0.1)
 
 
 def test_experiment_workers_match_serial(tmp_path, mini_result):
@@ -307,14 +329,20 @@ def test_experiment_aborts_only_the_cell_that_fails_numerically():
     assert result.mean_iterations[1].tolist() == [1.0, 1.0]
 
 
-def test_experiment_reports_truncated_solves(tmp_path):
-    # at sigma=0.01 the lambda=1 solve converges (144 iterations) and the
-    # lambda=1e-4 solve stops at max_iters=500, its duality gap far above
-    # the tolerance
+def test_experiment_reports_truncated_solves(monkeypatch, tmp_path):
+    # at sigma=0.01 both solves converge under the default cap (144 and
+    # 358 iterations); with max_iters=200 the lambda=1 solve still
+    # converges and the lambda=1e-4 solve stops at the cap, its duality
+    # gap far above the tolerance
     spec = dataclasses.replace(case1_spec(trials=1), sigma_list=(0.01,), lambda_list=(1.0, 1e-4))
+    default = run_experiment(spec)
+    assert default.truncated_trials.tolist() == [[0], [0]]
+    assert default.mean_iterations.tolist() == [[144.0], [358.0]]
+    assert np.all(default.max_gap <= tubal.solver._GAP_TOL)
+    monkeypatch.setattr("tubal.bench.SolverConfig", lambda lam: tubal.solver.SolverConfig(lam=lam, max_iters=200))
     result = run_experiment(spec)
     assert result.truncated_trials.tolist() == [[0], [1]]
-    assert result.mean_iterations.tolist() == [[144.0], [500.0]]
+    assert result.mean_iterations.tolist() == [[144.0], [200.0]]
     assert result.aborted_trials.tolist() == [[0], [0]]
     path = tmp_path / "grid.json"
     emit(result, "json", path)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -592,9 +593,14 @@ def reference_admm(op, y, config):
         converged = gaps[-1] <= solver._GAP_TOL
         if converged or iteration == config.max_iters:
             return x, iteration, converged, np.asarray(objectives), np.asarray(gaps), rho, tau
-        if consensus > solver._BALANCE_RATIO * rho * z_step:
+        # the absolute balance in max-norms and the relative one in 2-norms,
+        # primal p = |x - z| / max(|x|, |z|) against dual d = rho |z - z_prev| / |k|:
+        # grow when both call for it, shrink when either does
+        p = fro_norm(x - z) / max(fro_norm(x), fro_norm(z))
+        d = rho * fro_norm(z - z_prev) / fro_norm(k_mult)
+        if consensus > solver._BALANCE_RATIO * rho * z_step and d < solver._BAND_LOW * p:
             rho = min(solver._VARTHETA * rho, solver._RHO_MAX)
-        elif rho * z_step > solver._BALANCE_RATIO * consensus:
+        elif rho * z_step > solver._BALANCE_RATIO * consensus or d > solver._BAND_HIGH * p:
             rho = max(rho / solver._VARTHETA, solver._RHO0)
 
 
@@ -691,6 +697,36 @@ def test_admm_map_whose_products_overflow_is_a_numerical_error():
         op = GaussianLinearMap((2, 2, 2), np.full((3, 8), entry))
         with pytest.raises(NumericalError, match=match):
             admm_solve(op, np.ones(3), SolverConfig(lam=1.0))
+
+
+def test_admm_iterates_whose_products_overflow_are_a_numerical_error():
+    # M^T y and the Gram product of a 1e120 map are finite, but |y - M x|^2
+    # overflows in the second sweep: the solve raises, with no warning
+    # first and whether or not warnings are errors
+    op = GaussianLinearMap((2, 2, 2), 1e120 * np.random.default_rng(0).standard_normal((3, 8)))
+    for action in ("error", "always"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(NumericalError, match="non-finite residual norms at iteration 2"):
+                admm_solve(op, np.ones(3), SolverConfig(lam=1.0))
+        assert caught == []
+
+
+@pytest.mark.parametrize(
+    "x, z, z_prev, k_mult",
+    [
+        # k = 0 with x != z and z still moving: the absolute test calls for
+        # growth, and the ratio d / p is infinite
+        (np.ones(4), np.zeros(4), np.full(4, 1e-9), np.zeros(4)),
+        # x = z = 0 and z at rest: p and d are both 0 / 0
+        (np.zeros(4), np.zeros(4), np.zeros(4), np.ones(4)),
+    ],
+    ids=["k-zero", "x-z-zero"],
+)
+def test_penalty_rule_holds_rho_where_the_relative_balance_has_no_ratio(x, z, z_prev, k_mult):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solver._rebalance(1.0, x, z, z_prev, k_mult) == 1.0
 
 
 def test_admm_nonfinite_zsolve_is_a_numerical_error(monkeypatch):
