@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -89,26 +90,27 @@ def _as_array(x, ndim: int, name: str = "tensor") -> np.ndarray:
     return arr
 
 
-def _bounded(number, name: str, least, above=None):
-    """Return `number` when it is >= `least` and > `above` (None: no bound);
-    else raise ``ValueError`` naming `name`, when given, and the number."""
-    if least is not None and not number >= least:
-        bound = f">= {least:g}"
-    elif above is not None and not number > above:
-        bound = f"> {above:g}"
-    else:
-        return number
-    raise ValueError(f"{name} must be {bound}, got {number}" if name else f"expected a number {bound}, got {number}")
+def _bounded(number, name: str, least, above=None, most=None):
+    """Return `number` when it is >= `least`, > `above` and <= `most` (None:
+    no bound); else raise ``ValueError`` naming `name`, when given, the
+    first bound it fails and the number.  An int bound is shown exactly,
+    a float one in ``g`` form."""
+    for sign, bound, holds in ((">=", least, operator.ge), (">", above, operator.gt), ("<=", most, operator.le)):
+        if bound is not None and not holds(number, bound):
+            text = f"{sign} {bound:g}" if isinstance(bound, float) else f"{sign} {bound}"
+            raise ValueError(f"{name} must be {text}, got {number}" if name else f"expected a number {text}, got {number}")
+    return number
 
 
-def _as_int(value, name: str = "", least: int | None = None) -> int:
-    """Read an integer count or seed, at least `least` when that is given.
-    A float is taken only when it is integral, so 6.7 is rejected rather
-    than truncated; so are inf, bools, strings and a count below `least`,
-    each with ``ValueError``.  `name`, when given, is named in the message."""
+def _as_int(value, name: str = "", least: int | None = None, most: int | None = None) -> int:
+    """Read an integer count, rank, index or seed, from `least` to `most`
+    (both inclusive) when those are given.  A float is taken only when it
+    is integral, so 6.7 is rejected rather than truncated; so are inf,
+    bools, strings and a value out of bounds, each with ``ValueError``.
+    `name`, when given, is named in the message."""
     integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if integral or isinstance(value, float) and value.is_integer():
-        return _bounded(int(value), name, least)
+        return _bounded(int(value), name, least, most=most)
     where = f" for {name}" if name else ""
     raise ValueError(f"expected an integer{where}, got {value!r}")
 
@@ -166,9 +168,9 @@ def unfold(x: np.ndarray) -> np.ndarray:
 def fold(mat: np.ndarray, n3: int) -> np.ndarray:
     """Inverse of :func:`unfold`; `mat` must be a real, finite matrix of n3 row blocks."""
     mat = _as_array(mat, 2, "matrix")
-    n3 = _as_int(n3)
+    n3 = _as_int(n3, "n3", least=1)
     rows, n2 = mat.shape
-    if n3 < 1 or rows % n3 != 0:
+    if rows % n3 != 0:
         raise ValueError(f"row count {rows} is not divisible by n3={n3}")
     n1 = rows // n3
     return np.ascontiguousarray(mat.reshape(n3, n1, n2).transpose(1, 2, 0))
@@ -419,21 +421,17 @@ def truncate(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Split x into its best tubal-rank-r approximation and the residual.
 
     Returns ``(head, tail)`` where head keeps the r leading singular
-    tubes and ``tail = x - head``.  A non-integral `r` raises ``ValueError``.
+    tubes and ``tail = x - head``.  An `r` that is not an integer in
+    [0, min(n1, n2)] raises ``ValueError``.
     """
     x = as_tensor3(x)
-    r = _as_int(r)
-    kappa = min(x.shape[0], x.shape[1])
-    if not 0 <= r <= kappa:
-        raise ValueError(f"truncation rank {r} outside [0, {kappa}]")
+    r = _as_int(r, "r", least=0, most=min(x.shape[0], x.shape[1]))
     head = _select_components(x, np.arange(r))
     return head, x - head
 
 
 def _validate_index_set(indices: Sequence[int], kappa: int) -> np.ndarray:
-    idx = np.asarray(sorted(_as_int(i) for i in indices), dtype=np.intp)
-    if idx.size and (idx[0] < 0 or idx[-1] >= kappa):
-        raise ValueError(f"index set entries must lie in [0, {kappa})")
+    idx = np.asarray(sorted(_as_int(i, "index", least=0, most=kappa - 1) for i in indices), dtype=np.intp)
     if np.unique(idx).size != idx.size:
         raise ValueError("index set entries must be distinct")
     return idx

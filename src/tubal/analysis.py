@@ -193,14 +193,12 @@ def estimate_ric(op: GaussianLinearMap, r: int, trials: int, seed: int) -> RipEs
     ``x / fro_norm(x)`` of 3-d products, and the samples match
     per-probe measurements to roundoff.
 
-    A non-integral `r`, `trials` or `seed`, or ``trials < 1``, raises
-    ``ValueError``.
+    A non-integral `r`, `trials` or `seed`, an `r` outside [1, min(n1, n2)]
+    or ``trials < 1`` raises ``ValueError``.
     """
-    r, trials, seed = _as_int(r), _as_int(trials, "trials", least=1), _as_int(seed)
     n1, n2, n3 = op.dims
-    kappa = min(n1, n2)
-    if not 1 <= r <= kappa:
-        raise ValueError(f"probe rank {r} outside [1, {kappa}]")
+    r, trials = _as_int(r, "r", least=1, most=min(n1, n2)), _as_int(trials, "trials", least=1)
+    seed = _as_int(seed)
     samples = np.empty(trials)
     rows = _equal_split(trials, _PROBE_BLOCK)
     size = _equal_split(rows, _BUILD_BLOCK)

@@ -61,13 +61,13 @@ def generate_lowrank(n1: int, n2: int, n3: int, r: int, seed: int) -> np.ndarray
     Gaussian factor tensors of inner size r.
 
     Draws from the "data" stream of `seed`.  The sizes, the rank and the
-    seed must be integral (``ValueError`` otherwise).  Generic factors
+    seed must be integral, and r must lie in [1, min(n1, n2)]
+    (``ValueError`` otherwise).  Generic factors
     give rank exactly r with probability 1; this is checked and a
     degenerate draw is rejected rather than silently returned.
     """
-    n1, n2, n3, r = (_as_int(v) for v in (n1, n2, n3, r))
-    if not 1 <= r <= min(n1, n2):
-        raise ValueError(f"rank {r} outside [1, {min(n1, n2)}]")
+    n1, n2, n3 = (_as_int(v) for v in (n1, n2, n3))
+    r = _as_int(r, "r", least=1, most=min(n1, n2))
     gen = rng.stream(_as_int(seed), "data")
     a = gen.standard_normal((n1, r, n3))
     b = gen.standard_normal((r, n2, n3))
@@ -90,13 +90,11 @@ def draw_instance(n: int, n3: int, r: int, m: int, *key):
 
 def measurement_count(sample_factor: float, r: int, n: int, n3: int) -> int:
     """Measurement count ``round(sample_factor * r * (2n + 1) * n3)`` for a
-    rank-r tensor of size n x n x n3.  n, n3 >= 1, 1 <= r <= n and a count
-    of at least 1 are checked, in that order; a violation raises
-    ``ValueError``."""
-    if n < 1 or n3 < 1:
-        raise ValueError(f"n and n3 must be >= 1, got n={n}, n3={n3}")
-    if not 1 <= r <= n:
-        raise ValueError(f"r must lie in [1, n={n}], got {r}")
+    rank-r tensor of size n x n x n3.  Integers n, n3 >= 1, 1 <= r <= n
+    and a count of at least 1 are checked, in that order; a violation
+    raises ``ValueError``."""
+    n, n3 = _as_int(n, "n", least=1), _as_int(n3, "n3", least=1)
+    r = _as_int(r, "r", least=1, most=n)
     m = round(sample_factor * r * (2 * n + 1) * n3)
     if m < 1:
         raise ValueError(f"sample_factor {sample_factor} gives {m} measurements of a rank-{r} {n}x{n}x{n3} tensor")
@@ -305,11 +303,9 @@ def check_rip_grid(dims, rank_list, trials: int) -> list[int]:
     ``trials < 1`` raises ``ValueError``.
     """
     n1, n2 = dims[:2]
-    ranks = sorted(set(_as_int(r) for r in rank_list))
+    ranks = sorted(set(_as_int(r, "rank", least=1, most=min(n1, n2)) for r in rank_list))
     if not ranks:
         raise ValueError("rank_list must not be empty")
-    if ranks[0] < 1 or ranks[-1] > min(n1, n2):
-        raise ValueError(f"probe ranks {ranks} must lie in [1, {min(n1, n2)}]")
     _as_int(trials, "trials", least=1)
     return ranks
 

@@ -147,7 +147,8 @@ def adjoint_apply(op: GaussianLinearMap, v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoisySample:
-    """Measurement vector with additive Gaussian noise.
+    """Measurement vector with additive Gaussian noise, as :func:`add_noise`
+    builds it from the sigma it has read.
 
     ``noise`` keeps the realized draw, not its seed, so callers can use
     its 2-norm as the noise level when checking recovery bounds.
@@ -156,11 +157,6 @@ class NoisySample:
     y: np.ndarray
     sigma: float
     noise: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", _as_real(self.sigma, "sigma", least=0.0))
-        if self.y.shape != self.noise.shape:
-            raise ValueError("noise and measurement lengths differ")
 
 
 def add_noise(y: np.ndarray, sigma: float, noise_seed: int) -> NoisySample:

@@ -103,24 +103,25 @@ The start sets the exit state of a first sweep whose prox step is the
 no-op ``tsvt(0, 0) = 0``: x_hat = 0 after 1 iteration, rho = _RHO0, a
 zero prox input and the threshold 0, so the state replays x_hat at any
 lam.  When the start gap is at most _GAP_TOL, as it is for every
-``lam >= ||M^T y||_2``, the solve skips the factorization and the loop;
-a start gap that reads NaN, from a P(0) above the float range, runs
-them.  The start certificate, the stop and the cap leave by one exit,
+``lam >= ||M^T y||_2``, the solve skips the factorization and the
+loop.  The start certificate, the stop and the cap leave by one exit,
 which converts to data units, checks finiteness and builds the one
 :class:`SolveResult`.
 
 One failure rule holds for a solve.  ``y`` and the config are read at
 the door, and a bad value raises ``ValueError``.  After that a failure
-is a :class:`NumericalError`: a lam/c that leaves the float range; an
-``M^T y`` that leaves it, checked before the start certificate's SVD; a
-Gram product that leaves it, which fails the eigendecomposition; a
-failed eigendecomposition or thresholding SVD; a threshold lam/rho or
-prox input that left the finite range, or a non-finite x, ``M x``, z,
-``M z``, multiplier, ``||y - M x||^2``, ``<y, r>`` or ``||r||^2``, each
-checked once per sweep (all but the threshold and the prox input are
-formed without an overflow warning); and at the exit, an x_hat or final
-prox step that leaves the float range in data units.  An objective above
-the float range reads inf, without a warning.
+is a :class:`NumericalError`: a lam/c that leaves the float range, or is
+so small that ``P(0) = ||y||^2 / (2 lam)`` reads inf in units of c and
+the start gap NaN; an ``M^T y`` that leaves the float range, checked
+before the start certificate's SVD; a Gram product that leaves it, which
+fails the eigendecomposition; a failed eigendecomposition or
+thresholding SVD; a threshold lam/rho or prox input that left the finite
+range, or a non-finite x, ``M x``, z, ``M z``, multiplier,
+``||y - M x||^2``, ``<y, r>`` or ``||r||^2``, each checked once per sweep
+(all but the threshold and the prox input are formed without an
+overflow warning); and at the exit, an x_hat or final prox step that
+leaves the float range in data units.  An objective above the float
+range reads inf, without a warning.
 :func:`~tubal.bench.run_experiment` marks such a cell aborted, and
 ``tubal`` exits 3.
 """
@@ -495,8 +496,10 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
     # it and multiplying back are exact, and the loop's values stay near 1
     c = math.ldexp(0.5, math.frexp(float(np.max(np.abs(y))))[1])
     y, lam = y / c, config.lam / c
-    if not 0.0 < lam < math.inf:
-        flow = "underflows" if lam == 0.0 else "overflows"
+    yy = float(y @ y)
+    # lam/c also underflows where P(0) = ||y||^2 / (2 lam) reads inf
+    if not (0.0 < lam < math.inf and yy / (2.0 * lam) < math.inf):
+        flow = "overflows" if lam == math.inf else "underflows"
         raise NumericalError(f"lam={config.lam:.3e} {flow} in units of max|y| ~ {c:.3e}")
 
     # an overflow shows in M^T y, and is reported once, below
@@ -508,12 +511,10 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
     x = prox_input = np.zeros(dims)
     iteration, sweep_rho, tau, z_residual = 1, _RHO0, 0.0, y
     _check_finite(iteration, sweep_rho, ("M^T y", mty))
-    yy = float(y @ y)
     obj_hist = [yy / (2.0 * lam)]
     gap, s = _gap(obj_hist[0], yy, yy, _dual_norm(mty, dims), lam)
 
-    # a NaN gap, from a P(0) that reads inf, runs the loop
-    if not gap <= _GAP_TOL:
+    if gap > _GAP_TOL:
         ne_solver = NormalEquationSolver(op.matrix)
         mmty = op.matrix @ mty
         mk = np.zeros(op.m)

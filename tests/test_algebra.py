@@ -289,8 +289,9 @@ def test_identity_tensor_properties():
 
 
 def test_readers_check_their_bounds():
-    # least is inclusive, above is strict, and -0.0 is not below 0.0
+    # least and most are inclusive, above is strict, and -0.0 is not below 0.0
     assert _as_int(1, "trials", least=1) == 1
+    assert _as_int(4, "r", least=1, most=4) == 4 and _as_int(0, "index", least=0, most=0) == 0
     assert _as_int(1.0, "trials", least=1) == 1 and type(_as_int(1.0, "trials", least=1)) is int
     assert _as_real(0.0, "sigma", least=0.0) == 0.0
     assert math.copysign(1.0, _as_real(-0.0, "sigma", least=0.0)) == -1.0
@@ -303,6 +304,12 @@ def test_readers_check_their_bounds():
         (lambda: _as_real(1.0, "t", above=1.0), "t must be > 1, got 1.0"),
         (lambda: _as_real(-0.0, "lam", above=0.0), "lam must be > 0, got -0.0"),
         (lambda: _as_real(-2, above=0.0), "expected a number > 0, got -2.0"),
+        (lambda: _as_int(5, "r", least=1, most=4), "r must be <= 4, got 5"),
+        (lambda: _as_int(7.0, "r", least=1, most=6), "r must be <= 6, got 7"),
+        (lambda: _as_int(3, most=2), "expected a number <= 2, got 3"),
+        (lambda: _as_int(-1, "index", least=0, most=2), "index must be >= 0, got -1"),
+        # an int bound is shown exactly, not in g form
+        (lambda: _as_int(1234568, "m", most=1234567), "m must be <= 1234567, got 1234568"),
         # the type checks come first, in the words other tests match
         (lambda: _as_int(1.5, "trials", least=1), "expected an integer for trials, got 1.5"),
         (lambda: _as_int(True, least=1), "expected an integer, got True"),
@@ -312,6 +319,25 @@ def test_readers_check_their_bounds():
         with pytest.raises(ValueError) as info:
             read()
         assert str(info.value) == message
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    v=st.integers(-(10**7), 10**7),
+    a=st.integers(-(10**7), 10**7),
+    b=st.integers(-(10**7), 10**7),
+    as_float=st.booleans(),
+)
+def test_as_int_returns_exactly_the_integers_within_its_bounds(v, a, b, as_float):
+    value = float(v) if as_float else v
+    if a <= v <= b:
+        got = _as_int(value, "k", least=a, most=b)
+        assert got == v and type(got) is int
+    else:
+        with pytest.raises(ValueError) as info:
+            _as_int(value, "k", least=a, most=b)
+        # the first bound that fails is named, least before most
+        assert str(info.value) == (f"k must be >= {a}, got {v}" if v < a else f"k must be <= {b}, got {v}")
 
 
 def test_identity_tensor_reads_its_sizes_as_counts():

@@ -110,11 +110,21 @@ def test_spec_absolute_rank():
     assert not hasattr(spec, "rank")
 
 
-@pytest.mark.parametrize("r", [0.1, 1.5, 0, 7], ids=["fraction", "one-and-a-half", "zero", "n-plus-1"])
-def test_spec_rank_is_an_integer_from_1_to_n(r):
+@pytest.mark.parametrize(
+    "r, message",
+    [
+        (0.1, "r: expected an integer, got 0.1"),
+        (1.5, "r: expected an integer, got 1.5"),
+        (0, "r must be >= 1, got 0"),
+        (7, "r must be <= 6, got 7"),
+    ],
+    ids=["fraction", "one-and-a-half", "zero", "n-plus-1"],
+)
+def test_spec_rank_is_an_integer_from_1_to_n(r, message):
     # mini_spec has n = 6
-    with pytest.raises(SpecValidationError, match="r: expected an integer|r must lie in"):
+    with pytest.raises(SpecValidationError) as info:
         mini_spec(r=r)
+    assert str(info.value) == message
     with pytest.raises(SpecValidationError):
         ExperimentSpec.from_dict({**mini_spec().to_dict(), "r": r})
 
@@ -327,6 +337,15 @@ def test_experiment_aborts_only_the_cell_that_fails_numerically():
     assert np.isfinite(result.mean_snr_db[0]).all() and np.isnan(result.mean_snr_db[2]).all()
     assert result.mean_snr_db[1].tolist() == [0.0, 0.0]
     assert result.mean_iterations[1].tolist() == [1.0, 1.0]
+
+
+def test_experiment_aborts_a_cell_whose_start_objective_reads_inf():
+    # at c = 4, lam = 1e-310 leaves a positive lam / c, but
+    # P(0) = ||y / c||^2 / (2 lam / c) reads inf: the solve stops at its
+    # door, and the cell is aborted, not truncated after max_iters sweeps
+    result = run_experiment(mini_spec(trials=1, base_seed=0, lambda_list=(0.1, 1e-310)))
+    assert result.aborted_trials.tolist() == [[0, 0], [1, 1]]
+    assert result.truncated_trials.tolist() == [[0, 0], [0, 0]]
 
 
 def test_experiment_reports_truncated_solves(monkeypatch, tmp_path):

@@ -517,12 +517,15 @@ def test_instance_command_rejects_keys_it_does_not_read(tmp_path, capsys, no_wor
         ("solve", {**SOLVE_SPEC, "sample_factor": 0.01}, ("sample_factor", "0 measurements")),
         ("solve", {**SOLVE_SPEC, "sigma": -0.5}, ("sigma must be >= 0",)),
         # a rank is read as a rank before it sizes the instance
-        ("solve", {**SOLVE_SPEC, "r": 0}, ("r must lie in [1, n=6]", "got 0")),
-        ("bounds", {**INSTANCE_SPEC, "r": 7}, ("r must lie in [1, n=6]", "got 7")),
-        ("solve", {**SOLVE_SPEC, "n": 0}, ("n and n3 must be >= 1", "n=0")),
+        ("solve", {**SOLVE_SPEC, "r": 0}, ("r must be >= 1, got 0",)),
+        # SOLVE_SPEC and INSTANCE_SPEC have n = 6
+        ("bounds", {**INSTANCE_SPEC, "r": 7}, ("r must be <= 6, got 7",)),
+        ("solve", {**SOLVE_SPEC, "n": 0}, ("n must be >= 1, got 0",)),
+        # RIP_SPEC has n = 4
+        ("rip", {**RIP_SPEC, "rank_list": [1, 5]}, ("rank must be <= 4, got 5",)),
     ],
     ids=["solve-m", "bounds-m", "rip-dims", "solve-no-measurement", "solve-sigma-negative",
-         "solve-r-zero", "bounds-r-above-n", "solve-n-zero"],
+         "solve-r-zero", "bounds-r-above-n", "solve-n-zero", "rip-rank-above-n"],
 )
 def test_input_the_command_would_ignore_exit_2_before_any_draw(tmp_path, capsys, no_work, monkeypatch,
                                                                command, spec, names):

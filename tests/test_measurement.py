@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from tubal import (
     GaussianLinearMap,
-    NoisySample,
     SolverConfig,
     add_noise,
     adjoint_apply,
@@ -270,15 +269,11 @@ def test_measurement_readers_reject_bad_vectors(dims, m, defect, where):
 def test_noise_level_must_be_finite(sigma):
     with pytest.raises(ValueError, match="sigma"):
         add_noise(np.zeros(4), sigma, noise_seed=0)
-    with pytest.raises(ValueError, match="sigma"):
-        NoisySample(y=np.zeros(4), sigma=sigma, noise=np.zeros(4))
 
 
 def test_noise_level_is_stored_as_float():
     for sigma in (0, np.float32(0.25), 1):
         assert type(add_noise(np.ones(3), sigma, noise_seed=1).sigma) is float
-    sample = NoisySample(y=np.zeros(3), sigma=np.float64(0.5), noise=np.zeros(3))
-    assert type(sample.sigma) is float
 
 
 def test_snr_db_values():

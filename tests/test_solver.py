@@ -762,13 +762,19 @@ def test_admm_overflowing_prox_input_is_a_numerical_error(monkeypatch):
 
 def test_admm_near_the_float_range_is_the_solve_in_units_of_max_y():
     # y = 1e307 is solved as y / c with lam / c, c = 2^1019, and every
-    # output is multiplied back by c exactly; P reads inf
+    # output is multiplied back by c exactly
     op = gaussian_map(30, (3, 3, 4), seed=1)
-    y, lam = np.full(30, 1e307), 0.1
+    y = np.full(30, 1e307)
     c = math.ldexp(0.5, math.frexp(1e307)[1])
+    # at lam = 0.1, lam / c ~ 1.8e-308 and P(0) = ||y / c||^2 / (2 lam / c)
+    # reads inf on both sides: the door stops both, before any sweep
+    for data, lam in ((y, 0.1), (y / c, 0.1 / c)):
+        with pytest.raises(NumericalError, match="underflows"):
+            admm_solve(op, data, SolverConfig(lam=lam))
+    lam = 1e306
     res = admm_solve(op, y, SolverConfig(lam=lam))
     unit = admm_solve(op, y / c, SolverConfig(lam=lam / c))
-    assert res.iterations == unit.iterations and res.converged == unit.converged
+    assert res.converged and unit.converged and res.iterations == unit.iterations
     assert res.gap == unit.gap and np.array_equal(res.dual, unit.dual)
     assert np.array_equal(res.x_hat, c * unit.x_hat)
     assert np.array_equal(res.final_state.last_prox_input, c * unit.final_state.last_prox_input)
