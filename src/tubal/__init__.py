@@ -50,7 +50,6 @@ from .measurement import (
     GaussianLinearMap,
     NoisySample,
     add_noise,
-    adjoint_apply,
     apply,
     gaussian_map,
     snr_db,

@@ -86,16 +86,20 @@ def guarantee_constants(delta: float, t: float, r: int, n3: int, lam: float, eps
     c4 = c4_matched * lam.
 
     delta, t, lam and epsilon must be finite reals, r and n3 integers
-    (``ValueError`` otherwise); r >= 1, lam > 0 and epsilon >= 0.  The
+    (``ValueError`` otherwise, naming the input); r >= 1, lam > 0,
+    epsilon >= 0, and t > 1 and n3 >= 1 as :func:`ric_threshold` reads
+    them.  Each is read once.  The
     keys, in order, are delta, t, r, n3, lambda, epsilon (the inputs),
     threshold, eta1, eta2, c1..c4 and c1_matched..c4_matched.  This is
     what constants-mode ``tubal bounds`` prints, and the head of every
     :func:`verify_bounds` record.
     """
-    delta, t = _as_real(delta, "delta"), _as_real(t, "t")
+    delta = _as_real(delta, "delta")
     lam, epsilon = _as_real(lam, "lam", above=0.0), _as_real(epsilon, "epsilon", least=0.0)
-    r, n3 = _as_int(r, "r", least=1), _as_int(n3)
+    r = _as_int(r, "r", least=1)
     thr = ric_threshold(t, n3)
+    # ric_threshold has read t as a finite real > 1 and n3 as an integer >= 1
+    t, n3 = float(t), int(n3)
     if not 0.0 <= delta < thr:
         raise RipConditionError(
             f"delta={delta:.6g} is not below the guarantee threshold "

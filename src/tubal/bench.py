@@ -19,8 +19,10 @@ import json
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from contextlib import contextmanager
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -45,15 +47,67 @@ __all__ = [
 
 
 class SpecValidationError(ValueError):
-    """An experiment description failed validation."""
+    """A spec could not be read or was rejected; a rejection reads ``invalid <what> spec: <reason>``."""
 
 
-def check_spec_keys(obj: dict, known, what: str) -> None:
-    """Reject every key of a JSON spec outside `known`: a misspelt key
-    would otherwise fall back to its default without notice."""
-    unknown = sorted(set(obj) - set(known))
-    if unknown:
-        raise SpecValidationError(f"unknown {what} spec key(s): {', '.join(map(repr, unknown))}")
+@contextmanager
+def invalid_spec(what: str):
+    """Report a ``ValueError`` raised inside as SpecValidationError
+    ``invalid <what> spec: <reason>``, the one form of a spec's rejection."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SpecValidationError(f"invalid {what} spec: {exc}") from exc
+
+
+def read_spec(obj: dict, readers: dict, what: str) -> dict:
+    """Read a JSON spec by its key table; the values come back by key, in table order.
+
+    `readers` maps each key to ``(read, default)``.  A present key is read
+    once, by ``read(value, key)`` (a `read` of None keeps the value as
+    given, for a library reader to read), and an absent one takes
+    `default` as it stands; a default of ``dataclasses.MISSING`` makes
+    the key required.  A key outside the table, a missing required key
+    and a value its reader rejects raise SpecValidationError through
+    :func:`invalid_spec`: a misspelt key would otherwise fall back to
+    its default without notice.
+    """
+    with invalid_spec(what):
+        unknown = sorted(set(obj) - set(readers))
+        if unknown:
+            raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}")
+        values = {}
+        for key, (read, default) in readers.items():
+            if key in obj:
+                values[key] = obj[key] if read is None else read(obj[key], key)
+            elif default is MISSING:
+                raise ValueError(f"missing key {key!r}")
+            else:
+                values[key] = default
+        return values
+
+
+def _list_of(read):
+    """A spec reader of a non-empty list (or tuple) whose entries `read`
+    reads under the list's key; it returns a tuple."""
+
+    def read_list(values, name):
+        if not (isinstance(values, (list, tuple)) and values):
+            raise ValueError(f"{name} must be a non-empty list, got {values!r}")
+        return tuple(values) if read is None else tuple(read(v, name) for v in values)
+
+    return read_list
+
+
+def _as_text(value, name: str) -> str:
+    """A spec reader of a non-empty string."""
+    if not (isinstance(value, str) and value):
+        raise ValueError(f"{name} must be a non-empty string, got {value!r}")
+    return value
+
+
+# a size, rank or count: an integer >= 1
+_as_count = partial(_as_int, least=1)
 
 
 def generate_lowrank(n1: int, n2: int, n3: int, r: int, seed: int) -> np.ndarray:
@@ -90,11 +144,11 @@ def draw_instance(n: int, n3: int, r: int, m: int, *key):
 
 def measurement_count(sample_factor: float, r: int, n: int, n3: int) -> int:
     """Measurement count ``round(sample_factor * r * (2n + 1) * n3)`` for a
-    rank-r tensor of size n x n x n3.  Integers n, n3 >= 1, 1 <= r <= n
-    and a count of at least 1 are checked, in that order; a violation
-    raises ``ValueError``."""
-    n, n3 = _as_int(n, "n", least=1), _as_int(n3, "n3", least=1)
-    r = _as_int(r, "r", least=1, most=n)
+    rank-r tensor of size n x n x n3, whose sizes and rank the caller has
+    read as integers >= 1.  The two checks that need more than one of
+    them, r <= n and a count of at least 1, are made in that order; a
+    violation raises ``ValueError``."""
+    r = _as_int(r, "r", most=n)
     m = round(sample_factor * r * (2 * n + 1) * n3)
     if m < 1:
         raise ValueError(f"sample_factor {sample_factor} gives {m} measurements of a rank-{r} {n}x{n}x{n3} tensor")
@@ -105,13 +159,14 @@ def measurement_count(sample_factor: float, r: int, n: int, n3: int) -> int:
 class ExperimentSpec:
     """Description of one benchmark case.
 
-    `r` is the tubal rank of every trial's ground truth, and
-    :func:`measurement_count` checks the size (n, n3 >= 1, 1 <= r <= n
-    and at least one measurement).  The fields are read when the spec is
-    built: n, n3, r, trials (>= 1) and base_seed as ints by
-    ``algebra._as_int``; sample_factor and the grids, sigma values >= 0
-    and lambda values > 0, as floats and tuples of floats by
-    ``algebra._as_real``.  Any violation raises SpecValidationError.
+    `r` is the tubal rank of every trial's ground truth.  The fields are
+    read when the spec is built, by :func:`read_spec` with the table
+    ``_EXPERIMENT_SPEC``: case_name a non-empty string; n, n3, r and
+    trials as ints >= 1 and base_seed as an int by ``algebra._as_int``;
+    sample_factor and the non-empty grids, sigma values >= 0 and lambda
+    values > 0, as floats and tuples of floats by ``algebra._as_real``.
+    :func:`measurement_count` then checks r <= n and that there is at
+    least one measurement.  Any violation raises SpecValidationError.
     """
 
     case_name: str
@@ -125,27 +180,10 @@ class ExperimentSpec:
     base_seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.case_name, str) and self.case_name):
-            raise SpecValidationError(f"case_name must be a non-empty string, got {self.case_name!r}")
-
-        def grid(**bounds):
-            return lambda values: tuple(_as_real(v, **bounds) for v in values)
-
-        for name, read in (
-            ("n", _as_int), ("n3", _as_int), ("r", _as_int), ("sample_factor", _as_real),
-            ("sigma_list", grid(least=0.0)), ("lambda_list", grid(above=0.0)),
-            ("trials", lambda v: _as_int(v, least=1)), ("base_seed", _as_int),
-        ):
-            try:
-                object.__setattr__(self, name, read(getattr(self, name)))
-            except (TypeError, ValueError) as exc:
-                raise SpecValidationError(f"{name}: {exc}") from None
-        try:
+        for name, value in read_spec(vars(self), _EXPERIMENT_SPEC, "experiment").items():
+            object.__setattr__(self, name, value)
+        with invalid_spec("experiment"):
             measurement_count(self.sample_factor, self.r, self.n, self.n3)
-        except ValueError as exc:
-            raise SpecValidationError(str(exc)) from None
-        if not self.sigma_list or not self.lambda_list:
-            raise SpecValidationError("sigma_list and lambda_list must be non-empty")
 
     @property
     def sample_count(self) -> int:
@@ -153,14 +191,21 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentSpec":
-        check_spec_keys(obj, [f.name for f in fields(cls)], "experiment")
-        try:
-            return cls(**obj)
-        except (TypeError, ValueError) as exc:
-            raise SpecValidationError(f"invalid experiment spec: {exc}") from exc
+        # the keys are checked here, and each value is read once, when the spec is built
+        keys = {key: (None, default) for key, (_, default) in _EXPERIMENT_SPEC.items()}
+        return cls(**read_spec(obj, keys, "experiment"))
 
     def to_dict(self) -> dict:
         return {**asdict(self), "sigma_list": list(self.sigma_list), "lambda_list": list(self.lambda_list)}
+
+
+_EXPERIMENT_READERS = {
+    "case_name": _as_text, "n": _as_count, "n3": _as_count, "r": _as_count, "sample_factor": _as_real,
+    "sigma_list": _list_of(partial(_as_real, least=0.0)), "lambda_list": _list_of(partial(_as_real, above=0.0)),
+    "trials": _as_count, "base_seed": _as_int,
+}
+# a key's default is its field's, and a field without one is a required key
+_EXPERIMENT_SPEC = {f.name: (_EXPERIMENT_READERS[f.name], f.default) for f in fields(ExperimentSpec)}
 
 
 @dataclass
@@ -300,10 +345,10 @@ def check_rip_grid(dims, rank_list, trials: int) -> list[int]:
 
     Returns the sorted distinct ranks.  An empty `rank_list`, a
     non-integral rank or trial count, a rank outside [1, min(n1, n2)] or
-    ``trials < 1`` raises ``ValueError``.
+    ``trials < 1`` raises ``ValueError`` naming `rank_list` or `trials`.
     """
     n1, n2 = dims[:2]
-    ranks = sorted(set(_as_int(r, "rank", least=1, most=min(n1, n2)) for r in rank_list))
+    ranks = sorted(set(_as_int(r, "rank_list", least=1, most=min(n1, n2)) for r in rank_list))
     if not ranks:
         raise ValueError("rank_list must not be empty")
     _as_int(trials, "trials", least=1)

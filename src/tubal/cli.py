@@ -34,13 +34,19 @@ file are rejected.  tsvd --out P writes the factors to P_u.npy, P_s.npy
 and P_v.npy and the summary to P.json.  solve's save_estimate writes
 the estimate as .npy at exactly the given path, whatever its suffix.
 
-A spec is checked whole before any draw, solve or probe.  A key the
-command does not read, a fractional or non-finite number, a negative
-sigma, an empty grid, a t at or below 1 and a save_estimate that is not
-a non-empty path are all errors, and so is a size that
-bench.measurement_count(sample_factor, r, n, n3) rejects: n or n3 below
-1, r outside [1, n], or a sample_factor that gives no measurement.  An
-instance, like an experiment's trial, has that many measurements.
+A spec is checked whole before any draw, solve or probe, by one reader
+(bench.read_spec) and one key table per kind of spec.  A key the
+command does not read, a missing key, a fractional or non-finite
+number, a count below 1, a negative sigma, a lambda at or below 0, a
+scalar or an empty list where a list goes, a t at or below 1 and a
+save_estimate that is not a non-empty path are all errors.  So are the
+sizes that need more than one key: r above n or a sample_factor that
+gives no measurement (bench.measurement_count), and a probe rank above
+n (bench.check_rip_grid).  An instance, like an experiment's trial, has
+that many measurements.  Every such error is rejected in one form,
+"invalid <kind> spec: <reason>", where the kind is solve, bounds,
+bounds constants, rip or experiment and the reason names the key; the
+command exits 2.
 
 Solve output
 ------------
@@ -88,6 +94,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING
+from functools import partial
 
 import numpy as np
 
@@ -97,15 +105,19 @@ from .analysis import RipConditionError, guarantee_constants
 from .bench import (
     ExperimentSpec,
     SpecValidationError,
+    _as_count,
+    _as_text,
     _json_text,
+    _list_of,
     _write_text,
     check_guarantee,
     check_rip_grid,
-    check_spec_keys,
     draw_instance,
     emit,
     emit_campaign,
+    invalid_spec,
     measurement_count,
+    read_spec,
     run_experiment,
     run_rip_campaign,
 )
@@ -114,11 +126,27 @@ from .rng import derive_key
 from .solver import NumericalError, SolverConfig, admm_solve
 
 DEFAULT_T_GRID = (1.5, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 50.0)
-_INSTANCE_KEYS = ("n", "n3", "r", "sigma", "lambda", "max_iters", "seed", "sample_factor")
-_SOLVE_KEYS = _INSTANCE_KEYS + ("save_estimate",)
-_BOUNDS_KEYS = _INSTANCE_KEYS + ("t_grid", "rip_trials")
-_CONSTANTS_KEYS = ("delta", "t", "r", "n3", "lambda", "epsilon")
-_RIP_KEYS = ("n", "n3", "m", "seed", "rank_list", "trials", "t")
+
+# Each spec kind's key table for bench.read_spec: key -> (reader, default),
+# MISSING marking a required key.
+_T = partial(_as_real, above=1.0)
+_LAMBDA = partial(_as_real, above=0.0)
+_INSTANCE = {
+    "n": (_as_count, MISSING), "n3": (_as_count, MISSING), "r": (_as_count, MISSING),
+    "sigma": (partial(_as_real, least=0.0), 0.0), "lambda": (_LAMBDA, MISSING),
+    "max_iters": (_as_count, SolverConfig.max_iters), "seed": (_as_int, 0), "sample_factor": (_as_real, 2.0),
+}
+_SOLVE = {**_INSTANCE, "save_estimate": (_as_text, None)}
+_BOUNDS = {**_INSTANCE, "t_grid": (_list_of(_T), DEFAULT_T_GRID), "rip_trials": (_as_count, 50)}
+_CONSTANTS = {
+    "delta": (_as_real, MISSING), "t": (_T, MISSING), "r": (_as_count, MISSING), "n3": (_as_count, MISSING),
+    "lambda": (_LAMBDA, MISSING), "epsilon": (partial(_as_real, least=0.0), None),  # None: lambda / 2
+}
+# rank_list's entries and trials are read by check_rip_grid, which bounds a rank by n
+_RIP = {
+    "n": (_as_count, MISSING), "n3": (_as_count, MISSING), "m": (_as_count, MISSING), "seed": (_as_int, 0),
+    "rank_list": (_list_of(None), MISSING), "trials": (None, 100), "t": (_T, 2.0),
+}
 
 
 def _load_spec(path) -> dict:
@@ -130,12 +158,6 @@ def _load_spec(path) -> dict:
     if not isinstance(obj, dict):
         raise SpecValidationError(f"spec {path} must hold a JSON object")
     return obj
-
-
-def _spec_error(what: str, exc: Exception) -> SpecValidationError:
-    """A spec reader's failure as an invalid-input error; a KeyError is a missing key."""
-    reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-    return SpecValidationError(f"invalid {what} spec: {reason}")
 
 
 def _load_tensor(path) -> np.ndarray:
@@ -190,50 +212,32 @@ def _cmd_tsvd(args) -> None:
         _write_json(summary, None)
 
 
-def _build_instance(spec: dict):
-    """Parse every key of a `solve` or `bounds` instance spec, then build it.
+def _draw_instance(obj: dict, readers: dict, what: str):
+    """Read a `solve` or `bounds` instance spec whole, then draw its instance.
 
-    Returns (x, op, sample, config, seed, r, t_grid, rip_trials).  Every
-    key, `save_estimate` included, is checked before any draw, and a
-    malformed one raises SpecValidationError.  The caller rejects the
-    keys its command does not read first.
+    Returns the spec's values by key, the truth x, the map op and the
+    noisy sample.  Every key, `save_estimate` included, and the size
+    that :func:`measurement_count` checks are read before any draw.
     """
-    try:
-        n = _as_int(spec["n"])
-        n3 = _as_int(spec["n3"])
-        r = _as_int(spec["r"])
-        sigma = _as_real(spec.get("sigma", 0.0), "sigma", least=0.0)
-        lam = _as_real(spec["lambda"], "lambda")
-        config = SolverConfig(lam=lam, max_iters=spec.get("max_iters", SolverConfig.max_iters))
-        seed = _as_int(spec.get("seed", 0))
-        m = measurement_count(_as_real(spec.get("sample_factor", 2.0), "sample_factor"), r, n, n3)
-        t_grid = [_as_real(t, "t", above=1.0) for t in spec.get("t_grid", DEFAULT_T_GRID)]
-        rip_trials = _as_int(spec.get("rip_trials", 50), "rip_trials", least=1)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _spec_error("instance", exc) from exc
-    if not t_grid:
-        raise SpecValidationError("t_grid must be a non-empty list of values > 1")
-    if "save_estimate" in spec and not (isinstance(spec["save_estimate"], str) and spec["save_estimate"]):
-        raise SpecValidationError(f"save_estimate must be a non-empty path, got {spec['save_estimate']!r}")
-    x, op, y_clean, noise_seed = draw_instance(n, n3, r, m, seed, "instance")
-    sample = add_noise(y_clean, sigma, noise_seed)
-    return x, op, sample, config, seed, r, t_grid, rip_trials
+    spec = read_spec(obj, readers, what)
+    with invalid_spec(what):
+        m = measurement_count(spec["sample_factor"], spec["r"], spec["n"], spec["n3"])
+    x, op, y_clean, noise_seed = draw_instance(spec["n"], spec["n3"], spec["r"], m, spec["seed"], "instance")
+    return spec, x, op, add_noise(y_clean, spec["sigma"], noise_seed)
 
 
 def _cmd_solve(args) -> None:
-    spec = _load_spec(args.spec)
-    check_spec_keys(spec, _SOLVE_KEYS, "solve")
-    x, op, sample, config, seed, *_ = _build_instance(spec)
-    result = admm_solve(op, sample.y, config)
-    if "save_estimate" in spec:
+    spec, x, op, sample = _draw_instance(_load_spec(args.spec), _SOLVE, "solve")
+    result = admm_solve(op, sample.y, SolverConfig(lam=spec["lambda"], max_iters=spec["max_iters"]))
+    if spec["save_estimate"] is not None:
         _save_tensor(spec["save_estimate"], result.x_hat)
     payload = {
         "dims": list(op.dims),
         "m": op.m,
         "rank": tubal_rank(x),
-        "lambda": config.lam,
-        "sigma": sample.sigma,
-        "seed": seed,
+        "lambda": spec["lambda"],
+        "sigma": spec["sigma"],
+        "seed": spec["seed"],
         "snr_db": snr_db(x, result.x_hat),
         "relative_error": fro_norm(result.x_hat - x) / fro_norm(x),
         "iterations": result.iterations,
@@ -254,53 +258,38 @@ def _cmd_experiment(args) -> None:
 
 
 def _cmd_rip(args) -> None:
-    spec = _load_spec(args.spec)
-    check_spec_keys(spec, _RIP_KEYS, "rip")
-    try:
-        n = _as_int(spec["n"], "n", least=1)
-        dims = (n, n, _as_int(spec["n3"], "n3", least=1))
-        m = _as_int(spec["m"])
-        seed = _as_int(spec.get("seed", 0))
-        rank_list = [_as_int(r) for r in spec["rank_list"]]
-        trials = _as_int(spec.get("trials", 100))
-        t = _as_real(spec.get("t", 2.0), "t", above=1.0)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _spec_error("rip", exc) from exc
-    check_rip_grid(dims, rank_list, trials)
-    op = gaussian_map(m, dims, derive_key(seed, "rip-campaign", "map"))
-    rows = run_rip_campaign(op, rank_list, trials, seed)
+    spec = read_spec(_load_spec(args.spec), _RIP, "rip")
+    dims = (spec["n"], spec["n"], spec["n3"])
+    with invalid_spec("rip"):
+        check_rip_grid(dims, spec["rank_list"], spec["trials"])
+    op = gaussian_map(spec["m"], dims, derive_key(spec["seed"], "rip-campaign", "map"))
+    rows = run_rip_campaign(op, spec["rank_list"], spec["trials"], spec["seed"])
     out = args.out or f"rip.{args.format}"
-    emit_campaign(rows, args.format, out, t, dims[2])
+    emit_campaign(rows, args.format, out, spec["t"], dims[2])
     print(f"wrote {out}")
 
 
 def _cmd_bounds(args) -> None:
-    spec = _load_spec(args.spec)
-    if "delta" in spec:
-        check_spec_keys(spec, _CONSTANTS_KEYS, "bounds constants")
-        try:
-            # guarantee_constants reads every value by the package's rules
-            lam = _as_real(spec["lambda"], "lambda")
-            payload = guarantee_constants(
-                spec["delta"], spec["t"], spec["r"], spec["n3"], lam, spec.get("epsilon", lam / 2.0)
-            )
-        except KeyError as exc:
-            raise _spec_error("bounds", exc) from exc
+    obj = _load_spec(args.spec)
+    if "delta" in obj:
+        spec = read_spec(obj, _CONSTANTS, "bounds constants")
+        epsilon = spec["lambda"] / 2.0 if spec["epsilon"] is None else spec["epsilon"]
+        payload = guarantee_constants(spec["delta"], spec["t"], spec["r"], spec["n3"], spec["lambda"], epsilon)
         _write_json(payload, args.out)
         return
 
     # End-to-end mode: build, solve, estimate distortion, sweep t.
-    check_spec_keys(spec, _BOUNDS_KEYS, "bounds")
-    x, op, sample, config, seed, r, t_grid, rip_trials = _build_instance(spec)
-    result = admm_solve(op, sample.y, config)
+    spec, x, op, sample = _draw_instance(obj, _BOUNDS, "bounds")
+    result = admm_solve(op, sample.y, SolverConfig(lam=spec["lambda"], max_iters=spec["max_iters"]))
     epsilon = float(np.linalg.norm(sample.noise))
     reports = check_guarantee(
-        x, result.x_hat, op, sample.y, r, t_grid, config.lam, epsilon, rip_trials, derive_key(seed, "bounds")
+        x, result.x_hat, op, sample.y, spec["r"], spec["t_grid"], spec["lambda"], epsilon, spec["rip_trials"],
+        derive_key(spec["seed"], "bounds"),
     )
     payload = {
         "snr_db": snr_db(x, result.x_hat),
         "epsilon_realized": epsilon,
-        "lambda": config.lam,
+        "lambda": spec["lambda"],
         "reports": reports,
     }
     _write_json(payload, args.out)

@@ -26,7 +26,6 @@ __all__ = [
     "GaussianLinearMap",
     "NoisySample",
     "add_noise",
-    "adjoint_apply",
     "apply",
     "gaussian_map",
     "snr_db",
@@ -140,22 +139,16 @@ def _as_measurements(op: GaussianLinearMap, y) -> np.ndarray:
     return y
 
 
-def adjoint_apply(op: GaussianLinearMap, v: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`apply`: ``unvec(matrix.T @ v)`` for a real, finite m-vector `v`."""
-    return unvec(op.matrix.T @ _as_measurements(op, v), op.dims)
-
-
 @dataclass(frozen=True)
 class NoisySample:
     """Measurement vector with additive Gaussian noise, as :func:`add_noise`
-    builds it from the sigma it has read.
+    builds it; the caller knows the sigma it asked for.
 
     ``noise`` keeps the realized draw, not its seed, so callers can use
     its 2-norm as the noise level when checking recovery bounds.
     """
 
     y: np.ndarray
-    sigma: float
     noise: np.ndarray = field(repr=False)
 
 
@@ -170,9 +163,9 @@ def add_noise(y: np.ndarray, sigma: float, noise_seed: int) -> NoisySample:
     sigma = _as_real(sigma, "sigma", least=0.0)
     noise_seed = _as_int(noise_seed)
     if sigma == 0.0:
-        return NoisySample(y=y.copy(), sigma=0.0, noise=np.zeros_like(y))
+        return NoisySample(y=y.copy(), noise=np.zeros_like(y))
     w = sigma * rng.stream(noise_seed, "noise").standard_normal(y.size)
-    return NoisySample(y=y + w, sigma=sigma, noise=w)
+    return NoisySample(y=y + w, noise=w)
 
 
 def snr_db(x_true: np.ndarray, x_hat: np.ndarray) -> float:

@@ -210,6 +210,22 @@ def test_guarantee_constants_reads_integral_floats_as_counts():
     assert [type(rec[k]) for k in ("delta", "t", "r", "n3")] == [float, float, int, int]
 
 
+def test_guarantee_constants_reads_each_input_once_by_name(monkeypatch):
+    # a bad n3 is reported as n3's, and t is not read again after ric_threshold has read it
+    with pytest.raises(ValueError, match="expected an integer for n3, got 2.5"):
+        guarantee_constants(0.1, 2.0, 1, 2.5, 0.1, 0.05)
+    names = []
+    for reader in ("_as_int", "_as_real"):
+
+        def counting(value, name="", *args, _read=getattr(analysis, reader), **kwargs):
+            names.append(name)
+            return _read(value, name, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, reader, counting)
+    guarantee_constants(0.1, 2.0, 1, 5, 0.1, 0.05)
+    assert sorted(names) == sorted(["delta", "t", "r", "n3", "lam", "epsilon"])
+
+
 # ---------------------------------------------------------------------------
 # empirical distortion
 

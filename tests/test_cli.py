@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -378,7 +379,8 @@ def test_bounds_delta_hat_nondecreasing_in_probe_rank(bounds_runs):
 
 
 def test_bounds_delta_hat_is_the_campaign_row(bounds_runs):
-    _, op, *_ = tubal.cli._build_instance(E2E_SPEC)
+    # the instance's map, drawn as bounds draws it: sample_factor 2 and the "instance" key of seed 7
+    _, op, *_ = tubal.bench.draw_instance(10, 5, 1, tubal.bench.measurement_count(2.0, 1, 10, 5), 7, "instance")
     rows = run_rip_campaign(op, [2, 3, 5, 8, 10], E2E_SPEC["rip_trials"], derive_key(7, "bounds"))
     delta_hats = {row.r: row.delta_hat for row in rows}
     for entry in json.loads(bounds_runs[0])["reports"]:
@@ -420,6 +422,63 @@ def no_work(monkeypatch):
     monkeypatch.setattr(tubal.cli, "admm_solve", forbidden)
     monkeypatch.setattr(tubal.bench, "admm_solve", forbidden)
     monkeypatch.setattr(tubal.bench, "estimate_ric", forbidden)
+
+
+@pytest.fixture
+def no_draw(no_work, monkeypatch):
+    """Fail the test if a truth or a map is drawn, or a solve or a probe runs."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the spec should be rejected before any draw")
+
+    monkeypatch.setattr(tubal.cli, "gaussian_map", forbidden)
+    monkeypatch.setattr(tubal.bench, "gaussian_map", forbidden)
+    monkeypatch.setattr(tubal.bench, "generate_lowrank", forbidden)
+
+
+DROP = object()  # the row's key is left out of the spec
+
+
+@pytest.mark.parametrize(
+    "command, what, spec, key, value",
+    [
+        ("solve", "solve", SOLVE_SPEC, "lambda", DROP),
+        ("solve", "solve", SOLVE_SPEC, "n3", 2.5),
+        ("solve", "solve", SOLVE_SPEC, "r", 7),
+        ("bounds", "bounds", INSTANCE_SPEC, "n", DROP),
+        ("bounds", "bounds", INSTANCE_SPEC, "rip_trials", 2.5),
+        ("bounds", "bounds", INSTANCE_SPEC, "t_grid", [5.0, 1.0]),
+        ("bounds", "bounds", INSTANCE_SPEC, "t_grid", 3),
+        ("bounds", "bounds constants", CONSTANTS_SPEC, "t", DROP),
+        ("bounds", "bounds constants", CONSTANTS_SPEC, "n3", 2.5),
+        ("bounds", "bounds constants", CONSTANTS_SPEC, "epsilon", -1),
+        ("rip", "rip", RIP_SPEC, "m", DROP),
+        ("rip", "rip", RIP_SPEC, "m", 30.5),
+        ("rip", "rip", RIP_SPEC, "rank_list", [1, 5]),
+        ("rip", "rip", RIP_SPEC, "rank_list", 3),
+        ("experiment", "experiment", EXPERIMENT_SPEC, "n", DROP),
+        ("experiment", "experiment", EXPERIMENT_SPEC, "trials", 1.5),
+        ("experiment", "experiment", EXPERIMENT_SPEC, "r", 7),
+        ("experiment", "experiment", EXPERIMENT_SPEC, "sigma_list", 0.5),
+    ],
+    ids=["solve-missing", "solve-fraction", "solve-range", "bounds-missing", "bounds-fraction", "bounds-range",
+         "bounds-scalar", "constants-missing", "constants-fraction", "constants-range", "rip-missing",
+         "rip-fraction", "rip-range", "rip-scalar", "experiment-missing", "experiment-fraction",
+         "experiment-range", "experiment-scalar"],
+)
+def test_every_spec_kind_is_rejected_in_one_form(tmp_path, capsys, no_draw, command, what, spec, key, value):
+    # solve and constants mode read no list; r = 7 and rank 5 exceed n, the
+    # bounds that measurement_count and check_rip_grid state
+    obj = {k: v for k, v in spec.items() if k != key} if value is DROP else {**spec, key: value}
+    path = write_spec(tmp_path, "spec.json", obj)
+    out = tmp_path / "out.txt"
+    assert main([command, "--spec", path, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    prefix = f"invalid input: invalid {what} spec: "
+    assert err.startswith(prefix), err
+    reason = err[len(prefix):]
+    assert f"missing key {key!r}" in reason if value is DROP else re.search(rf"\b{key}\b", reason), err
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -522,19 +581,12 @@ def test_instance_command_rejects_keys_it_does_not_read(tmp_path, capsys, no_wor
         ("bounds", {**INSTANCE_SPEC, "r": 7}, ("r must be <= 6, got 7",)),
         ("solve", {**SOLVE_SPEC, "n": 0}, ("n must be >= 1, got 0",)),
         # RIP_SPEC has n = 4
-        ("rip", {**RIP_SPEC, "rank_list": [1, 5]}, ("rank must be <= 4, got 5",)),
+        ("rip", {**RIP_SPEC, "rank_list": [1, 5]}, ("rank_list must be <= 4, got 5",)),
     ],
     ids=["solve-m", "bounds-m", "rip-dims", "solve-no-measurement", "solve-sigma-negative",
          "solve-r-zero", "bounds-r-above-n", "solve-n-zero", "rip-rank-above-n"],
 )
-def test_input_the_command_would_ignore_exit_2_before_any_draw(tmp_path, capsys, no_work, monkeypatch,
-                                                               command, spec, names):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the spec should be rejected before any draw")
-
-    monkeypatch.setattr(tubal.cli, "gaussian_map", forbidden)
-    monkeypatch.setattr(tubal.bench, "gaussian_map", forbidden)
-    monkeypatch.setattr(tubal.bench, "generate_lowrank", forbidden)
+def test_input_the_command_would_ignore_exit_2_before_any_draw(tmp_path, capsys, no_draw, command, spec, names):
     path = write_spec(tmp_path, "spec.json", spec)
     out = tmp_path / "out.txt"
     assert main([command, "--spec", path, "--out", str(out)]) == 2
