@@ -144,11 +144,11 @@ def draw_instance(n: int, n3: int, r: int, m: int, *key):
 
 def measurement_count(sample_factor: float, r: int, n: int, n3: int) -> int:
     """Measurement count ``round(sample_factor * r * (2n + 1) * n3)`` for a
-    rank-r tensor of size n x n x n3, whose sizes and rank the caller has
-    read as integers >= 1.  The two checks that need more than one of
-    them, r <= n and a count of at least 1, are made in that order; a
-    violation raises ``ValueError``."""
-    r = _as_int(r, "r", most=n)
+    rank-r tensor of size n x n x n3.  n, n3 and r are read as integers
+    >= 1, r also <= n, and the count must be at least 1; a violation
+    raises ``ValueError`` naming the input."""
+    n, n3 = _as_count(n, "n"), _as_count(n3, "n3")
+    r = _as_int(r, "r", least=1, most=n)
     m = round(sample_factor * r * (2 * n + 1) * n3)
     if m < 1:
         raise ValueError(f"sample_factor {sample_factor} gives {m} measurements of a rank-{r} {n}x{n}x{n3} tensor")
@@ -372,9 +372,14 @@ def run_rip_campaign(
     The whole grid is validated by :func:`check_rip_grid` before any
     probe runs.
     """
+    return _probe_ranks(op, check_rip_grid(op.dims, rank_list, trials), trials, seed)
+
+
+def _probe_ranks(op: GaussianLinearMap, ranks: list[int], trials: int, seed: int) -> list[RipCampaignRow]:
+    """:func:`run_rip_campaign` on the sorted distinct ranks that :func:`check_rip_grid` returned."""
     rows: list[RipCampaignRow] = []
     running = 0.0
-    for r in check_rip_grid(op.dims, rank_list, trials):
+    for r in ranks:
         est = estimate_ric(op, r, trials, seed)
         running = max(running, est.delta_hat)
         rows.append(RipCampaignRow(r=r, trials=est.trials, delta_hat=running, estimate=est))
@@ -396,11 +401,13 @@ def check_guarantee(
     estimate of the isometry constant, so a met condition is no
     certificate.
 
-    An r that is not an integer >= 1, a lam <= 0, an epsilon < 0 or a
-    t <= 1 raises ``ValueError`` before any probe.
+    An r that is not an integer >= 1, a lam <= 0, an epsilon < 0, an
+    empty `t_grid` or a t <= 1 raises ``ValueError`` before any probe.
     """
     r = _as_int(r, "r", least=1)
     lam, epsilon = _as_real(lam, "lam", above=0.0), _as_real(epsilon, "epsilon", least=0.0)
+    if not t_grid:
+        raise ValueError("t_grid must not be empty")
     thresholds = [ric_threshold(t, op.dims[2]) for t in t_grid]  # rejects t <= 1 before probing
     probe_ranks = [min(math.ceil(t * r), *op.dims[:2]) for t in t_grid]
     delta_hats = {row.r: row.delta_hat for row in run_rip_campaign(op, probe_ranks, trials, seed)}

@@ -109,6 +109,7 @@ from .bench import (
     _as_text,
     _json_text,
     _list_of,
+    _probe_ranks,
     _write_text,
     check_guarantee,
     check_rip_grid,
@@ -119,7 +120,6 @@ from .bench import (
     measurement_count,
     read_spec,
     run_experiment,
-    run_rip_campaign,
 )
 from .measurement import add_noise, gaussian_map, snr_db
 from .rng import derive_key
@@ -261,9 +261,9 @@ def _cmd_rip(args) -> None:
     spec = read_spec(_load_spec(args.spec), _RIP, "rip")
     dims = (spec["n"], spec["n"], spec["n3"])
     with invalid_spec("rip"):
-        check_rip_grid(dims, spec["rank_list"], spec["trials"])
+        ranks = check_rip_grid(dims, spec["rank_list"], spec["trials"])
     op = gaussian_map(spec["m"], dims, derive_key(spec["seed"], "rip-campaign", "map"))
-    rows = run_rip_campaign(op, spec["rank_list"], spec["trials"], spec["seed"])
+    rows = _probe_ranks(op, ranks, spec["trials"], spec["seed"])
     out = args.out or f"rip.{args.format}"
     emit_campaign(rows, args.format, out, spec["t"], dims[2])
     print(f"wrote {out}")

@@ -23,8 +23,9 @@ cell there (the largest cell mean is 339 sweeps) and take 32-35% fewer
 sweeps; the lam = 1e-4 row reads 29.7-31.5 dB in the mean, within
 0.07 dB of the lam = 1e-3 row, and rows with lam >= 0.01 move by at most
 0.001 dB.  On the 20x20x10 instance with m = 1640 at seed 1, lam = 0.1
-still takes 215 sweeps, lam = 1e-3 369 instead of 972, and lam = 1e-4
-663 instead of more than 2000.
+still took 215 sweeps, lam = 1e-3 369 instead of 972, and lam = 1e-4
+663 instead of more than 2000.  These counts are of the loop without
+the accelerated step below, which takes about a third fewer.
 
 Iterations stop on a certified duality gap.  By Fenchel duality (Boyd &
 Vandenberghe 2004, section 5) every u with ``||M^T u||_2 <= 1`` gives
@@ -43,22 +44,31 @@ factor changes only roundoff: the rule and the iteration count do not
 depend on the units of the data (Boyd et al. 2011, section 3.4.1).
 
 The loop's state lives in the z block's vector form: z, the multiplier
-k and their images ``M z``, ``M k`` are flat vectors, viewed as tensors
-only where :func:`tsvt` and the dual norm need them.  The z block solves
-``(M^T M + rho I) z = b``, ``b = M^T y + k + rho x``, exactly and
-returns ``(z, M z)`` for every shape of M.  The Gram matrix of the
-smaller side of the m x N measurement matrix is eigendecomposed once per
-solve and reused for every penalty value: for a wide M (m < N),
-``M M^T = Q diag(l) Q^T`` and the inverse acts as ``(b - M^T u) / rho``
-with ``u = Q (l+rho)^-1 Q^T M b``, the Woodbury form of the m x m
-system, and ``M z = u``; for a tall or square M,
-``M^T M = Q diag(l) Q^T``, the inverse is ``Q (l+rho)^-1 Q^T b`` and
-``M z`` takes one more product.
+k and the residual ``r = y - M z`` are flat vectors, viewed as tensors
+only where :func:`tsvt` and the dual norm need them.  The z update
+solves ``(M^T M + rho I) z' = M^T y + k + rho x``.  Each update leaves
+``M^T (y - M z') = -k'`` (below), so after the first sweep, where
+z = k = 0, ``M^T y + k = M^T M z`` and the update is the step
+``(M^T M + rho I) (z' - z) = rho (x - z)``, solved exactly, which returns
+``(z' - z, M (z' - z))`` for every shape of M.  The step's right-hand
+side shrinks as the loop converges; the full one, about ``M^T y`` in
+size, loses ``eps ||M^T y|| / rho`` of roundoff in the Woodbury form
+below, which the mixing of the accelerated step amplifies: between a
+5x5x4 instance and its transpose, x_hat differed by 1.7e-10 of its norm
+with the full right-hand side, against 1.1e-12 in the step form.  The
+Gram matrix of the smaller side of the m x N measurement matrix is
+eigendecomposed once per solve and reused for every penalty value: for
+a wide M (m < N), ``M M^T = Q diag(l) Q^T`` and the inverse acts on b as
+``(b - M^T u) / rho`` with ``u = Q (l+rho)^-1 Q^T M b``, the Woodbury
+form of the m x m system, and ``M (M^T M + rho I)^-1 b = u``; for a tall
+or square M, ``M^T M = Q diag(l) Q^T``, the inverse is
+``Q (l+rho)^-1 Q^T b`` and its image under M takes one more product.
 
 On a wide M the loop reads M twice per iteration: ``M x``, which serves
-both the objective's residual and ``M b = M M^T y + M k + rho M x``, and
-``M^T u`` inside the solve.  ``M M^T y`` is formed once per solve and
-``M k`` is carried forward with the multiplier from the solve's ``M z``.
+both the objective's residual and ``M b = rho (r - (y - M x))``, and
+``M^T u`` inside the solve.  ``M M^T y`` is formed once per solve, for
+the first sweep, and r is carried forward from the solve's image of the
+step.
 
 The gap costs no pass over M.  After the multiplier update
 ``M^T (y - M z) = -k``, so with ``r = y - M z`` the point
@@ -68,11 +78,15 @@ its unconstrained maximizer ``<y, r> / ||r||^2`` needs no lam.  So the
 gap is one scalar function, ``_gap``, of P, ``<y, r>``, ``||r||^2``, the
 dual norm and lam, and a sweep forms ``<y, r>`` and ``||r||^2`` once; u
 itself is built once, at the exit, from the s and r of the last sweep,
-which always takes the exact gap.  The Woodbury form loses about 1e-10
-of z's relative accuracy at rho = _RHO0, but with the solve's own
-``M z`` the identity held to 1.4e-10 of ``||k||`` and ``||M^T u||_2``
-stayed within 2e-11 of 1 on 10x10x5 instances with m = 210, so the
-certificate is accurate far below _GAP_TOL.
+which always takes the exact gap.  The first sweep's Woodbury solve
+loses about 1e-10 of z's relative accuracy at rho = _RHO0, but with the
+solve's own image of z, which the next step absorbs into z, the
+identity held to 1.6e-10 of ``||k||`` in every sweep of a 10x10x5
+instance with m = 210 at lam = 0.1 and 1e-4, and ``||M^T u||_2`` stayed
+within 5e-11 of 1 on 150 case1 cells, so the certificate is accurate
+far below _GAP_TOL.  r is carried rather than ``M z``: its roundoff,
+``eps ||r||``, is far below that of ``M z``, ``eps ||y||``, which added
+up to 1e-9 of ``||k||`` in 170 sweeps at lam = 1e-4.
 
 Most sweeps take neither the TNN nor the dual norm by SVD, because a
 lower bound on the gap that costs no SVD shows they cannot stop.  The x
@@ -94,7 +108,36 @@ gap every sweep puts it, and since the iterates never read the gap, x_hat,
 the iteration count, the gap, u and the final objective are bitwise that
 loop's.  A sweep that cannot stop records ``fit + TNN_free`` as its
 objective, P to within the slack.  On 150 case1 cells ``tnn`` ran once
-per solve and the dual norm's SVD in 23% of the sweeps.
+per solve and the dual norm's SVD in 34% of the sweeps.
+
+Sweeps at one rho are Anderson-accelerated: type-II Anderson mixing
+(Walker & Ni 2011) with a safeguard (Zhang, O'Donoghue & Boyd 2020).  A
+sweep maps its input w = (z, k / rho) to the plain output
+g = (z', k' / rho), and the next input is the mixed point
+``g - dG gamma`` instead of g, where gamma minimizes ``||f - dF gamma||``
+for the residual f = g - w, over the last _AA_MEMORY differences dF of
+f and dG of g.  r is mixed with the same gamma.  The differences sit in
+ring buffers, and gamma solves the normal equations with the Tikhonov
+weight _AA_REG times the Frobenius norm of ``dF^T dF``: without it, a
+nearly singular ``dF^T dF`` made x_hat of a test instance and of its
+transpose differ by 6e-4 of its norm.  Every sweep stays a plain
+evaluation from its input, mixed or not: tsvt, the z step, the
+multiplier update, the gap test and the rebalance.  The memory is
+cleared whenever rho changes, since the map changes with it.  A step
+from a mixed point that leaves a larger ``||f||`` than the sweep before
+is dropped, with the memory: the next input is the previous sweep's
+plain output.  A mixed point is an affine combination of plain outputs,
+whose weights sum to 1, so it keeps ``M^T r = -k`` and ``r = y - M z``,
+and the z step from it is exact.  The certificate is taken on plain
+outputs, and the stop and the cap leave before the next input is
+formed, so every stop falls where the exact gap puts it and
+``tsvt(last_prox_input, last_prox_tau)`` still replays x_hat.  On the
+20x20x10 instance with m = 1640, lam = 0.1 took 141-167 sweeps instead
+of 215-226 at seeds 0-5, 61-63 and 71, with no step dropped, and the
+objective moved by at most 2.5e-11 of itself; at seed 1, lam = 1e-3
+took 250 sweeps instead of 369, and lam = 1e-4 304 instead of 663.  One
+case1 trial at base seeds 0, 1 and 61 took 3033-3172 sweeps instead of
+5055-5734, and no cell's mean SNR moved by more than 0.003 dB.
 
 The same function certifies x = 0 before any sweep: at z = 0 the
 residual is y and the multiplier ``-M^T y``, so the gap of x = 0 costs
@@ -116,10 +159,10 @@ the start gap NaN; an ``M^T y`` that leaves the float range, checked
 before the start certificate's SVD; a Gram product that leaves it, which
 fails the eigendecomposition; a failed eigendecomposition or
 thresholding SVD; a threshold lam/rho or prox input that left the finite
-range, or a non-finite x, ``M x``, z, ``M z``, multiplier,
-``||y - M x||^2``, ``<y, r>`` or ``||r||^2``, each checked once per sweep
-(all but the threshold and the prox input are formed without an
-overflow warning); and at the exit, an x_hat or final prox step that
+range, or a non-finite x, ``M x``, z, ``y - M z``, multiplier,
+``||y - M x||^2``, ``<y, r>``, ``||r||^2`` or mixed point, each checked
+once per sweep (all but the threshold and the prox input are formed
+without an overflow warning); and at the exit, an x_hat or final prox step that
 leaves the float range in data units.  An objective above the float
 range reads inf, without a warning.
 :func:`~tubal.bench.run_experiment` marks such a cell aborted, and
@@ -159,6 +202,11 @@ class NumericalError(RuntimeError):
 _RHO0 = 1e-4
 _RHO_MAX = 1e10
 _VARTHETA = 1.5
+# Anderson acceleration at fixed rho: how many past differences it mixes,
+# and the Tikhonov weight of its least-squares step, relative to the
+# Frobenius norm of the differences' Gram matrix (module docstring)
+_AA_MEMORY = 5
+_AA_REG = 1e-6
 _BALANCE_RATIO = 100.0
 _BAND_LOW = 10.0
 _BAND_HIGH = 250.0
@@ -451,33 +499,81 @@ def _rebalance(rho: float, x_vec: np.ndarray, z: np.ndarray, z_prev: np.ndarray,
     return rho
 
 
+class _AndersonMixer:
+    """Type-II Anderson mixing of the sweep map at fixed rho (module docstring).
+
+    Keeps the last _AA_MEMORY differences of the residual f = g - w and
+    of the plain output g in ring buffers, and the Gram matrix of the f
+    differences, so a sweep costs one new Gram row and one
+    _AA_MEMORY x _AA_MEMORY solve.
+    """
+
+    def __init__(self, f_size: int, g_size: int):
+        self._df = np.empty((_AA_MEMORY, f_size))
+        self._dg = np.empty((_AA_MEMORY, g_size))
+        self._gram = np.empty((_AA_MEMORY, _AA_MEMORY))
+        self.clear()
+
+    def clear(self) -> None:
+        self._last, self._count, self._slot = None, 0, 0
+
+    def mix(self, f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+        """Record the plain evaluation (f, g); return ``g - dG gamma``, or None before there is a difference.
+
+        gamma minimizes ``||f - dF gamma||`` over the stored differences,
+        by the regularized normal equations; a solve that fails or a
+        gamma that is not finite also gives None, the plain step.  An
+        overflow shows in gamma or in the mixed point, which the loop
+        checks, without a warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self._last is not None:
+                j = self._slot
+                np.subtract(f, self._last[0], out=self._df[j])
+                np.subtract(g, self._last[1], out=self._dg[j])
+                self._slot, self._count = (j + 1) % _AA_MEMORY, min(self._count + 1, _AA_MEMORY)
+                row = self._df[: self._count] @ self._df[j]
+                self._gram[j, : self._count] = self._gram[: self._count, j] = row
+            self._last = f, g
+            n = self._count
+            if n == 0:
+                return None
+            gram = self._gram[:n, :n]
+            try:
+                gamma = np.linalg.solve(gram + _AA_REG * np.linalg.norm(gram) * np.eye(n), self._df[:n] @ f)
+            except np.linalg.LinAlgError:
+                return None
+            return g - gamma @ self._dg[:n] if np.isfinite(gamma).all() else None
+
+
 def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> SolveResult:
     """Run the splitting scheme from zero initialization.
 
     x = 0 is tried first, by the start certificate of the module
-    docstring, which on success skips the loop.  z and the multiplier k
-    are N-vectors.  Per sweep: the x
-    block applies :func:`tsvt` to ``z - k/rho``, viewed as a tensor, with
-    threshold ``lam/rho``; the z block returns ``(z, M z)`` from the
-    regularized normal equations; the multiplier absorbs
-    ``rho * (vec(x) - z)``; the penalty is then rebalanced as described in
-    :class:`SolverConfig`.
-    Stops when the relative duality gap of the module docstring is at
-    most _GAP_TOL, or at `max_iters` with ``converged=False``.  The start
-    certificate, the stop and the cap share one exit, which builds the
-    dual point from the last sweep's exact gap and returns to data units.
+    docstring, which on success skips the loop.  z, the multiplier k and
+    the residual ``r = y - M z`` are vectors.  Per sweep: the x block
+    applies :func:`tsvt` to ``z - k/rho``, viewed as a tensor, with
+    threshold ``lam/rho``; the z block takes the exact step of the
+    regularized normal equations and updates r with its image; the
+    multiplier absorbs ``rho * (vec(x) - z)``; the penalty is then
+    rebalanced as described in :class:`SolverConfig`, and at an unchanged
+    penalty the next input is the safeguarded Anderson mix of the module
+    docstring.  Stops when the relative duality gap of the module
+    docstring is at most _GAP_TOL, or at `max_iters` with
+    ``converged=False``.  The start certificate, the stop and the cap
+    share one exit, which builds the dual point from the last sweep's
+    exact gap and plain output and returns to data units.
 
     Each sweep computes ``M x`` once, for the objective's residual and
-    for the z block's ``M b = M M^T y + M k + rho M x``; ``M M^T y`` is
-    formed once per solve and ``M k`` is updated alongside the
-    multiplier from ``M z``.  On a wide M a sweep therefore reads M
-    twice (``M x`` and the solve's ``M^T u``), and a tall or square M
-    once more, inside the solve, for ``M z``.  The gap's TNN and its
-    values-only slice SVD of the multiplier run only in sweeps that a
-    free lower bound on the gap, from ``tau TNN(x) = <x, v - x>`` and
-    ``|<k, x>| <= ||k||_2 TNN(x)``, cannot rule out as the last (module
-    docstring); the last sweep always takes them.  A skipped sweep's
-    objective is P to within ``_TNN_SLACK ||x|| ||v|| / tau``.
+    for the z step's ``M b = rho (r - (y - M x))``; ``M M^T y`` is formed
+    once per solve, for the first sweep.  On a wide M a sweep therefore
+    reads M twice (``M x`` and the solve's ``M^T u``), and a tall or
+    square M once more, inside the solve, for the step's image.  The
+    gap's TNN and its values-only slice SVD of the multiplier run only in
+    sweeps that a free lower bound on the gap, from
+    ``tau TNN(x) = <x, v - x>`` and ``|<k, x>| <= ||k||_2 TNN(x)``, cannot
+    rule out as the last (module docstring); the last sweep always takes
+    them.  A skipped sweep's objective is P to within
+    ``_TNN_SLACK ||x|| ||v|| / tau``.
 
     Fully deterministic given (op, y, config).
 
@@ -516,17 +612,20 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
 
     if gap > _GAP_TOL:
         ne_solver = NormalEquationSolver(op.matrix)
-        mmty = op.matrix @ mty
-        mk = np.zeros(op.m)
-        z = np.zeros_like(mty)
-        k_mult = np.zeros_like(mty)
+        # the z block's right-hand side less (M^T M + rho I) z is
+        # M^T y + k - M^T M z + rho (x - z); the first three terms sum to
+        # M^T y at the start, where z = k = 0, and to 0 after every sweep
+        offset, m_offset = mty, op.matrix @ mty
+        z = k_mult = np.zeros_like(mty)
         rho = _RHO0
         obj_hist = []
+        n = z.size
+        anderson, mixed, f_norm = _AndersonMixer(2 * n, 2 * n + op.m), False, math.inf
 
         for iteration in range(1, config.max_iters + 1):
             # the final state reports the penalty of its sweep, not the one
             # rebalanced after it
-            z_prev, sweep_rho = z, rho
+            z_prev, k_prev, sweep_rho = z, k_mult, rho
 
             v = z - k_mult / rho
             prox_input = _unvec(v, dims)
@@ -535,14 +634,15 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
             x = tsvt(prox_input, tau)
 
             x_vec = _vec(x)
-            # an overflow shows in M x, M z or the sweep's scalars, and is
-            # reported once, below
+            # an overflow shows in M x, the z step or the sweep's scalars,
+            # and is reported once, below
             with np.errstate(over="ignore", invalid="ignore"):
                 mx = op.matrix @ x_vec
-                z, mz = ne_solver.solve(mty + k_mult + rho * x_vec, mmty + mk + rho * mx, rho)
+                residual = y - mx
+                # M (x - z) = (y - M z) - (y - M x)
+                step, m_step = ne_solver.solve(offset + rho * (x_vec - z), m_offset + rho * (z_residual - residual), rho)
+                z, z_residual, offset, m_offset = z + step, z_residual - m_step, 0.0, 0.0
                 k_mult = k_mult + rho * (x_vec - z)
-                mk = mk + rho * (mx - mz)
-                residual, z_residual = y - mx, y - mz
                 rx, yr, rr = float(residual @ residual), float(y @ z_residual), float(z_residual @ z_residual)
             _check_finite(
                 iteration,
@@ -550,7 +650,7 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
                 ("x", x_vec),
                 ("M x", mx),
                 ("z-block solve", z),
-                ("M z", mz),
+                ("y - M z", z_residual),
                 ("multiplier", k_mult),
                 ("residual norms", (rx, yr, rr)),
             )
@@ -575,11 +675,32 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
                     k_norm = _dual_norm(k_mult, dims)
                 # M^T (y - M z) = -k, so the dual norm of k bounds the dual point
                 gap, s = _gap(obj_hist[-1], yr, rr, k_norm, lam)
-                if gap <= _GAP_TOL:
+                # the stop and the cap leave with this sweep's plain output
+                if gap <= _GAP_TOL or iteration == config.max_iters:
                     break
             else:
                 obj_hist.append(fit + tnn_free)
             rho = _rebalance(rho, x_vec, z, z_prev, k_mult)
+
+            # the next input: the plain output, the previous sweep's plain
+            # output when this step from a mixed point grew the residual,
+            # or a mix of the outputs at fixed rho (module docstring)
+            with np.errstate(over="ignore", invalid="ignore"):
+                f = np.concatenate((z - z_prev, (k_mult - k_prev) / sweep_rho))
+                f_norm, f_norm_last = math.sqrt(float(f @ f)), f_norm
+            if mixed and not f_norm <= f_norm_last:
+                anderson.clear()
+                (z, k_mult, z_residual), mixed = plain, False
+            elif rho != sweep_rho:
+                anderson.clear()
+                mixed = False
+            else:
+                plain = z, k_mult, z_residual
+                g = anderson.mix(f, np.concatenate(plain))
+                mixed = g is not None
+                if mixed:
+                    _check_finite(iteration, rho, ("mixed point", g))
+                    z, k_mult, z_residual = np.split(g, (n, 2 * n))
 
     # the one exit: the last sweep took the exact gap, and its s and
     # residual give the dual point; back to data units, where P itself may

@@ -29,7 +29,7 @@ from tubal import (
     run_rip_campaign,
     tubal_rank,
 )
-from tubal.bench import draw_instance
+from tubal.bench import draw_instance, measurement_count
 
 from conftest import strict_json
 
@@ -101,6 +101,20 @@ def test_spec_fractional_rank_and_samples():
         case_name="case1", n=10, n3=5, r=1, sample_factor=2.0, sigma_list=(0.01,), lambda_list=(0.1,)
     )
     assert spec.sample_count == 210
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [("n", dict(n=0)), ("n", dict(n=-1, r=-1)), ("n3", dict(n3=-1)), ("r", dict(r=0))],
+    ids=["n-zero", "n-and-r-negative", "n3-negative", "r-zero"],
+)
+def test_measurement_count_reads_its_sizes(name, args):
+    # a library caller's sizes are read as well as a spec's: each of n, n3
+    # and r below 1 is rejected by name, n before the r it bounds
+    sizes = {**dict(r=1, n=4, n3=2), **args}
+    with pytest.raises(ValueError) as info:
+        measurement_count(2.0, sizes["r"], sizes["n"], sizes["n3"])
+    assert str(info.value) == f"{name} must be >= 1, got {args[name]}"
 
 
 def test_spec_absolute_rank():
@@ -249,9 +263,9 @@ def test_case1_sweep_matches_pinned_values():
     # beyond roundoff shows up here
     spec = dataclasses.replace(case1_spec(trials=1), sigma_list=(0.01, 0.1), lambda_list=(1.0, 0.01))
     result = run_experiment(spec)
-    expected_snr = [[22.579318190920713, 19.697957891736156], [39.7840617697632, 21.413652508274144]]
+    expected_snr = [[22.578098798782484, 19.697904905694756], [39.78371729371182, 21.41366588011624]]
     assert np.allclose(result.mean_snr_db, expected_snr, rtol=0.0, atol=1e-6)
-    assert np.array_equal(result.mean_iterations, [[144, 156], [219, 238]])
+    assert np.array_equal(result.mean_iterations, [[88, 92], [126, 87]])
 
 
 @pytest.fixture(scope="module")
@@ -349,19 +363,19 @@ def test_experiment_aborts_a_cell_whose_start_objective_reads_inf():
 
 
 def test_experiment_reports_truncated_solves(monkeypatch, tmp_path):
-    # at sigma=0.01 both solves converge under the default cap (144 and
-    # 358 iterations); with max_iters=200 the lambda=1 solve still
-    # converges and the lambda=1e-4 solve stops at the cap, its duality
-    # gap far above the tolerance
+    # at sigma=0.01 both solves converge under the default cap (88 and
+    # 183 iterations); with max_iters=88 the lambda=1 solve still
+    # converges, in its last sweep, and the lambda=1e-4 solve stops at the
+    # cap, its duality gap far above the tolerance
     spec = dataclasses.replace(case1_spec(trials=1), sigma_list=(0.01,), lambda_list=(1.0, 1e-4))
     default = run_experiment(spec)
     assert default.truncated_trials.tolist() == [[0], [0]]
-    assert default.mean_iterations.tolist() == [[144.0], [358.0]]
+    assert default.mean_iterations.tolist() == [[88.0], [183.0]]
     assert np.all(default.max_gap <= tubal.solver._GAP_TOL)
-    monkeypatch.setattr("tubal.bench.SolverConfig", lambda lam: tubal.solver.SolverConfig(lam=lam, max_iters=200))
+    monkeypatch.setattr("tubal.bench.SolverConfig", lambda lam: tubal.solver.SolverConfig(lam=lam, max_iters=88))
     result = run_experiment(spec)
     assert result.truncated_trials.tolist() == [[0], [1]]
-    assert result.mean_iterations.tolist() == [[144.0], [200.0]]
+    assert result.mean_iterations.tolist() == [[88.0], [88.0]]
     assert result.aborted_trials.tolist() == [[0], [0]]
     path = tmp_path / "grid.json"
     emit(result, "json", path)
@@ -627,3 +641,13 @@ def test_check_guarantee_validates_grid_before_probing(monkeypatch, bad):
     with pytest.raises(ValueError):
         check_guarantee(x, x, op, tubal.apply(op, x), **args, trials=5, seed=0)
     assert calls == []
+
+
+def test_check_guarantee_rejects_an_empty_t_grid_by_name(monkeypatch):
+    # an empty grid names t_grid, not the rank_list of the campaign it
+    # would have run
+    monkeypatch.setattr(tubal.bench, "run_rip_campaign", lambda *args: pytest.fail("no campaign should run"))
+    op = gaussian_map(10, (3, 3, 2), seed=1)
+    x = generate_lowrank(3, 3, 2, 1, seed=2)
+    with pytest.raises(ValueError, match="^t_grid must not be empty$"):
+        check_guarantee(x, x, op, tubal.apply(op, x), 1, [], lam=0.1, epsilon=0.0, trials=5, seed=0)

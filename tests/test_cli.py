@@ -188,6 +188,24 @@ def test_rip_verdict_is_pinned(tmp_path):
     ]
 
 
+def test_rip_validates_its_grid_once(tmp_path, monkeypatch):
+    # the grid is read before the map is drawn, and the campaign probes
+    # the ranks that read returned without reading them again
+    calls, real = [], tubal.bench.check_rip_grid
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tubal.cli, "check_rip_grid", counting)
+    monkeypatch.setattr(tubal.bench, "check_rip_grid", counting)
+    spec = write_spec(tmp_path, "rip.json", {**RIP_SPEC, "rank_list": [2, 1, 2]})
+    out = tmp_path / "rip.csv"
+    assert main(["rip", "--spec", spec, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["1", "2"]
+
+
 @pytest.mark.parametrize("rank_list", [[], [1, 2, 5]], ids=["empty", "rank-above-kappa"])
 def test_rip_rejects_bad_rank_list_exit_2(tmp_path, rank_list):
     spec = write_spec(

@@ -340,21 +340,101 @@ def test_admm_certificate_checks_from_dual_alone(case):
     assert primal - dual == pytest.approx(res.gap * primal, rel=1e-9)
 
 
+def small_instance(dims, shape, m_frac, seed):
+    """A wide, square, tall or rank-deficient map on dims and noisy data of a
+    rank-1 truth; the deficient map repeats its first half of rows."""
+    n = int(np.prod(dims))
+    m = {"square": n, "tall": 2 * n}.get(shape, max(2, int(m_frac * n)))
+    op = gaussian_map(m, dims, seed)
+    if shape == "deficient":
+        matrix = op.matrix.copy()
+        matrix[m // 2 : 2 * (m // 2)] = matrix[: m // 2]
+        op = dataclasses.replace(op, matrix=matrix)
+    y = apply(op, generate_lowrank(dims[0], dims[1], dims[2], 1, seed))
+    return op, y + 0.01 * np.random.default_rng(seed).standard_normal(m)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.tuples(st.integers(2, 4), st.integers(2, 4), st.integers(1, 3)),
+    shape=st.sampled_from(["wide", "square", "tall", "deficient"]),
+    m_frac=st.floats(0.2, 0.9),
+    lam=st.sampled_from([1e-4, 1e-3, 0.1, 1.0]),
+    max_iters=st.sampled_from([2000, 2, 10, 40]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dims=(4, 4, 3), shape="wide", m_frac=0.5, lam=1e-3, max_iters=40, seed=0)
+@example(dims=(3, 4, 2), shape="deficient", m_frac=0.7, lam=1e-4, max_iters=2000, seed=1)
+def test_accelerated_solve_is_certified_from_outside(dims, shape, m_frac, lam, max_iters, seed):
+    # the mixed points never reach the exit: from y, lam, x_hat and the dual
+    # point alone, u is feasible and, when the solve converged, its gap is
+    # within the tolerance (up to the roundoff of forming P and D here);
+    # the final state replays x_hat, capped solves included
+    op, y = small_instance(dims, shape, m_frac, seed)
+    res = admm_solve(op, y, SolverConfig(lam=lam, max_iters=max_iters))
+    assert dual_norm(unvec(op.matrix.T @ res.dual, dims)) <= 1.0 + 1e-9
+    if res.converged:
+        residual = y - apply(op, res.x_hat)
+        primal = tnn(res.x_hat) + float(residual @ residual) / (2.0 * lam)
+        dual = float(y @ res.dual) - 0.5 * lam * float(res.dual @ res.dual)
+        assert primal - dual <= (solver._GAP_TOL + 1e-9) * primal
+    state = res.final_state
+    assert tsvt(state.last_prox_input, state.last_prox_tau).tobytes() == res.x_hat.tobytes()
+
+
+def test_admm_safeguard_rejects_a_bad_mix_and_still_converges(monkeypatch):
+    # a mix that overshoots five steps past the newest output is still an
+    # affine combination of sweep outputs, so it keeps M^T (y - M z) = -k,
+    # but it grows the residual: the safeguard goes back to the last plain
+    # output and clears the memory, and the solve reaches the objective of
+    # the unpatched one
+    x, op, sample = case1_instance(0, sigma=0.01)
+    config = SolverConfig(lam=0.1)
+    plain = admm_solve(op, sample.y, config)
+    real_mix, real_clear = solver._AndersonMixer.mix, solver._AndersonMixer.clear
+    clears, taus = [], []
+
+    def overshooting_mix(self, f, g):
+        mixed = real_mix(self, f, g)
+        newest = self._dg[(self._slot - 1) % solver._AA_MEMORY]
+        return None if mixed is None else g + 5.0 * newest
+
+    def counting_clear(self):
+        clears.append(len(taus))
+        real_clear(self)
+
+    real_tsvt = solver.tsvt
+    monkeypatch.setattr(solver._AndersonMixer, "mix", overshooting_mix)
+    monkeypatch.setattr(solver._AndersonMixer, "clear", counting_clear)
+    monkeypatch.setattr(solver, "tsvt", lambda v, tau: taus.append(tau) or real_tsvt(v, tau))
+    res = admm_solve(op, sample.y, config)
+    # a clear after a sweep whose penalty the next one keeps is a rejection
+    rejections = [i for i in clears if 0 < i < len(taus) and taus[i] == taus[i - 1]]
+    assert len(rejections) >= 5
+    assert res.converged and res.gap <= solver._GAP_TOL
+    assert res.objective_history[-1] == pytest.approx(plain.objective_history[-1], rel=2e-6)
+
+
 @pytest.mark.parametrize("lam", [0.1, 1e-4])
 def test_zblock_identity_holds_during_a_solve(monkeypatch, lam):
-    # M^T (y - M z) = -k after every multiplier update, with M z the wide
-    # solve's by-product; k is read back from the next prox input z - k/rho
+    # M^T (y - M z) = -k, with the loop's carried y - M z, holds after
+    # every multiplier update and at every mixed point, an affine
+    # combination of such states.  After the first sweep the z block solves
+    # (M^T M + rho I) (z' - z) = rho (x - z), so each sweep's input state
+    # is read back from the solve's right-hand sides b and M b and the
+    # prox input z - k/rho
     x, op, sample = case1_instance(0, sigma=0.01)
     solves, prox = [], []
     real_solve, real_tsvt = NormalEquationSolver.solve, solver.tsvt
 
     def recording_solve(self, b, mb, rho):
-        solves.append(real_solve(self, b, mb, rho))
-        return solves[-1]
+        step = real_solve(self, b, mb, rho)
+        solves.append((b, mb, rho, *step))
+        return step
 
     def recording_tsvt(v, tau):
-        prox.append((v, tau))
-        return real_tsvt(v, tau)
+        prox.append((vec(v), real_tsvt(v, tau)))
+        return prox[-1][1]
 
     monkeypatch.setattr(NormalEquationSolver, "solve", recording_solve)
     monkeypatch.setattr(solver, "tsvt", recording_tsvt)
@@ -362,11 +442,16 @@ def test_zblock_identity_holds_during_a_solve(monkeypatch, lam):
     assert len(prox) > 100
     # the loop runs in units of c, the power of two with c <= max|y| < 2c
     c = math.ldexp(0.5, math.frexp(np.max(np.abs(sample.y)))[1])
-    y, lam = sample.y / c, lam / c
-    for (z, mz), (v, tau) in zip(solves, prox[1:]):
-        k_mult = (lam / tau) * (z - vec(v))
-        identity = op.matrix.T @ (y - mz) + k_mult
-        assert np.linalg.norm(identity) <= 1e-9 * np.linalg.norm(k_mult)
+    y, matrix = sample.y / c, op.matrix
+    for (b, mb, rho, step, m_step), (v, x_next) in list(zip(solves, prox))[1:]:
+        x_vec = vec(x_next)
+        z, mz = x_vec - b / rho, matrix @ x_vec - mb / rho
+        k_mult = rho * (z - v)
+        z_next = z + step
+        for z, mz, k_mult in ((z, mz, k_mult), (z_next, mz + m_step, k_mult + rho * (x_vec - z_next))):
+            identity = matrix.T @ (y - mz) + k_mult
+            assert np.linalg.norm(identity) <= 1e-9 * np.linalg.norm(k_mult)
+            assert np.linalg.norm(mz - matrix @ z) <= 1e-9 * np.linalg.norm(mz)
 
 
 def scaling_instance(dims, m_frac, seed):
@@ -560,25 +645,17 @@ def reference_admm(op, y, config):
     """admm_solve with M b, the residual M x and the dual point's M z and
     M^T u0 formed from the matrix in every sweep, instead of carried or
     taken from the z-block identity: the reference for the carried products.
+    Its Anderson mixing restacks the last differences of f = g - w and of
+    g = (z, k) each sweep and solves the regularized normal equations of
+    ``||f - dF gamma||`` afresh, with f in the coordinates (z, k / rho).
 
     Returns (x, iterations, converged, objectives, gaps, rho, tau), where
     gaps holds every sweep's relative duality gap and rho and tau are the
-    penalty and threshold of the last sweep's prox step."""
+    penalty and threshold of the last sweep's prox step; a start
+    certificate returns x = 0 after 1 iteration with tau = 0."""
     matrix, dims, lam = op.matrix, op.dims, config.lam
-    ne_solver = NormalEquationSolver(matrix)
-    mty = matrix.T @ y
-    x = z = k_mult = np.zeros(dims)
-    rho = solver._RHO0
-    objectives, gaps = [], []
-    for iteration in range(1, config.max_iters + 1):
-        z_prev = z
-        tau = lam / rho
-        x = tsvt(z - k_mult / rho, tau)
-        b = mty + vec(k_mult) + rho * vec(x)
-        z = unvec(ne_solver.solve(b, matrix @ b, rho)[0], dims)
-        k_mult = k_mult + rho * (x - z)
-        z_step = np.max(np.abs(z - z_prev))
-        consensus = np.max(np.abs(x - z))
+
+    def objective_and_gap(x, z):
         residual = y - matrix @ vec(x)
         objective = tnn(x) + float(residual @ residual) / (2.0 * lam)
         # D(s u0) = s <y, u0> - (lam/2) s^2 |u0|^2 on |M^T (s u0)| <= 1
@@ -588,8 +665,36 @@ def reference_admm(op, y, config):
         if bound > 0:
             s = min(s, 1.0 / bound)
         dual = s * float(y @ u0) - 0.5 * lam * s * s * float(u0 @ u0)
+        return objective, (objective - dual) / objective if objective > 0 else 0.0
+
+    x = z = k_mult = np.zeros(dims)
+    rho = solver._RHO0
+    # the start certificate: x = z = 0, whose multiplier is -M^T y
+    objective, gap = objective_and_gap(x, z)
+    if gap <= solver._GAP_TOL:
+        return x, 1, True, np.array([objective]), np.array([gap]), rho, 0.0
+    ne_solver = NormalEquationSolver(matrix)
+    objectives, gaps = [], []
+    history, mixed, f_norm = [], False, math.inf
+    for iteration in range(1, config.max_iters + 1):
+        z_prev, k_prev = z, k_mult
+        tau = lam / rho
+        x = tsvt(z - k_mult / rho, tau)
+        if iteration == 1:
+            # from x = z = k = 0 the z update is (M^T M + rho I)^-1 M^T y,
+            # taken as M^T (M M^T + rho I)^-1 y, which divides by no rho
+            z = unvec(matrix.T @ np.linalg.solve(matrix @ matrix.T + rho * np.eye(len(y)), y), dims)
+        else:
+            # M^T (y - M z) = -k after every update, so the update solves
+            # (M^T M + rho I) (z' - z) = rho (x - z)
+            b = rho * vec(x - z)
+            z = z + unvec(ne_solver.solve(b, matrix @ b, rho)[0], dims)
+        k_mult = k_mult + rho * (x - z)
+        z_step = np.max(np.abs(z - z_prev))
+        consensus = np.max(np.abs(x - z))
+        objective, gap = objective_and_gap(x, z)
         objectives.append(objective)
-        gaps.append((objective - dual) / objective if objective > 0 else 0.0)
+        gaps.append(gap)
         converged = gaps[-1] <= solver._GAP_TOL
         if converged or iteration == config.max_iters:
             return x, iteration, converged, np.asarray(objectives), np.asarray(gaps), rho, tau
@@ -598,10 +703,31 @@ def reference_admm(op, y, config):
         # grow when both call for it, shrink when either does
         p = fro_norm(x - z) / max(fro_norm(x), fro_norm(z))
         d = rho * fro_norm(z - z_prev) / fro_norm(k_mult)
+        sweep_rho = rho
         if consensus > solver._BALANCE_RATIO * rho * z_step and d < solver._BAND_LOW * p:
             rho = min(solver._VARTHETA * rho, solver._RHO_MAX)
         elif rho * z_step > solver._BALANCE_RATIO * consensus or d > solver._BAND_HIGH * p:
             rho = max(rho / solver._VARTHETA, solver._RHO0)
+        # Anderson mixing at fixed rho: a step from a mixed point that grew
+        # |f| goes back to the last plain output, and a new rho starts over
+        f = np.concatenate((vec(z - z_prev), vec(k_mult - k_prev) / sweep_rho))
+        f_norm, f_norm_last = np.linalg.norm(f), f_norm
+        if mixed and not f_norm <= f_norm_last:
+            history, mixed = [], False
+            z, k_mult = history_plain
+        elif rho != sweep_rho:
+            history, mixed = [], False
+        else:
+            history_plain = z, k_mult
+            history = (history + [(f, np.concatenate((vec(z), vec(k_mult))))])[-solver._AA_MEMORY - 1 :]
+            mixed = len(history) > 1
+            if mixed:
+                df = np.array([b[0] - a[0] for a, b in zip(history, history[1:])])
+                dg = np.array([b[1] - a[1] for a, b in zip(history, history[1:])])
+                gram = df @ df.T
+                reg = solver._AA_REG * np.linalg.norm(gram) * np.eye(len(df))
+                g = history[-1][1] - np.linalg.solve(gram + reg, df @ f) @ dg
+                z, k_mult = unvec(g[: z.size], dims), unvec(g[z.size :], dims)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -620,18 +746,10 @@ def reference_admm(op, y, config):
 # the tolerance stops 114 sweeps late here
 @example(dims=(2, 2, 1), shape="wide", m_frac=0.5, lam=1e-3, max_iters=2000, seed=0)
 def test_admm_matches_loop_that_forms_every_product(dims, shape, m_frac, lam, max_iters, seed):
-    # The solver carries M k and takes M z from the wide solve; drift in the
-    # carried product would show as a different objective or iterate.
-    n = int(np.prod(dims))
-    m = {"square": n, "tall": 2 * n}.get(shape, max(2, int(m_frac * n)))
-    op = gaussian_map(m, dims, seed)
-    if shape == "deficient":
-        # the second half of the rows repeats the first half
-        matrix = op.matrix.copy()
-        matrix[m // 2 : 2 * (m // 2)] = matrix[: m // 2]
-        op = dataclasses.replace(op, matrix=matrix)
-    x_true = generate_lowrank(dims[0], dims[1], dims[2], 1, seed)
-    y = apply(op, x_true) + 0.01 * np.random.default_rng(seed).standard_normal(m)
+    # The solver carries y - M z, mixed with the rest of its state, and
+    # takes the image of each z step from the wide solve; drift in the
+    # carried residual would show as a different objective or iterate.
+    op, y = small_instance(dims, shape, m_frac, seed)
     config = SolverConfig(lam=lam, max_iters=max_iters)
 
     res = admm_solve(op, y, config)
