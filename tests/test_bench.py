@@ -16,8 +16,10 @@ import tubal.solver
 from tubal import (
     ExperimentSpec,
     GaussianLinearMap,
+    SolverConfig,
     SpecValidationError,
     add_noise,
+    admm_solve,
     case1_spec,
     check_guarantee,
     emit,
@@ -260,12 +262,13 @@ def test_experiment_deterministic_csv(tmp_path, mini_result):
 def test_case1_sweep_matches_pinned_values():
     # seed-determined outputs of the solver on the paper's case 1: a
     # change to the spectral or linear algebra that moves the results
-    # beyond roundoff shows up here
+    # beyond roundoff shows up here.  Each sigma column is a lambda path,
+    # so the lambda = 0.01 row counts the sweeps of its warm solves
     spec = dataclasses.replace(case1_spec(trials=1), sigma_list=(0.01, 0.1), lambda_list=(1.0, 0.01))
     result = run_experiment(spec)
-    expected_snr = [[22.578098798782484, 19.697904905694756], [39.78371729371182, 21.41366588011624]]
+    expected_snr = [[22.578098798782484, 19.697904905694756], [39.7833789472697, 21.413649207458842]]
     assert np.allclose(result.mean_snr_db, expected_snr, rtol=0.0, atol=1e-6)
-    assert np.array_equal(result.mean_iterations, [[88, 92], [126, 87]])
+    assert np.array_equal(result.mean_iterations, [[88, 92], [108, 103]])
 
 
 @pytest.fixture(scope="module")
@@ -353,6 +356,24 @@ def test_experiment_aborts_only_the_cell_that_fails_numerically():
     assert result.mean_iterations[1].tolist() == [1.0, 1.0]
 
 
+def test_experiment_solves_the_cell_after_an_aborted_one_cold():
+    # each sigma column is a lambda path, but an aborted cell leaves no
+    # answer to start from: the lambda = 0.01 cell after the aborted
+    # lambda = 5e-324 one takes the cold solve's sweeps, not those of a
+    # start from the lambda = 0.1 answer, which differ at sigma = 0.05
+    spec = mini_spec(trials=1, base_seed=0, lambda_list=(0.1, 5e-324, 0.01))
+    result = run_experiment(spec)
+    assert result.aborted_trials.tolist() == [[0, 0], [1, 1], [0, 0]]
+    x, op, y_clean, noise_seed = draw_instance(spec.n, spec.n3, spec.r, spec.sample_count, 0, "mini", 0)
+    cold, warm = [], []
+    for sigma in spec.sigma_list:
+        y = add_noise(y_clean, sigma, noise_seed).y
+        cold.append(admm_solve(op, y, SolverConfig(lam=0.01)).iterations)
+        warm.append(admm_solve(op, y, SolverConfig(lam=0.01), admm_solve(op, y, SolverConfig(lam=0.1))).iterations)
+    assert result.mean_iterations[2].tolist() == cold
+    assert cold != warm
+
+
 def test_experiment_aborts_a_cell_whose_start_objective_reads_inf():
     # at c = 4, lam = 1e-310 leaves a positive lam / c, but
     # P(0) = ||y / c||^2 / (2 lam / c) reads inf: the solve stops at its
@@ -363,19 +384,21 @@ def test_experiment_aborts_a_cell_whose_start_objective_reads_inf():
 
 
 def test_experiment_reports_truncated_solves(monkeypatch, tmp_path):
-    # at sigma=0.01 both solves converge under the default cap (88 and
-    # 183 iterations); with max_iters=88 the lambda=1 solve still
-    # converges, in its last sweep, and the lambda=1e-4 solve stops at the
-    # cap, its duality gap far above the tolerance
-    spec = dataclasses.replace(case1_spec(trials=1), sigma_list=(0.01,), lambda_list=(1.0, 1e-4))
+    # at sigma=0.01 both solves converge under the default cap (72 and
+    # 195 iterations, the lambda=1e-4 solve starting from the lambda=30
+    # answer); with max_iters=88 the lambda=30 solve still converges, and
+    # the lambda=1e-4 solve stops at the cap, its duality gap far above
+    # the tolerance.  Both hold at every cap from 78 to 98, where the
+    # capped gap reads 0.188 to 0.401
+    spec = dataclasses.replace(case1_spec(trials=1), sigma_list=(0.01,), lambda_list=(30.0, 1e-4))
     default = run_experiment(spec)
     assert default.truncated_trials.tolist() == [[0], [0]]
-    assert default.mean_iterations.tolist() == [[88.0], [183.0]]
+    assert default.mean_iterations.tolist() == [[72.0], [195.0]]
     assert np.all(default.max_gap <= tubal.solver._GAP_TOL)
     monkeypatch.setattr("tubal.bench.SolverConfig", lambda lam: tubal.solver.SolverConfig(lam=lam, max_iters=88))
     result = run_experiment(spec)
     assert result.truncated_trials.tolist() == [[0], [1]]
-    assert result.mean_iterations.tolist() == [[88.0], [88.0]]
+    assert result.mean_iterations.tolist() == [[72.0], [88.0]]
     assert result.aborted_trials.tolist() == [[0], [0]]
     path = tmp_path / "grid.json"
     emit(result, "json", path)

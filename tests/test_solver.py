@@ -362,16 +362,22 @@ def small_instance(dims, shape, m_frac, seed):
     lam=st.sampled_from([1e-4, 1e-3, 0.1, 1.0]),
     max_iters=st.sampled_from([2000, 2, 10, 40]),
     seed=st.integers(0, 2**32 - 1),
+    start_factor=st.sampled_from([None, 0.1, 10.0]),
 )
-@example(dims=(4, 4, 3), shape="wide", m_frac=0.5, lam=1e-3, max_iters=40, seed=0)
-@example(dims=(3, 4, 2), shape="deficient", m_frac=0.7, lam=1e-4, max_iters=2000, seed=1)
-def test_accelerated_solve_is_certified_from_outside(dims, shape, m_frac, lam, max_iters, seed):
+@example(dims=(4, 4, 3), shape="wide", m_frac=0.5, lam=1e-3, max_iters=40, seed=0, start_factor=None)
+@example(dims=(3, 4, 2), shape="deficient", m_frac=0.7, lam=1e-4, max_iters=2000, seed=1, start_factor=None)
+@example(dims=(4, 4, 3), shape="tall", m_frac=0.5, lam=1e-4, max_iters=2000, seed=2, start_factor=10.0)
+def test_accelerated_solve_is_certified_from_outside(dims, shape, m_frac, lam, max_iters, seed, start_factor):
     # the mixed points never reach the exit: from y, lam, x_hat and the dual
     # point alone, u is feasible and, when the solve converged, its gap is
     # within the tolerance (up to the roundoff of forming P and D here);
-    # the final state replays x_hat, capped solves included
+    # the final state replays x_hat, capped solves included.  The solve
+    # starts from x = 0 or from the same instance solved at another lam
     op, y = small_instance(dims, shape, m_frac, seed)
-    res = admm_solve(op, y, SolverConfig(lam=lam, max_iters=max_iters))
+    start = None
+    if start_factor is not None:
+        start = admm_solve(op, y, SolverConfig(lam=start_factor * lam, max_iters=max_iters))
+    res = admm_solve(op, y, SolverConfig(lam=lam, max_iters=max_iters), start)
     assert dual_norm(unvec(op.matrix.T @ res.dual, dims)) <= 1.0 + 1e-9
     if res.converged:
         residual = y - apply(op, res.x_hat)
@@ -475,19 +481,25 @@ def test_admm_scaling_data_and_lambda_scales_the_answer(dims, m_frac, lam, seed)
     # same penalty, so the stopping rule fires at the same sweep; the
     # solve runs in units near max|y|, so this holds up to the ends of the
     # float range, and x_hat / c is compared since c x_hat itself
-    # overflows at c = 1e160
+    # overflows at c = 1e160.  A start solved at 10 lam, scaled with the
+    # data, starts every scaled solve at the same point in units of c
     op, y = scaling_instance(dims, m_frac, seed)
-    base = admm_solve(op, y, SolverConfig(lam=lam))
-    assert base.converged
-    for c in (1e-300, 1e-160, 1e-3, 1e3, 1e160, 1e300):
-        res = admm_solve(op, c * y, SolverConfig(lam=c * lam))
-        assert res.iterations == base.iterations and res.converged
-        assert fro_norm(res.x_hat / c - base.x_hat) <= 1e-9 * fro_norm(base.x_hat)
-    # a power of two changes only the solve's unit, which is exact
-    for c in (2.0**-1000, 2.0**1000):
-        res = admm_solve(op, c * y, SolverConfig(lam=c * lam))
-        assert res.iterations == base.iterations and res.gap == base.gap
-        assert np.array_equal(res.x_hat / c, base.x_hat)
+
+    def scaled(start, c):
+        return None if start is None else dataclasses.replace(start, x_hat=c * start.x_hat)
+
+    for start in (None, admm_solve(op, y, SolverConfig(lam=10.0 * lam))):
+        base = admm_solve(op, y, SolverConfig(lam=lam), start)
+        assert base.converged
+        for c in (1e-300, 1e-160, 1e-3, 1e3, 1e160, 1e300):
+            res = admm_solve(op, c * y, SolverConfig(lam=c * lam), scaled(start, c))
+            assert res.iterations == base.iterations and res.converged
+            assert fro_norm(res.x_hat / c - base.x_hat) <= 1e-9 * fro_norm(base.x_hat)
+        # a power of two changes only the solve's unit, which is exact
+        for c in (2.0**-1000, 2.0**1000):
+            res = admm_solve(op, c * y, SolverConfig(lam=c * lam), scaled(start, c))
+            assert res.iterations == base.iterations and res.gap == base.gap
+            assert np.array_equal(res.x_hat / c, base.x_hat)
 
 
 def test_admm_at_the_top_of_the_float_range_solves_the_base_problem():
@@ -531,9 +543,34 @@ def test_admm_certifies_zero_before_any_sweep(dims, m_frac, log_a, seed):
     state = res.final_state
     assert state.rho == solver._RHO0 and np.all(state.last_prox_input == 0.0)
     assert state.last_prox_tau == 0.0
-    # below ||M^T y||_2, x = 0 is not optimal: the loop runs and moves off it
-    res = admm_solve(op, y, SolverConfig(lam=0.5 * lam / 10.0**log_a))
-    assert res.iterations > 1 and np.any(res.x_hat != 0.0)
+    # below ||M^T y||_2, x = 0 is not optimal: the loop runs and moves off
+    # it.  The certified solve as a start is x = 0 at _RHO0, the cold start,
+    # so it reproduces the cold solve byte for byte
+    config = SolverConfig(lam=0.5 * lam / 10.0**log_a)
+    cold, warm = admm_solve(op, y, config), admm_solve(op, y, config, res)
+    assert cold.iterations > 1 and np.any(cold.x_hat != 0.0)
+    assert warm.iterations == cold.iterations and warm.gap == cold.gap
+    for name in ("x_hat", "objective_history", "dual"):
+        assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes(), name
+    assert warm.final_state.rho == cold.final_state.rho
+    assert warm.final_state.last_prox_input.tobytes() == cold.final_state.last_prox_input.tobytes()
+
+
+@pytest.mark.parametrize(
+    "x_hat, rho",
+    [(np.zeros((4, 4, 2)), 1.0), (np.full((4, 4, 3), np.nan), 1.0), (np.full((4, 4, 3), np.inf), 1.0),
+     (np.zeros((4, 4, 3)), np.nan), (np.zeros((4, 4, 3)), 0.0)],
+    ids=["dims", "nan", "inf", "rho-nan", "rho-zero"],
+)
+def test_admm_rejects_a_start_it_cannot_read_before_factoring(monkeypatch, x_hat, rho):
+    # a start is read at the door, like y: before the start certificate and
+    # before the measurement matrix is factored
+    op, y = scaling_instance((4, 4, 3), 0.5, 0)
+    good = admm_solve(op, y, SolverConfig(lam=1.0))
+    start = dataclasses.replace(good, x_hat=x_hat, final_state=dataclasses.replace(good.final_state, rho=rho))
+    monkeypatch.setattr(solver, "NormalEquationSolver", refuse_to_factor)
+    with pytest.raises(ValueError, match="start"):
+        admm_solve(op, y, SolverConfig(lam=0.1), start)
 
 
 def test_admm_start_certified_state_replays_at_any_lambda():
