@@ -396,9 +396,27 @@ def tnn(x: np.ndarray) -> float:
     return float(_half_weights(x.shape[2]) @ sv.sum(axis=1) / x.shape[2])
 
 
+def _unit(a: np.ndarray) -> float:
+    """The power of two c with c <= max|a| < 2c (0.5 for a zero array).
+
+    Dividing a finite array by c and multiplying back are exact, so a
+    computation in units of c keeps its values near 1, away from overflow
+    and underflow."""
+    return math.ldexp(0.5, math.frexp(float(np.max(np.abs(a))))[1])
+
+
+def _norm(v: np.ndarray) -> float:
+    """2-norm of a finite vector, in units of max|v|: no square overflows or
+    underflows, and where none did, this is ``np.linalg.norm(v)`` bitwise."""
+    c = _unit(v)
+    return float(np.linalg.norm(v / c)) * c
+
+
 def fro_norm(x: np.ndarray) -> float:
-    """Frobenius norm: sqrt of the sum of squared entries."""
-    return float(np.linalg.norm(as_tensor3(x).ravel()))
+    """Frobenius norm: sqrt of the sum of squared entries, taken in units of
+    max|x| (:func:`_norm`), so that scaling x by a power of two scales it
+    exactly wherever the scaled entries stay normal floats."""
+    return _norm(as_tensor3(x).ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .algebra import _as_int, _as_real, as_tensor3, fro_norm, tnn, tprod, truncate
+from .algebra import _as_int, _as_real, _norm, as_tensor3, fro_norm, tnn, tprod, truncate
 from .measurement import GaussianLinearMap, _as_measurements, apply
 
 __all__ = [
@@ -247,11 +247,13 @@ def verify_bounds(
 
     `y` must be a finite vector of length m, else ``ValueError``;
     `epsilon` must dominate the realized noise ``||y - M(x_true)||_2``
-    (the guarantee assumes a noise level, and the realized norm is the
-    honest choice); `delta` is whatever isometry constant the caller
-    trusts for rank t*r, typically an empirical lower estimate.  The
-    scalars are read and checked by :func:`guarantee_constants` before
-    any measurement is taken.
+    up to ``1e-12 ||y||``, the roundoff of forming it (the guarantee
+    assumes a noise level, and the realized norm is the honest choice);
+    `delta` is whatever isometry constant the caller trusts for rank t*r,
+    typically an empirical lower estimate.  The scalars are read and
+    checked by :func:`guarantee_constants` before any measurement is
+    taken.  Each norm is taken in units of its vector's max entry, so no
+    square overflows or underflows.
 
     Returns the :func:`guarantee_constants` record followed by tail_tnn
     (the nuclear norm of the ground truth beyond tubal rank r), the two
@@ -265,15 +267,15 @@ def verify_bounds(
     y = _as_measurements(op, y)
     record = guarantee_constants(delta, t, r, op.dims[2], lam, epsilon)
     epsilon = record["epsilon"]
-    realized = float(np.linalg.norm(y - apply(op, x_true)))
-    if realized > epsilon * (1.0 + 1e-9) + 1e-12:
+    realized = _norm(y - apply(op, x_true))
+    if realized > epsilon * (1.0 + 1e-9) + 1e-12 * _norm(y):
         raise ValueError(
             f"epsilon={epsilon:.6g} is below the realized noise norm {realized:.6g}"
         )
 
     tail_tnn = tnn(truncate(x_true, r)[1])
     diff = x_hat - x_true
-    lhs_meas = float(np.linalg.norm(apply(op, diff)))
+    lhs_meas = _norm(apply(op, diff))
     rhs_meas = record["c1"] * tail_tnn + record["c2"]
     lhs_fro = fro_norm(diff)
     rhs_fro = record["c3"] * tail_tnn + record["c4"]

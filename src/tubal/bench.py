@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from . import rng
+from . import __version__, rng
 from .algebra import _as_int, _as_real, tprod, tubal_rank
 from .analysis import RipEstimate, estimate_ric, ric_threshold, verify_bounds
 from .measurement import GaussianLinearMap, add_noise, apply, gaussian_map, snr_db
@@ -37,6 +37,7 @@ __all__ = [
     "ExperimentSpec",
     "RipCampaignRow",
     "SpecValidationError",
+    "case1_spec",
     "check_guarantee",
     "emit",
     "emit_campaign",
@@ -115,12 +116,13 @@ def generate_lowrank(n1: int, n2: int, n3: int, r: int, seed: int) -> np.ndarray
     Gaussian factor tensors of inner size r.
 
     Draws from the "data" stream of `seed`.  The sizes, the rank and the
-    seed must be integral, and r must lie in [1, min(n1, n2)]
-    (``ValueError`` otherwise).  Generic factors
-    give rank exactly r with probability 1; this is checked and a
-    degenerate draw is rejected rather than silently returned.
+    seed must be integral, each size at least 1, and r must lie in
+    [1, min(n1, n2)] (``ValueError`` otherwise, naming the input).
+    Generic factors give rank exactly r with probability 1; this is
+    checked and a degenerate draw is rejected rather than silently
+    returned.
     """
-    n1, n2, n3 = (_as_int(v) for v in (n1, n2, n3))
+    n1, n2, n3 = _as_count(n1, "n1"), _as_count(n2, "n2"), _as_count(n3, "n3")
     r = _as_int(r, "r", least=1, most=min(n1, n2))
     gen = rng.stream(_as_int(seed), "data")
     a = gen.standard_normal((n1, r, n3))
@@ -144,9 +146,10 @@ def draw_instance(n: int, n3: int, r: int, m: int, *key):
 
 def measurement_count(sample_factor: float, r: int, n: int, n3: int) -> int:
     """Measurement count ``round(sample_factor * r * (2n + 1) * n3)`` for a
-    rank-r tensor of size n x n x n3.  n, n3 and r are read as integers
-    >= 1, r also <= n, and the count must be at least 1; a violation
-    raises ``ValueError`` naming the input."""
+    rank-r tensor of size n x n x n3.  sample_factor is read as a finite
+    real, n, n3 and r as integers >= 1, r also <= n, and the count must be
+    at least 1; a violation raises ``ValueError`` naming the input."""
+    sample_factor = _as_real(sample_factor, "sample_factor")
     n, n3 = _as_count(n, "n"), _as_count(n3, "n3")
     r = _as_int(r, "r", least=1, most=n)
     m = round(sample_factor * r * (2 * n + 1) * n3)
@@ -331,14 +334,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
         mean_iterations=mean_iters,
         mean_seconds=mean_secs,
         created_at=datetime.now(timezone.utc).isoformat(),
-        version=_package_version(),
+        version=__version__,
     )
-
-
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tubal import (
     GaussianLinearMap,
     RipConditionError,
+    SolverConfig,
     add_noise,
+    admm_solve,
     apply,
     estimate_ric,
     fro_norm,
@@ -18,6 +23,7 @@ from tubal import (
     verify_bounds,
 )
 from tubal import analysis, rng
+from tubal.bench import draw_instance
 
 T_GRID = [1.1, 1.5, 2.0, 3.0, 5.0, 10.0]
 N3_GRID = [1, 2, 3, 5, 10]
@@ -442,3 +448,40 @@ def test_verify_bounds_report_fields():
         assert key in doc
     assert doc["satisfied"] == [True, True]
     assert fro_norm(0.01 * x) == pytest.approx(doc["lhs_fro"], rel=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def solved_instance(seed, lam):
+    # a 6x6x2 rank-1 truth measured 52 times with noise 0.1 N(0, 1), and
+    # its solve at lam: (x, x_hat, op, y, the realized noise norm)
+    x, op, y_clean, noise_seed = draw_instance(6, 2, 1, 52, seed, "instance")
+    sample = add_noise(y_clean, 0.1, noise_seed)
+    x_hat = admm_solve(op, sample.y, SolverConfig(lam=lam)).x_hat
+    return x, x_hat, op, sample.y, float(np.linalg.norm(sample.noise))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2),
+    lam=st.sampled_from([0.01, 0.1, 1.0]),
+    k=st.integers(-500, 500),
+    understate=st.floats(0.0, 0.9),
+)
+@example(seed=0, lam=0.1, k=-500, understate=0.0)
+@example(seed=0, lam=0.1, k=500, understate=0.9)
+def test_verify_bounds_verdicts_do_not_depend_on_units(seed, lam, k, understate):
+    # scaling (x, x_hat, y, lam, epsilon) by 2^k scales every norm and both
+    # sides of each bound, so the noise check and the bounds read the
+    # same: an understated epsilon is rejected at any scale, not accepted
+    # once the noise falls below an absolute floor, and the solved answer
+    # (within both bounds) and x_hat = 0 (outside the measurement bound),
+    # each with a margin of 1.4 or more, keep their verdicts
+    x, x_hat, op, y, realized = solved_instance(seed, lam)
+    c = 2.0**k
+    args = dict(r=1, t=2.0, delta=0.1)
+    with pytest.raises(ValueError, match="below the realized noise norm"):
+        verify_bounds(c * x, c * x_hat, op, c * y, **args, lam=c * lam, epsilon=c * understate * realized)
+    for estimate, satisfied in ((x_hat, [True, True]), (np.zeros_like(x), [False, True])):
+        assert verify_bounds(x, estimate, op, y, **args, lam=lam, epsilon=realized)["satisfied"] == satisfied
+        scaled = verify_bounds(c * x, c * estimate, op, c * y, **args, lam=c * lam, epsilon=c * realized)
+        assert scaled["satisfied"] == satisfied

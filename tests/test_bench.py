@@ -83,10 +83,18 @@ def test_generate_lowrank_full_rank_square():
 
 
 def test_generate_lowrank_validation():
-    with pytest.raises(ValueError):
-        generate_lowrank(4, 4, 2, 0, seed=0)
-    with pytest.raises(ValueError):
-        generate_lowrank(4, 4, 2, 5, seed=0)
+    # each size is read by name as an integer >= 1 before the rank it bounds
+    for args, message in [
+        ((4, 4, 2, 0), "r must be >= 1, got 0"),
+        ((4, 4, 2, 5), "r must be <= 4, got 5"),
+        ((4, 4, -1, 1), "n3 must be >= 1, got -1"),
+        ((0, 4, 2, 1), "n1 must be >= 1, got 0"),
+        ((4, 0, 2, 1), "n2 must be >= 1, got 0"),
+        ((4, 2.5, 2, 1), "expected an integer for n2, got 2.5"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            generate_lowrank(*args, seed=0)
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -106,17 +114,27 @@ def test_spec_fractional_rank_and_samples():
 
 
 @pytest.mark.parametrize(
-    "name, args",
-    [("n", dict(n=0)), ("n", dict(n=-1, r=-1)), ("n3", dict(n3=-1)), ("r", dict(r=0))],
-    ids=["n-zero", "n-and-r-negative", "n3-negative", "r-zero"],
+    "args, message",
+    [
+        (dict(n=0), "n must be >= 1, got 0"),
+        (dict(n=-1, r=-1), "n must be >= 1, got -1"),
+        (dict(n3=-1), "n3 must be >= 1, got -1"),
+        (dict(r=0), "r must be >= 1, got 0"),
+        (dict(sample_factor=True), "expected a finite number for sample_factor, got True"),
+        (dict(sample_factor=math.inf), "expected a finite number for sample_factor, got inf"),
+        (dict(sample_factor=math.nan), "expected a finite number for sample_factor, got nan"),
+    ],
+    ids=["n-zero", "n-and-r-negative", "n3-negative", "r-zero", "sample-factor-bool", "sample-factor-inf",
+         "sample-factor-nan"],
 )
-def test_measurement_count_reads_its_sizes(name, args):
+def test_measurement_count_reads_its_sizes(args, message):
     # a library caller's sizes are read as well as a spec's: each of n, n3
-    # and r below 1 is rejected by name, n before the r it bounds
-    sizes = {**dict(r=1, n=4, n3=2), **args}
+    # and r below 1 is rejected by name, n before the r it bounds, and a
+    # sample_factor that is no finite real (True read as 1 gave 105)
+    sizes = {**dict(sample_factor=2.0, r=1, n=4, n3=2), **args}
     with pytest.raises(ValueError) as info:
-        measurement_count(2.0, sizes["r"], sizes["n"], sizes["n3"])
-    assert str(info.value) == f"{name} must be >= 1, got {args[name]}"
+        measurement_count(sizes["sample_factor"], sizes["r"], sizes["n"], sizes["n3"])
+    assert str(info.value) == message
 
 
 def test_spec_absolute_rank():

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tubal import (
@@ -248,6 +248,28 @@ def test_snr_db_values():
     assert snr_db(x, np.zeros_like(x)) == pytest.approx(0.0, abs=1e-12)
     assert snr_db(x, x) == math.inf
     assert snr_db(x, 0.9 * x) == pytest.approx(20.0, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
+    seed=st.integers(0, 2**32 - 1),
+    log_err=st.floats(-3.0, 0.0),
+    k=st.integers(-1000, 1000),
+)
+@example(dims=(2, 2, 2), seed=0, log_err=-3.0, k=-1000)
+@example(dims=(2, 2, 2), seed=0, log_err=-3.0, k=1000)
+def test_fro_norm_and_snr_scale_bitwise_by_powers_of_two(dims, seed, log_err, k):
+    # both take their norms in units of max|x|, so no square overflows or
+    # underflows and scaling by 2^k is exact: at 2^-1000 the ground truth
+    # is no zero tensor, and at 2^1000 its norm is no inf
+    x = rand_tensor(seed, dims)
+    x_hat = x + 10.0**log_err * rand_tensor(seed + 1, dims)
+    c = 2.0**k
+    for a in (c * x, c * x - c * x_hat):
+        assume(np.all((a == 0.0) | (np.abs(a) >= np.finfo(float).tiny)))
+    assert fro_norm(c * x) == c * fro_norm(x)
+    assert snr_db(c * x, c * x_hat) == snr_db(x, x_hat)
 
 
 def test_snr_db_rejects_zero_truth():
