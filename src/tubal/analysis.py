@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .algebra import _as_int, _as_real, _norm, as_tensor3, fro_norm, tnn, tprod, truncate
+from .algebra import _as_int, _as_real, _norm, _unit, as_tensor3, fro_norm, tnn, tprod, truncate
 from .measurement import GaussianLinearMap, _as_measurements, apply
 
 __all__ = [
@@ -75,7 +75,12 @@ def guarantee_constants(delta: float, t: float, r: int, n3: int, lam: float, eps
 
     and need delta below :func:`ric_threshold` (t, n3), else
     ``RipConditionError``.  That keeps eta2 < 1 (it reaches 1/sqrt(n3)
-    at the threshold) and all constants finite and positive.
+    at the threshold) and all constants positive.  c2 and c4 carry the
+    unit of lam and epsilon: they are formed in units of the larger of
+    the two, to a power of two, and multiplied back, so each leaves the
+    float range only where its value does.  A c3 or c4 whose denominator,
+    a multiple of ``(1 - eta2) lam`` in those units, underflows to 0
+    reads inf.
 
     c1_matched..c4_matched are the coefficients at the noise level
     matched to the regularization, epsilon = lam / 2.  The bounds then
@@ -83,7 +88,7 @@ def guarantee_constants(delta: float, t: float, r: int, n3: int, lam: float, eps
     ``||h||_F <= c3_matched * tail + c4_matched * lam``: lam factors out,
     and they are c1..c4 at lam = 1, epsilon = 1/2.  At epsilon = lam/2,
     c1 = c1_matched, c2 = c2_matched * lam, c3 = c3_matched and
-    c4 = c4_matched * lam.
+    c4 = c4_matched * lam, exactly when lam is a power of two.
 
     delta, t, lam and epsilon must be finite reals, r and n3 integers
     (``ValueError`` otherwise, naming the input); r >= 1, lam > 0,
@@ -112,17 +117,17 @@ def guarantee_constants(delta: float, t: float, r: int, n3: int, lam: float, eps
     sn = math.sqrt(n3)
 
     def coefficients(lam: float, epsilon: float) -> list[float]:
+        # in units of c, the larger of lam and epsilon to a power of two:
+        # c2 and c4 scale with c, and c1 and c3 have no unit
+        c = _unit(np.array([lam, epsilon]))
+        lam, epsilon = lam / c, epsilon / c
         c1 = 2.0 / (sr * eta1)
         c2 = 2.0 * sr * eta1 * lam + 2.0 * epsilon
-        c3 = (2.0 * sr * eta1 * (2.0 * srn + 1.0 + eta2) * lam + 2.0 * (srn + eta2) * epsilon) / (
-            r * eta1 * (1.0 - eta2) * lam
-        )
-        c4 = (
-            ((srn + 1.0) * eta1 * lam + (srn - sn * eta2 + sn + 1.0) * epsilon)
-            * (2.0 * sr * eta1 * lam + 2.0 * epsilon)
-            / ((1.0 - eta2) * lam)
-        )
-        return [c1, c2, c3, c4]
+        den3, den4 = r * eta1 * (1.0 - eta2) * lam, (1.0 - eta2) * lam
+        num3 = 2.0 * sr * eta1 * (2.0 * srn + 1.0 + eta2) * lam + 2.0 * (srn + eta2) * epsilon
+        c3 = num3 / den3 if den3 else math.inf
+        c4 = ((srn + 1.0) * eta1 * lam + (srn - sn * eta2 + sn + 1.0) * epsilon) * c2 / den4 if den4 else math.inf
+        return [c1, c2 * c, c3, c4 * c]
 
     record = {"delta": delta, "t": t, "r": r, "n3": n3, "lambda": lam, "epsilon": epsilon,
               "threshold": thr, "eta1": eta1, "eta2": eta2}

@@ -298,8 +298,9 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     are those of warm solves and depend on that order: one case1 trial
     at base seed 101 takes 2115 sweeps with lambda descending, 2763
     ascending and 3161 with every cell solved from zero.  A solver abort
-    marks its cell for that trial and the sweep continues, and the next
-    cell of its column starts from zero.
+    (a :class:`NumericalError`, whatever the warnings filter) marks its
+    cell for that trial and the sweep continues, and the next cell of its
+    column starts from zero.
     `workers` must be an integer >= 1 (``ValueError`` otherwise).
     """
     workers = _as_int(workers, "workers", least=1)

@@ -99,7 +99,8 @@ null, such as the snr_db of an exact recovery.
 
 Exit codes: 0 success, 2 invalid spec or input, 3 numerical failure.
 Every failure inside a solve, once its spec and data are read, is a
-numerical failure (see tubal.solver), so solve and bounds exit 3 on it;
+numerical failure (see tubal.solver), whatever the warnings filter
+(PYTHONWARNINGS=error included), so solve and bounds exit 3 on it;
 experiment marks that cell aborted and goes on.
 """
 
@@ -114,7 +115,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .algebra import _as_int, _as_real, as_tensor3, fro_norm, tnn, tsvd, tubal_rank
+from .algebra import _as_int, _as_real, _norm, as_tensor3, fro_norm, tnn, tsvd, tubal_rank
 from .analysis import RipConditionError, guarantee_constants
 from .bench import (
     ExperimentSpec,
@@ -258,7 +259,7 @@ def _cmd_solve(args) -> None:
         "converged": result.converged,
         "final_objective": float(result.objective_history[-1]),
         "gap": result.gap,
-        "realized_noise_norm": float(np.linalg.norm(sample.noise)),
+        "realized_noise_norm": _norm(sample.noise),
     }
     _write_json(payload, args.out)
 
@@ -295,7 +296,7 @@ def _cmd_bounds(args) -> None:
     # End-to-end mode: build, solve, estimate distortion, sweep t.
     spec, x, op, sample = _draw_instance(obj, _BOUNDS, "bounds")
     result = admm_solve(op, sample.y, SolverConfig(lam=spec["lambda"], max_iters=spec["max_iters"]))
-    epsilon = float(np.linalg.norm(sample.noise))
+    epsilon = _norm(sample.noise)
     reports = check_guarantee(
         x, result.x_hat, op, sample.y, spec["r"], spec["t_grid"], spec["lambda"], epsilon, spec["rip_trials"],
         derive_key(spec["seed"], "bounds"),

@@ -189,12 +189,13 @@ fails the eigendecomposition; a failed eigendecomposition or
 thresholding SVD; a threshold lam/rho or prox input that left the finite
 range, or a non-finite x, ``M x``, z, ``y - M z``, multiplier,
 ``||y - M x||^2``, ``<y, r>``, ``||r||^2`` or mixed point, each checked
-once per sweep (all but the threshold and the prox input are formed
-without an overflow warning); and at the exit, an x_hat or final prox step that
-leaves the float range in data units.  An objective above the float
-range reads inf, without a warning.
-:func:`~tubal.bench.run_experiment` marks such a cell aborted, and
-``tubal`` exits 3.
+once per sweep; and at the exit, an x_hat or final prox step that leaves
+the float range in data units.  The solve runs from the door to the exit
+under one numpy error state, in which an overflow or an invalid operation
+leaves inf or NaN without a warning, so the check that finds it raises
+the NumericalError whatever the warnings filter; an objective above the
+float range reads inf.  :func:`~tubal.bench.run_experiment` marks such a
+cell aborted, and ``tubal`` exits 3.
 """
 
 from __future__ import annotations
@@ -510,13 +511,12 @@ def _rebalance(rho: float, x_vec: np.ndarray, z: np.ndarray, z_prev: np.ndarray,
     ``d = rho ||z - z_prev|| / ||k||`` in 2-norms, as the products
     ``rho ||z - z_prev|| max(||x||, ||z||)`` and ``||x - z|| ||k||``, so a
     zero ``||k||``, or x = z = 0, holds rho instead of dividing by zero.
-    A norm above the float range reads inf, without a warning, and a test
-    it makes read NaN does not call for a change.
+    A norm above the float range reads inf, and a test it makes read NaN
+    does not call for a change.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        xz, dz = x_vec - z, z - z_prev
-        consensus, z_step = float(np.max(np.abs(xz))), float(np.max(np.abs(dz)))
-        xz_norm, dz_norm, x_norm, z_norm, k_norm = (math.sqrt(float(v @ v)) for v in (xz, dz, x_vec, z, k_mult))
+    xz, dz = x_vec - z, z - z_prev
+    consensus, z_step = float(np.max(np.abs(xz))), float(np.max(np.abs(dz)))
+    xz_norm, dz_norm, x_norm, z_norm, k_norm = (math.sqrt(float(v @ v)) for v in (xz, dz, x_vec, z, k_mult))
     dual_residual = rho * z_step
     # d < _BAND_LOW p and d > _BAND_HIGH p, multiplied out
     dual_rel, primal_rel = rho * dz_norm * max(x_norm, z_norm), xz_norm * k_norm
@@ -552,25 +552,24 @@ class _AndersonMixer:
         by the regularized normal equations; a solve that fails or a
         gamma that is not finite also gives None, the plain step.  An
         overflow shows in gamma or in the mixed point, which the loop
-        checks, without a warning."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self._last is not None:
-                j = self._slot
-                np.subtract(f, self._last[0], out=self._df[j])
-                np.subtract(g, self._last[1], out=self._dg[j])
-                self._slot, self._count = (j + 1) % _AA_MEMORY, min(self._count + 1, _AA_MEMORY)
-                row = self._df[: self._count] @ self._df[j]
-                self._gram[j, : self._count] = self._gram[: self._count, j] = row
-            self._last = f, g
-            n = self._count
-            if n == 0:
-                return None
-            gram = self._gram[:n, :n]
-            try:
-                gamma = np.linalg.solve(gram + _AA_REG * np.linalg.norm(gram) * np.eye(n), self._df[:n] @ f)
-            except np.linalg.LinAlgError:
-                return None
-            return g - gamma @ self._dg[:n] if np.isfinite(gamma).all() else None
+        checks."""
+        if self._last is not None:
+            j = self._slot
+            np.subtract(f, self._last[0], out=self._df[j])
+            np.subtract(g, self._last[1], out=self._dg[j])
+            self._slot, self._count = (j + 1) % _AA_MEMORY, min(self._count + 1, _AA_MEMORY)
+            row = self._df[: self._count] @ self._df[j]
+            self._gram[j, : self._count] = self._gram[: self._count, j] = row
+        self._last = f, g
+        n = self._count
+        if n == 0:
+            return None
+        gram = self._gram[:n, :n]
+        try:
+            gamma = np.linalg.solve(gram + _AA_REG * np.linalg.norm(gram) * np.eye(n), self._df[:n] @ f)
+        except np.linalg.LinAlgError:
+            return None
+        return g - gamma @ self._dg[:n] if np.isfinite(gamma).all() else None
 
 
 def _read_start(start: SolveResult | None, dims) -> tuple[np.ndarray, float]:
@@ -642,64 +641,61 @@ def admm_solve(
         For any failure after `y`, `config` and `start` are read, as the
         module docstring lists.
     """
-    y = _as_measurements(op, y)
-    dims = op.dims
-    x_start, rho_start = _read_start(start, dims)
-    # the solve's unit c, a power of two near max|y| (algebra._unit): the
-    # loop's values stay near 1, and returning to data units is exact
-    c = _unit(y)
-    y, lam = y / c, config.lam / c
-    yy = float(y @ y)
-    # lam/c also underflows where P(0) = ||y||^2 / (2 lam) reads inf
-    if not (0.0 < lam < math.inf and yy / (2.0 * lam) < math.inf):
-        flow = "overflows" if lam == math.inf else "underflows"
-        raise NumericalError(f"lam={config.lam:.3e} {flow} in units of max|y| ~ {c:.3e}")
-
-    # an overflow shows in M^T y, and is reported once, below
+    # one floating-point regime from the door to the exit: an overflow or an
+    # invalid operation leaves inf or NaN, without a warning, for the checks
+    # below to report as a NumericalError
     with np.errstate(over="ignore", invalid="ignore"):
-        mty = op.matrix.T @ y
-    # the start certificate, in the exit state of the no-op first sweep
-    # x = tsvt(0, 0) = 0: z = 0 has the residual y and the multiplier
-    # -M^T y, whose dual norm is that of M^T y
-    x = prox_input = np.zeros(dims)
-    iteration, sweep_rho, tau, z_residual = 1, _RHO0, 0.0, y
-    _check_finite(iteration, sweep_rho, ("M^T y", mty))
-    obj_hist = [yy / (2.0 * lam)]
-    gap, s = _gap(obj_hist[0], yy, yy, _dual_norm(mty, dims), lam)
+        y = _as_measurements(op, y)
+        dims = op.dims
+        x_start, rho_start = _read_start(start, dims)
+        # the solve's unit c, a power of two near max|y| (algebra._unit): the
+        # loop's values stay near 1, and returning to data units is exact
+        c = _unit(y)
+        y, lam = y / c, config.lam / c
+        yy = float(y @ y)
+        # lam/c also underflows where P(0) = ||y||^2 / (2 lam) reads inf
+        if not (0.0 < lam < math.inf and yy / (2.0 * lam) < math.inf):
+            flow = "overflows" if lam == math.inf else "underflows"
+            raise NumericalError(f"lam={config.lam:.3e} {flow} in units of max|y| ~ {c:.3e}")
 
-    if gap > _GAP_TOL:
-        ne_solver = NormalEquationSolver(op.matrix)
-        # the z block's right-hand side less (M^T M + rho I) z is
-        # M^T y + k - M^T M z + rho (x - z); the first three terms sum to
-        # M^T (y - M z) at the start, where k = 0 (M^T y when z = 0 too),
-        # and to 0 after every sweep.  An overflow shows in the first
-        # sweep's prox input or z step, and is reported there
-        with np.errstate(over="ignore", invalid="ignore"):
+        mty = op.matrix.T @ y
+        # the start certificate, in the exit state of the no-op first sweep
+        # x = tsvt(0, 0) = 0: z = 0 has the residual y and the multiplier
+        # -M^T y, whose dual norm is that of M^T y
+        x = prox_input = np.zeros(dims)
+        iteration, sweep_rho, tau, z_residual = 1, _RHO0, 0.0, y
+        _check_finite(iteration, sweep_rho, ("M^T y", mty))
+        obj_hist = [yy / (2.0 * lam)]
+        gap, s = _gap(obj_hist[0], yy, yy, _dual_norm(mty, dims), lam)
+
+        if gap > _GAP_TOL:
+            ne_solver = NormalEquationSolver(op.matrix)
+            # the z block's right-hand side less (M^T M + rho I) z is
+            # M^T y + k - M^T M z + rho (x - z); the first three terms sum to
+            # M^T (y - M z) at the start, where k = 0 (M^T y when z = 0 too),
+            # and to 0 after every sweep
             z = _vec(x_start) / c
             z_residual = y - op.matrix @ z
             offset = op.matrix.T @ z_residual
             m_offset = op.matrix @ offset
-        k_mult = np.zeros_like(z)
-        rho = rho_start
-        obj_hist = []
-        n = z.size
-        anderson, mixed, f_norm = _AndersonMixer(2 * n, 2 * n + op.m), False, math.inf
+            k_mult = np.zeros_like(z)
+            rho = rho_start
+            obj_hist = []
+            n = z.size
+            anderson, mixed, f_norm = _AndersonMixer(2 * n, 2 * n + op.m), False, math.inf
 
-        for iteration in range(1, config.max_iters + 1):
-            # the final state reports the penalty of its sweep, not the one
-            # rebalanced after it
-            z_prev, k_prev, sweep_rho = z, k_mult, rho
+            for iteration in range(1, config.max_iters + 1):
+                # the final state reports the penalty of its sweep, not the one
+                # rebalanced after it
+                z_prev, k_prev, sweep_rho = z, k_mult, rho
 
-            v = z - k_mult / rho
-            prox_input = _unvec(v, dims)
-            tau = lam / rho
-            _check_finite(iteration, rho, ("threshold lam/rho", tau), ("prox input", prox_input))
-            x = tsvt(prox_input, tau)
+                v = z - k_mult / rho
+                prox_input = _unvec(v, dims)
+                tau = lam / rho
+                _check_finite(iteration, rho, ("threshold lam/rho", tau), ("prox input", prox_input))
+                x = tsvt(prox_input, tau)
 
-            x_vec = _vec(x)
-            # an overflow shows in M x, the z step or the sweep's scalars,
-            # and is reported once, below
-            with np.errstate(over="ignore", invalid="ignore"):
+                x_vec = _vec(x)
                 mx = op.matrix @ x_vec
                 residual = y - mx
                 # M (x - z) = (y - M z) - (y - M x)
@@ -707,77 +703,74 @@ def admm_solve(
                 z, z_residual, offset, m_offset = z + step, z_residual - m_step, 0.0, 0.0
                 k_mult = k_mult + rho * (x_vec - z)
                 rx, yr, rr = float(residual @ residual), float(y @ z_residual), float(z_residual @ z_residual)
-            _check_finite(
-                iteration,
-                rho,
-                ("x", x_vec),
-                ("M x", mx),
-                ("z-block solve", z),
-                ("y - M z", z_residual),
-                ("multiplier", k_mult),
-                ("residual norms", (rx, yr, rr)),
-            )
-            # the fit reads inf, without a warning, when lam/c is tiny
-            fit = rx / (2.0 * lam)
+                _check_finite(
+                    iteration,
+                    rho,
+                    ("x", x_vec),
+                    ("M x", mx),
+                    ("z-block solve", z),
+                    ("y - M z", z_residual),
+                    ("multiplier", k_mult),
+                    ("residual norms", (rx, yr, rr)),
+                )
+                # the fit reads inf when lam/c is tiny
+                fit = rx / (2.0 * lam)
 
-            # the free TNN and a free lower bound on the dual norm bound the
-            # gap from below; a sweep they show cannot stop skips the exact
-            # TNN and dual norm (module docstring), and the last sweep is exact
-            may_stop, k_norm = True, None
-            if iteration < config.max_iters and tau > 0.0:
-                tnn_free, slack = _free_tnn(x_vec, v, tau)
-                tnn_hi, p_lo = tnn_free + slack, fit + tnn_free - slack
-                k_lo = abs(float(k_mult @ x_vec)) / tnn_hi if tnn_hi > 0.0 else 0.0
-                may_stop = not _cannot_stop(p_lo, yr, rr, k_lo, lam)
+                # the free TNN and a free lower bound on the dual norm bound the
+                # gap from below; a sweep they show cannot stop skips the exact
+                # TNN and dual norm (module docstring), and the last sweep is exact
+                may_stop, k_norm = True, None
+                if iteration < config.max_iters and tau > 0.0:
+                    tnn_free, slack = _free_tnn(x_vec, v, tau)
+                    tnn_hi, p_lo = tnn_free + slack, fit + tnn_free - slack
+                    k_lo = abs(float(k_mult @ x_vec)) / tnn_hi if tnn_hi > 0.0 else 0.0
+                    may_stop = not _cannot_stop(p_lo, yr, rr, k_lo, lam)
+                    if may_stop:
+                        k_norm = _dual_norm(k_mult, dims)
+                        may_stop = not _cannot_stop(p_lo, yr, rr, k_norm, lam)
                 if may_stop:
-                    k_norm = _dual_norm(k_mult, dims)
-                    may_stop = not _cannot_stop(p_lo, yr, rr, k_norm, lam)
-            if may_stop:
-                obj_hist.append(tnn(x) + fit)
-                if k_norm is None:
-                    k_norm = _dual_norm(k_mult, dims)
-                # M^T (y - M z) = -k, so the dual norm of k bounds the dual point
-                gap, s = _gap(obj_hist[-1], yr, rr, k_norm, lam)
-                # the stop and the cap leave with this sweep's plain output
-                if gap <= _GAP_TOL or iteration == config.max_iters:
-                    break
-            else:
-                obj_hist.append(fit + tnn_free)
-            rho = _rebalance(rho, x_vec, z, z_prev, k_mult)
+                    obj_hist.append(tnn(x) + fit)
+                    if k_norm is None:
+                        k_norm = _dual_norm(k_mult, dims)
+                    # M^T (y - M z) = -k, so the dual norm of k bounds the dual point
+                    gap, s = _gap(obj_hist[-1], yr, rr, k_norm, lam)
+                    # the stop and the cap leave with this sweep's plain output
+                    if gap <= _GAP_TOL or iteration == config.max_iters:
+                        break
+                else:
+                    obj_hist.append(fit + tnn_free)
+                rho = _rebalance(rho, x_vec, z, z_prev, k_mult)
 
-            # the next input: the plain output, the previous sweep's plain
-            # output when this step from a mixed point grew the residual,
-            # or a mix of the outputs at fixed rho (module docstring)
-            with np.errstate(over="ignore", invalid="ignore"):
+                # the next input: the plain output, the previous sweep's plain
+                # output when this step from a mixed point grew the residual,
+                # or a mix of the outputs at fixed rho (module docstring)
                 f = np.concatenate((z - z_prev, (k_mult - k_prev) / sweep_rho))
                 f_norm, f_norm_last = math.sqrt(float(f @ f)), f_norm
-            if mixed and not f_norm <= f_norm_last:
-                anderson.clear()
-                (z, k_mult, z_residual), mixed = plain, False
-            elif rho != sweep_rho:
-                anderson.clear()
-                mixed = False
-            else:
-                plain = z, k_mult, z_residual
-                g = anderson.mix(f, np.concatenate(plain))
-                mixed = g is not None
-                if mixed:
-                    _check_finite(iteration, rho, ("mixed point", g))
-                    z, k_mult, z_residual = np.split(g, (n, 2 * n))
+                if mixed and not f_norm <= f_norm_last:
+                    anderson.clear()
+                    (z, k_mult, z_residual), mixed = plain, False
+                elif rho != sweep_rho:
+                    anderson.clear()
+                    mixed = False
+                else:
+                    plain = z, k_mult, z_residual
+                    g = anderson.mix(f, np.concatenate(plain))
+                    mixed = g is not None
+                    if mixed:
+                        _check_finite(iteration, rho, ("mixed point", g))
+                        z, k_mult, z_residual = np.split(g, (n, 2 * n))
 
-    # the one exit: the last sweep took the exact gap, and its s and
-    # residual give the dual point; back to data units, where P itself may
-    # exceed the float range and read inf
-    with np.errstate(over="ignore"):
-        x, prox_input, obj_hist = c * x, c * prox_input, c * np.asarray(obj_hist)
-    tau = c * tau
-    _check_finite(iteration, sweep_rho, ("x_hat", x), ("prox input", prox_input), ("threshold lam/rho", tau))
-    return SolveResult(
-        x_hat=x,
-        iterations=iteration,
-        converged=gap <= _GAP_TOL,
-        objective_history=obj_hist,
-        final_state=AdmmState(rho=sweep_rho, last_prox_input=prox_input, last_prox_tau=tau),
-        gap=gap,
-        dual=(s / lam) * z_residual,
-    )
+        # the one exit: the last sweep took the exact gap, and its s and
+        # residual give the dual point; back to data units, where P itself may
+        # exceed the float range and read inf
+        x, prox_input, obj_hist, tau = c * x, c * prox_input, c * np.asarray(obj_hist), c * tau
+        _check_finite(iteration, sweep_rho, ("x_hat", x), ("prox input", prox_input), ("threshold lam/rho", tau))
+        return SolveResult(
+            x_hat=x,
+            iterations=iteration,
+            converged=gap <= _GAP_TOL,
+            objective_history=obj_hist,
+            final_state=AdmmState(rho=sweep_rho, last_prox_input=prox_input, last_prox_tau=tau),
+            gap=gap,
+            dual=(s / lam) * z_residual,
+        )

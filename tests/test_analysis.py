@@ -175,6 +175,38 @@ def test_matched_constants_consistent_with_general():
                     assert c4 == pytest.approx(c4t * lam, rel=1e-12)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.integers(-1000, 1000),
+    delta_frac=st.floats(0.0, 0.99),
+    t=st.floats(1.1, 50.0),
+    r=st.integers(1, 8),
+    n3=st.integers(1, 8),
+)
+@example(k=1000, delta_frac=0.1 / ric_threshold(2.0, 5), t=2.0, r=1, n3=5)
+@example(k=-1000, delta_frac=0.1 / ric_threshold(2.0, 5), t=2.0, r=1, n3=5)
+def test_matched_constants_scale_exactly_with_lambda(k, delta_frac, t, r, n3):
+    # c2 and c4 are formed in units of lambda, so at epsilon = lambda / 2
+    # neither overflows nor underflows before lambda does: at lambda = 2^k
+    # they are the matched constants times lambda, exactly
+    lam = math.ldexp(1.0, k)
+    rec = guarantee_constants(delta_frac * ric_threshold(t, n3), t, r, n3, lam, lam / 2.0)
+    assert rec["c2"] == lam * rec["c2_matched"] and rec["c4"] == lam * rec["c4_matched"]
+    assert rec["c1"] == rec["c1_matched"] and rec["c3"] == rec["c3_matched"]
+
+
+def test_constants_at_the_smallest_lambda_are_numbers():
+    # at delta one ulp below the n3 = 1 threshold, 1 - eta2 ~ 1e-16: with
+    # lambda = 5e-324 the denominators of c3 and c4 underflowed to 0 (a
+    # ZeroDivisionError).  In units of max(lambda, epsilon) they do only
+    # where the ratio leaves the float range, and read inf there
+    delta = math.nextafter(ric_threshold(2.0, 1), 0.0)
+    rec = guarantee_constants(delta, 2.0, 1, 1, 5e-324, 0.0)
+    assert all(math.isfinite(c) and c > 0 for c in coefficients(rec))
+    rec = guarantee_constants(delta, 2.0, 1, 1, 5e-324, 10.0)
+    assert rec["c2"] == 20.0 and rec["c3"] == rec["c4"] == math.inf
+
+
 def test_matched_constants_reject_delta_at_threshold():
     with pytest.raises(RipConditionError):
         guarantee_constants(ric_threshold(2.0, 3), 2.0, 1, 3, 1.0, 0.5)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -399,6 +400,22 @@ def test_experiment_aborts_a_cell_whose_start_objective_reads_inf():
     result = run_experiment(mini_spec(trials=1, base_seed=0, lambda_list=(0.1, 1e-310)))
     assert result.aborted_trials.tolist() == [[0, 0], [1, 1]]
     assert result.truncated_trials.tolist() == [[0, 0], [0, 0]]
+
+
+def test_experiment_aborts_an_overflowing_solve_whatever_the_warnings_filter(monkeypatch):
+    # a z block of 1.7e308 makes the second sweep's prox input overflow:
+    # with RuntimeWarning an error, that solve still raises its
+    # NumericalError, and the sweep marks the cell aborted instead of failing
+    monkeypatch.setattr(
+        tubal.solver.NormalEquationSolver,
+        "solve",
+        lambda self, b, mb, rho: (np.full_like(b, 1.7e308), np.zeros_like(mb)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run_experiment(mini_spec(trials=1, sigma_list=(0.05,), lambda_list=(0.1, 0.01)))
+    assert result.aborted_trials.tolist() == [[1], [1]]
+    assert np.isnan(result.mean_snr_db).all()
 
 
 def test_experiment_reports_truncated_solves(monkeypatch, tmp_path):

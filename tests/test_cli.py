@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import tubal.bench
 import tubal.cli
 from tubal import admm_solve, estimate_ric, run_rip_campaign, tnn, tsvd
+from tubal.algebra import _norm
 from tubal.cli import main
 from tubal.rng import derive_key
 
@@ -104,6 +105,23 @@ def test_solve_subcommand(tmp_path, monkeypatch):
     # the estimate is .npy at exactly the given path, whatever its suffix
     assert not (tmp_path / "xhat.bin.npy").exists()
     assert np.array_equal(np.load(tmp_path / "xhat.bin"), results[0].x_hat)
+
+
+def test_solve_reports_a_tiny_noise_norm_in_units_of_its_largest_entry(tmp_path, monkeypatch):
+    # at sigma = 1e-170 every square of the noise underflows, so a bare
+    # np.linalg.norm reads 0 for a nonzero draw
+    samples = []
+
+    def recording(*args):
+        samples.append(tubal.bench.add_noise(*args))
+        return samples[-1]
+
+    monkeypatch.setattr(tubal.cli, "add_noise", recording)
+    spec = write_spec(tmp_path, "solve.json", {"n": 6, "n3": 2, "r": 1, "sigma": 1e-170, "lambda": 0.1, "seed": 7})
+    out = tmp_path / "result.json"
+    assert main(["solve", "--spec", spec, "--out", str(out)]) == 0
+    noise_norm = json.loads(out.read_text())["realized_noise_norm"]
+    assert noise_norm == _norm(samples[0].noise) > 0.0
 
 
 def test_solve_writes_an_infinite_snr_as_null(tmp_path, monkeypatch):

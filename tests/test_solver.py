@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tubal import (
     GaussianLinearMap,
     NumericalError,
+    SolveResult,
     SolverConfig,
     admm_solve,
     apply,
@@ -837,12 +838,21 @@ def test_admm_rejects_nonfinite_measurements():
             admm_solve(op, y, SolverConfig(lam=1.0))
 
 
+def _raises_without_warning(match, solve):
+    # the solve's failure is its NumericalError, with no warning first,
+    # whether or not warnings are errors
+    for action in ("error", "always"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            with pytest.raises(NumericalError, match=match):
+                solve()
+        assert caught == []
+
+
 def test_admm_nonfinite_abort():
     op = gaussian_map(8, (2, 2, 2), seed=3)
     y = np.full(8, 1e308)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError):
-            admm_solve(op, y, SolverConfig(lam=1.0))
+    _raises_without_warning("underflows", lambda: admm_solve(op, y, SolverConfig(lam=1.0)))
 
 
 def test_admm_map_whose_products_overflow_is_a_numerical_error():
@@ -850,8 +860,7 @@ def test_admm_map_whose_products_overflow_is_a_numerical_error():
     # overflows: the failure is a NumericalError, with no warning first
     for entry, match in ((1e308, "M\\^T y"), (1e160, "Gram")):
         op = GaussianLinearMap((2, 2, 2), np.full((3, 8), entry))
-        with pytest.raises(NumericalError, match=match):
-            admm_solve(op, np.ones(3), SolverConfig(lam=1.0))
+        _raises_without_warning(match, lambda: admm_solve(op, np.ones(3), SolverConfig(lam=1.0)))
 
 
 def test_admm_iterates_whose_products_overflow_are_a_numerical_error():
@@ -859,12 +868,34 @@ def test_admm_iterates_whose_products_overflow_are_a_numerical_error():
     # overflows in the second sweep: the solve raises, with no warning
     # first and whether or not warnings are errors
     op = GaussianLinearMap((2, 2, 2), 1e120 * np.random.default_rng(0).standard_normal((3, 8)))
-    for action in ("error", "always"):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter(action, RuntimeWarning)
-            with pytest.raises(NumericalError, match="non-finite residual norms at iteration 2"):
-                admm_solve(op, np.ones(3), SolverConfig(lam=1.0))
-        assert caught == []
+    _raises_without_warning(
+        "non-finite residual norms at iteration 2", lambda: admm_solve(op, np.ones(3), SolverConfig(lam=1.0))
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+    m_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+    k=st.integers(-1000, 1000),
+    log_lam=st.floats(-12.0, 6.0),
+)
+def test_admm_ends_in_a_result_or_a_numerical_error_at_any_scale(dims, m_frac, seed, k, log_lam):
+    # y scaled by 2^k and lam / max|y| from 1e-12 to 1e6: whatever the
+    # warnings filter, a solve returns or raises its NumericalError, and
+    # nothing else leaves it
+    n = math.prod(dims)
+    m = 1 + round(m_frac * 2 * n)
+    op = gaussian_map(m, dims, seed=seed)
+    y = math.ldexp(1.0, k) * np.random.default_rng(seed).standard_normal(m)
+    lam = 10.0**log_lam * float(np.max(np.abs(y)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            assert isinstance(admm_solve(op, y, SolverConfig(lam=lam, max_iters=50)), SolveResult)
+        except NumericalError:
+            pass
 
 
 @pytest.mark.parametrize(
@@ -905,14 +936,12 @@ def test_admm_nonfinite_prox_step_is_a_numerical_error(monkeypatch):
 
 def test_admm_overflowing_prox_input_is_a_numerical_error(monkeypatch):
     # z = 1.7e308 and k = rho (x - z) = -1.7e304 pass the first sweep's
-    # check, but z - k/rho overflows in the second; numpy warns of the
-    # overflow, and the solver reports it
+    # check, but z - k/rho overflows in the second, and the solver reports it
     op = gaussian_map(8, (2, 2, 2), seed=3)
     monkeypatch.setattr(
         NormalEquationSolver, "solve", lambda self, b, mb, rho: (np.full_like(b, 1.7e308), np.zeros_like(mb))
     )
-    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="prox input at iteration 2"):
-        admm_solve(op, np.ones(8), SolverConfig(lam=1.0))
+    _raises_without_warning("prox input at iteration 2", lambda: admm_solve(op, np.ones(8), SolverConfig(lam=1.0)))
 
 
 def test_admm_near_the_float_range_is_the_solve_in_units_of_max_y():
