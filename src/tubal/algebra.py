@@ -221,8 +221,7 @@ def conj_transpose(x: np.ndarray) -> np.ndarray:
     x = as_tensor3(x)
     out = np.empty((x.shape[1], x.shape[0], x.shape[2]))
     out[:, :, 0] = x[:, :, 0].T
-    if x.shape[2] > 1:
-        out[:, :, 1:] = x[:, :, :0:-1].transpose(1, 0, 2)
+    out[:, :, 1:] = x[:, :, :0:-1].transpose(1, 0, 2)
     return out
 
 
@@ -365,8 +364,6 @@ def tubal_rank(x: np.ndarray) -> int:
     """
     x = as_tensor3(x)
     spec = _half_weights(x.shape[2]) @ _slice_svd(x, compute_uv=False) / x.shape[2]
-    if spec.size == 0 or spec[0] == 0.0:
-        return 0
     return int(np.count_nonzero(spec > _RANK_TOL * spec[0]))
 
 
@@ -379,10 +376,7 @@ def average_rank(x: np.ndarray) -> Fraction:
     x = as_tensor3(x)
     n3 = x.shape[2]
     sv = _slice_svd(x, compute_uv=False)
-    top = sv.max(initial=0.0)
-    if top == 0.0:
-        return Fraction(0)
-    counts = (sv > _RANK_TOL * top).sum(axis=1)
+    counts = (sv > _RANK_TOL * sv.max()).sum(axis=1)
     total = int(np.rint(_half_weights(n3) @ counts))
     return Fraction(total, n3)
 
@@ -429,8 +423,6 @@ def _select_components(x: np.ndarray, indices: np.ndarray) -> np.ndarray:
     The sum does not depend on the singular vectors' phases, so they are
     left as the SVD returns them.
     """
-    if indices.size == 0:
-        return np.zeros_like(x)
     u, s, vt = _slice_svd(x)
     return _from_slices(u[..., indices], s[..., indices], vt[..., indices, :], x.shape[2])
 

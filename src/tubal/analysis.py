@@ -237,6 +237,21 @@ def estimate_ric(op: GaussianLinearMap, r: int, trials: int, seed: int) -> RipEs
 # bound verification
 
 
+def _read_instance(x_true, x_hat, op: GaussianLinearMap, y, epsilon: float):
+    """Return a solved instance read for the guarantee: `x_true` and `x_hat`
+    as tensors of ``op.dims`` and `y` as m finite measurements, with the
+    read `epsilon` at least the realized noise ``||y - M(x_true)||_2``, up
+    to ``1e-12 ||y||``, the roundoff of forming it; else ``ValueError``."""
+    x_true, x_hat = as_tensor3(x_true), as_tensor3(x_hat)
+    if x_true.shape != op.dims or x_hat.shape != op.dims:
+        raise ValueError("tensor dims do not match the measurement map")
+    y = _as_measurements(op, y)
+    realized = _norm(y - apply(op, x_true))
+    if realized > epsilon * (1.0 + 1e-9) + 1e-12 * _norm(y):
+        raise ValueError(f"epsilon={epsilon:.6g} is below the realized noise norm {realized:.6g}")
+    return x_true, x_hat, y
+
+
 def verify_bounds(
     x_true: np.ndarray,
     x_hat: np.ndarray,
@@ -250,34 +265,23 @@ def verify_bounds(
 ) -> dict:
     """Evaluate both recovery bounds on a solved instance.
 
-    `y` must be a finite vector of length m, else ``ValueError``;
-    `epsilon` must dominate the realized noise ``||y - M(x_true)||_2``
-    up to ``1e-12 ||y||``, the roundoff of forming it (the guarantee
-    assumes a noise level, and the realized norm is the honest choice);
-    `delta` is whatever isometry constant the caller trusts for rank t*r,
-    typically an empirical lower estimate.  The scalars are read and
-    checked by :func:`guarantee_constants` before any measurement is
-    taken.  Each norm is taken in units of its vector's max entry, so no
-    square overflows or underflows.
+    The instance is read as :func:`_read_instance` reads it: `y` must
+    be a finite vector of length m, and `epsilon` must dominate the
+    realized noise (the guarantee assumes a noise level, and the realized
+    norm is the honest choice), else ``ValueError``; `delta` is whatever
+    isometry constant the caller trusts for rank t*r, typically an
+    empirical lower estimate.  The scalars are read and checked by
+    :func:`guarantee_constants` before any measurement is taken.  Each
+    norm is taken in units of its vector's max entry, so no square
+    overflows or underflows.
 
     Returns the :func:`guarantee_constants` record followed by tail_tnn
     (the nuclear norm of the ground truth beyond tubal rank r), the two
     sides of each bound (lhs_meas, rhs_meas, lhs_fro, rhs_fro) and
     satisfied, a list of the two comparisons.
     """
-    x_true = as_tensor3(x_true)
-    x_hat = as_tensor3(x_hat)
-    if x_true.shape != op.dims or x_hat.shape != op.dims:
-        raise ValueError("tensor dims do not match the measurement map")
-    y = _as_measurements(op, y)
     record = guarantee_constants(delta, t, r, op.dims[2], lam, epsilon)
-    epsilon = record["epsilon"]
-    realized = _norm(y - apply(op, x_true))
-    if realized > epsilon * (1.0 + 1e-9) + 1e-12 * _norm(y):
-        raise ValueError(
-            f"epsilon={epsilon:.6g} is below the realized noise norm {realized:.6g}"
-        )
-
+    x_true, x_hat, y = _read_instance(x_true, x_hat, op, y, record["epsilon"])
     tail_tnn = tnn(truncate(x_true, r)[1])
     diff = x_hat - x_true
     lhs_meas = _norm(apply(op, diff))

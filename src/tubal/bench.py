@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, rng
 from .algebra import _as_int, _as_real, tprod, tubal_rank
-from .analysis import RipEstimate, estimate_ric, ric_threshold, verify_bounds
+from .analysis import RipEstimate, _read_instance, estimate_ric, ric_threshold, verify_bounds
 from .measurement import GaussianLinearMap, add_noise, apply, gaussian_map, snr_db
 from .solver import NumericalError, SolverConfig, admm_solve
 
@@ -295,9 +295,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     reduction, so aggregates do not depend on scheduling.  Within a
     trial each sigma column is solved as a path in the spec's lambda
     order (:func:`_trial_worker`), so mean_iterations and mean_seconds
-    are those of warm solves and depend on that order: one case1 trial
-    at base seed 101 takes 2115 sweeps with lambda descending, 2763
-    ascending and 3161 with every cell solved from zero.  A solver abort
+    are those of warm solves and depend on that order, as the
+    :mod:`tubal.solver` docstring measures on case1.  A solver abort
     (a :class:`NumericalError`, whatever the warnings filter) marks its
     cell for that trial and the sweep continues, and the next cell of its
     column starts from zero.
@@ -416,10 +415,14 @@ def check_guarantee(
     certificate.
 
     An r that is not an integer >= 1, a lam <= 0, an epsilon < 0, an
-    empty `t_grid` or a t <= 1 raises ``ValueError`` before any probe.
+    empty `t_grid`, a t <= 1 and an instance that :func:`verify_bounds`
+    would reject (tensors not of ``op.dims``, a y that is not m finite
+    reals, an epsilon below the realized noise) raise ``ValueError``
+    before any probe.
     """
     r = _as_int(r, "r", least=1)
     lam, epsilon = _as_real(lam, "lam", above=0.0), _as_real(epsilon, "epsilon", least=0.0)
+    x_true, x_hat, y = _read_instance(x_true, x_hat, op, y, epsilon)
     if not t_grid:
         raise ValueError("t_grid must not be empty")
     thresholds = [ric_threshold(t, op.dims[2]) for t in t_grid]  # rejects t <= 1 before probing

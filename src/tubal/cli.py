@@ -66,9 +66,8 @@ Each sigma column of a trial is solved as a path in the spec's
 lambda_list order: a solve starts from the previous lambda's answer
 (the column's first one, and one after an aborted cell, from zero), and
 stops on its own certified gap.  So a cell's iterations and seconds are
-those of its warm solve and depend on the order: one case1 trial at
-base seed 101 took 2115 sweeps with lambda descending and 2763 with it
-ascending, against 3161 with every cell solved from zero.
+those of its warm solve and depend on the order, as the tubal.solver
+docstring measures on case1.
 
 Bounds output
 -------------

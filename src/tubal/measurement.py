@@ -155,15 +155,13 @@ class NoisySample:
 def add_noise(y: np.ndarray, sigma: float, noise_seed: int) -> NoisySample:
     """Add N(0, sigma^2) noise drawn from the "noise" stream of `noise_seed`.
 
-    sigma = 0 returns the measurements unchanged (no draw is consumed).
+    sigma = 0 returns the measurements unchanged.
     `y` must be a real, finite, non-empty vector, and a non-integral
     `noise_seed` raises ``ValueError``, whatever sigma is.
     """
     y = _as_array(y, 1, "measurements")
     sigma = _as_real(sigma, "sigma", least=0.0)
     noise_seed = _as_int(noise_seed)
-    if sigma == 0.0:
-        return NoisySample(y=y.copy(), noise=np.zeros_like(y))
     w = sigma * rng.stream(noise_seed, "noise").standard_normal(y.size)
     return NoisySample(y=y + w, noise=w)
 

@@ -94,13 +94,15 @@ bound on the gap that costs no SVD shows it cannot stop.  The x
 block keeps each slice singular value of the prox input v above
 ``tau = lam / rho``, shrunk by tau, so ``tau TNN(x) = <x, v - x>``; this
 free TNN is within ``slack = _TNN_SLACK ||x|| ||v|| / tau`` of
-``tnn(x)``.  Hoelder's inequality for the TNN and its dual norm gives
-``|<k, x>| <= ||k||_2 TNN(x)``, so ``k_lo = |<k, x>| / (TNN_free +
-slack)`` is at most ``||k||_2``.  With ``P_lo = fit + TNN_free - slack``
-<= P, and D taken at the norm k_lo, which loosens the cap on s and so
-bounds D from above, ``_gap`` of P_lo is at most the gap.  When that
-bound exceeds _GAP_TOL by _SKIP_MARGIN the sweep cannot stop and skips
-both SVDs.  Otherwise ``||k||_2`` is taken by SVD; when the bound with it
+``tnn(x)``.  tau is positive in every sweep: the door keeps lam/c above
+``||y/c||^2 / (2 DBL_MAX) >= 1 / (2 DBL_MAX)`` and rho is at most
+_RHO_MAX, so tau is at least 2.7e-319.  Hoelder's inequality for the
+TNN and its dual norm gives ``|<k, x>| <= ||k||_2 TNN(x)``, so
+``k_lo = |<k, x>| / (TNN_free + slack)`` is at most ``||k||_2``.  With
+``P_lo = fit + TNN_free - slack`` <= P, and D taken at the norm k_lo,
+which loosens the cap on s and so bounds D from above, ``_gap`` of P_lo
+is at most the gap.  When that bound exceeds _GAP_TOL by _SKIP_MARGIN
+the sweep cannot stop and skips both SVDs.  Otherwise ``||k||_2`` is taken by SVD; when the bound with it
 still clears the tolerance the sweep skips ``tnn(x)``, and only then do
 ``tnn(x)``, the certificate and the stop test run.  The last sweep and
 any sweep whose bound is not finite, or whose P_lo is not positive, take
@@ -158,8 +160,9 @@ which converts to data units, checks finiteness and builds the one
 A solve can start where another one ended, such as the previous lam of
 a regularization path on the same operator and data (continuation, as
 in Toh & Yun 2010 and Ma, Goldfarb & Chen 2011).  Only the start's
-x_hat and final rho are read: the loop begins at z = x_hat / c, k = 0
-and ``r = y - M z``, at that rho.  The z update's right-hand side less
+x_hat and final rho are read, the rho within [_RHO0, _RHO_MAX] as every
+solve leaves it: the loop begins at z = x_hat / c, k = 0 and
+``r = y - M z``, at that rho.  The z update's right-hand side less
 ``(M^T M + rho I) z`` is ``M^T r + k + rho (x - z)``.  After every
 sweep ``M^T r + k = 0``, but at the start, with k = 0, ``M^T r`` is
 left, so the first sweep's step carries that offset, and its image
@@ -186,12 +189,18 @@ so small that ``P(0) = ||y||^2 / (2 lam)`` reads inf in units of c and
 the start gap NaN; an ``M^T y`` that leaves the float range, checked
 before the start certificate's SVD; a Gram product that leaves it, which
 fails the eigendecomposition; a failed eigendecomposition or
-thresholding SVD; a threshold lam/rho or prox input that left the finite
-range, or a non-finite x, ``M x``, z, ``y - M z``, multiplier,
-``||y - M x||^2``, ``<y, r>``, ``||r||^2`` or mixed point, each checked
-once per sweep; and at the exit, an x_hat or final prox step that leaves
-the float range in data units.  The solve runs from the door to the exit
-under one numpy error state, in which an overflow or an invalid operation
+thresholding SVD, or a thresholding that leaves the finite range; a
+non-finite value among the four that each sweep checks, the threshold
+lam/rho and the prox input before :func:`tsvt` reads them, and the
+multiplier and ``(||y - M x||^2, <y, r>, ||r||^2)`` after the multiplier
+update; and at the exit, an x_hat or final prox step that leaves the
+float range in data units.  Those four cover every other iterate: a
+non-finite x or z shows in the multiplier ``k + rho (x - z)``, a
+non-finite ``M x`` in ``||y - M x||^2``, a non-finite ``y - M z`` in
+``<y, r>`` and ``||r||^2``, and a non-finite mixed point in the checks
+of the sweep that starts from it, since the stop and the cap leave
+before a point is mixed.  The solve runs from the door to the exit under
+one numpy error state, in which an overflow or an invalid operation
 leaves inf or NaN without a warning, so the check that finds it raises
 the NumericalError whatever the warnings filter; an objective above the
 float range reads inf.  :func:`~tubal.bench.run_experiment` marks such a
@@ -206,7 +215,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .algebra import _as_array, _as_int, _as_real, _unit, as_tensor3, fro_norm, tnn, _from_slices, _slice_svd
+from .algebra import _as_array, _as_int, _as_real, _bounded, _unit, as_tensor3, fro_norm, tnn, _from_slices, _slice_svd
 from .measurement import GaussianLinearMap, _as_measurements, _unvec, _vec
 
 __all__ = [
@@ -574,14 +583,14 @@ class _AndersonMixer:
 
 def _read_start(start: SolveResult | None, dims) -> tuple[np.ndarray, float]:
     """The loop's start point and penalty: x = 0 at _RHO0, or `start`'s
-    x_hat, a finite array of shape `dims`, at its final rho, a finite
-    positive real (``ValueError`` otherwise)."""
+    x_hat, a finite array of shape `dims`, at its final rho, a real in the
+    penalty bracket [_RHO0, _RHO_MAX] (``ValueError`` otherwise)."""
     if start is None:
         return np.zeros(dims), _RHO0
     x = _as_array(start.x_hat, 3, "start x_hat")
     if x.shape != tuple(dims):
         raise ValueError(f"start x_hat: shape {x.shape} does not match the operator's {tuple(dims)}")
-    return x, _as_real(start.final_state.rho, "start rho", above=0.0)
+    return x, _bounded(_as_real(start.final_state.rho, "start rho"), "start rho", _RHO0, most=_RHO_MAX)
 
 
 def admm_solve(
@@ -599,9 +608,8 @@ def admm_solve(
     carries the offset ``M^T r`` that k = 0 leaves on its right-hand
     side, which from x_hat = 0 at _RHO0 is the cold start's ``M^T y``:
     so a start-certified solve given as `start` reproduces the cold
-    solve byte for byte, and there is one loop for both.  On case1, a
-    path down each sigma column's lambda list took one trial 2115 sweeps
-    instead of 3161 at base seed 101 (module docstring).
+    solve byte for byte, and there is one loop for both.  The module
+    docstring gives the sweeps that such a path saves on case1.
 
     z, the multiplier k and the residual ``r = y - M z`` are vectors.  Per
     sweep: the x block applies :func:`tsvt` to ``z - k/rho``, viewed as a
@@ -635,8 +643,9 @@ def admm_solve(
     ValueError
         If `y` is not a real, finite vector of length m, or `start`'s
         x_hat is not a finite array of the operator's dims or its rho not
-        a finite positive real; this is checked before the measurement
-        matrix is factored.
+        a real in [_RHO0, _RHO_MAX], the bracket that every solve's final
+        rho lies in; this is checked before the measurement matrix is
+        factored.
     NumericalError
         For any failure after `y`, `config` and `start` are read, as the
         module docstring lists.
@@ -696,23 +705,15 @@ def admm_solve(
                 x = tsvt(prox_input, tau)
 
                 x_vec = _vec(x)
-                mx = op.matrix @ x_vec
-                residual = y - mx
+                residual = y - op.matrix @ x_vec
                 # M (x - z) = (y - M z) - (y - M x)
                 step, m_step = ne_solver.solve(offset + rho * (x_vec - z), m_offset + rho * (z_residual - residual), rho)
                 z, z_residual, offset, m_offset = z + step, z_residual - m_step, 0.0, 0.0
                 k_mult = k_mult + rho * (x_vec - z)
                 rx, yr, rr = float(residual @ residual), float(y @ z_residual), float(z_residual @ z_residual)
-                _check_finite(
-                    iteration,
-                    rho,
-                    ("x", x_vec),
-                    ("M x", mx),
-                    ("z-block solve", z),
-                    ("y - M z", z_residual),
-                    ("multiplier", k_mult),
-                    ("residual norms", (rx, yr, rr)),
-                )
+                # with the prox input's check, these catch a non-finite x, M x,
+                # z or y - M z of this sweep and a mixed point of the last one
+                _check_finite(iteration, rho, ("multiplier", k_mult), ("residual norms", (rx, yr, rr)))
                 # the fit reads inf when lam/c is tiny
                 fit = rx / (2.0 * lam)
 
@@ -720,7 +721,7 @@ def admm_solve(
                 # gap from below; a sweep they show cannot stop skips the exact
                 # TNN and dual norm (module docstring), and the last sweep is exact
                 may_stop, k_norm = True, None
-                if iteration < config.max_iters and tau > 0.0:
+                if iteration < config.max_iters:
                     tnn_free, slack = _free_tnn(x_vec, v, tau)
                     tnn_hi, p_lo = tnn_free + slack, fit + tnn_free - slack
                     k_lo = abs(float(k_mult @ x_vec)) / tnn_hi if tnn_hi > 0.0 else 0.0
@@ -757,7 +758,6 @@ def admm_solve(
                     g = anderson.mix(f, np.concatenate(plain))
                     mixed = g is not None
                     if mixed:
-                        _check_finite(iteration, rho, ("mixed point", g))
                         z, k_mult, z_residual = np.split(g, (n, 2 * n))
 
         # the one exit: the last sweep took the exact gap, and its s and

@@ -687,17 +687,21 @@ def test_recorded_seeds_are_checked_ints(seed):
 @pytest.mark.parametrize(
     "bad",
     [dict(t_grid=[2.0, 1.0]), dict(t_grid=[]), dict(r=1.5), dict(r=0), dict(lam=0.0), dict(lam=-1.0),
-     dict(epsilon=-5.0)],
-    ids=["t-at-1", "empty", "r-fraction", "r-zero", "lam-zero", "lam-negative", "epsilon-negative"],
+     dict(epsilon=-5.0), dict(x_hat=np.zeros((3, 3, 3))), dict(y=np.zeros(9)), dict(y=np.full(10, np.nan)),
+     dict(y=np.ones(10))],
+    ids=["t-at-1", "empty", "r-fraction", "r-zero", "lam-zero", "lam-negative", "epsilon-negative",
+         "x-hat-shape", "y-short", "y-nan", "epsilon-understated"],
 )
 def test_check_guarantee_validates_grid_before_probing(monkeypatch, bad):
+    # the instance too is read before any probe, not only where a t's
+    # condition is met; y = 1 is no noise-free measurement of x
     calls = []
     monkeypatch.setattr(tubal.bench, "estimate_ric", lambda *args: calls.append(args))
     op = gaussian_map(10, (3, 3, 2), seed=1)
     x = generate_lowrank(3, 3, 2, 1, seed=2)
-    args = {**dict(r=1, t_grid=[2.0], lam=0.1, epsilon=0.0), **bad}
+    args = {**dict(x_true=x, x_hat=x, y=tubal.apply(op, x), r=1, t_grid=[2.0], lam=0.1, epsilon=0.0), **bad}
     with pytest.raises(ValueError):
-        check_guarantee(x, x, op, tubal.apply(op, x), **args, trials=5, seed=0)
+        check_guarantee(op=op, **args, trials=5, seed=0)
     assert calls == []
 
 

@@ -560,8 +560,9 @@ def test_admm_certifies_zero_before_any_sweep(dims, m_frac, log_a, seed):
 @pytest.mark.parametrize(
     "x_hat, rho",
     [(np.zeros((4, 4, 2)), 1.0), (np.full((4, 4, 3), np.nan), 1.0), (np.full((4, 4, 3), np.inf), 1.0),
-     (np.zeros((4, 4, 3)), np.nan), (np.zeros((4, 4, 3)), 0.0)],
-    ids=["dims", "nan", "inf", "rho-nan", "rho-zero"],
+     (np.zeros((4, 4, 3)), np.nan), (np.zeros((4, 4, 3)), 0.0), (np.zeros((4, 4, 3)), 1e12),
+     (np.zeros((4, 4, 3)), 1e-30)],
+    ids=["dims", "nan", "inf", "rho-nan", "rho-zero", "rho-above-bracket", "rho-below-bracket"],
 )
 def test_admm_rejects_a_start_it_cannot_read_before_factoring(monkeypatch, x_hat, rho):
     # a start is read at the door, like y: before the start certificate and
@@ -915,23 +916,27 @@ def test_penalty_rule_holds_rho_where_the_relative_balance_has_no_ratio(x, z, z_
         assert solver._rebalance(1.0, x, z, z_prev, k_mult) == 1.0
 
 
-def test_admm_nonfinite_zsolve_is_a_numerical_error(monkeypatch):
-    # the z block is checked before the next prox input reaches tsvt's
-    # read, so a NaN there is a numerical failure, not a rejected input
+@pytest.mark.parametrize(
+    "owner, name, fault, match",
+    [
+        (NormalEquationSolver, "solve", lambda self, b, mb, rho: (np.full_like(b, np.nan), np.full_like(mb, np.nan)),
+         "multiplier at iteration 1"),
+        (NormalEquationSolver, "solve", lambda self, b, mb, rho: (np.zeros_like(b), np.full_like(mb, np.nan)),
+         "residual norms at iteration 1"),
+        (solver, "tsvt", lambda v, tau: np.full(v.shape, np.nan), "multiplier at iteration 1"),
+        # the first mixed point is formed after sweep 18
+        (solver._AndersonMixer, "mix", lambda self, f, g: np.full_like(g, np.inf), "prox input at iteration 19"),
+    ],
+    ids=["z-block-solve", "z-block-image", "prox-step", "mixed-point"],
+)
+def test_admm_nonfinite_iterate_is_a_numerical_error(monkeypatch, owner, name, fault, match):
+    # a sweep checks its threshold and prox input, then its multiplier and
+    # residual norms: a non-finite x, M x, z or y - M z shows in the second
+    # check of its own sweep, and a mixed point in the next sweep's, as a
+    # numerical failure, not an input tsvt or tnn rejects
     op = gaussian_map(8, (2, 2, 2), seed=3)
-    monkeypatch.setattr(
-        NormalEquationSolver, "solve", lambda self, b, mb, rho: (np.full_like(b, np.nan), np.full_like(mb, np.nan))
-    )
-    with pytest.raises(NumericalError, match="z-block"):
-        admm_solve(op, np.ones(8), SolverConfig(lam=1.0))
-
-
-def test_admm_nonfinite_prox_step_is_a_numerical_error(monkeypatch):
-    # x is checked before the objective's tnn reads it
-    op = gaussian_map(8, (2, 2, 2), seed=3)
-    monkeypatch.setattr(solver, "tsvt", lambda v, tau: np.full(v.shape, np.nan))
-    with pytest.raises(NumericalError, match="non-finite x at iteration 1"):
-        admm_solve(op, np.ones(8), SolverConfig(lam=1.0))
+    monkeypatch.setattr(owner, name, fault)
+    _raises_without_warning(match, lambda: admm_solve(op, np.ones(8), SolverConfig(lam=1.0)))
 
 
 def test_admm_overflowing_prox_input_is_a_numerical_error(monkeypatch):
